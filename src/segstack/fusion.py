@@ -90,10 +90,10 @@ def init_corrector(corr: CorrectorSpec, seed: int) -> None:
         corr.convs[2].bias.data[...] = 0
 
 
-def forward_corrector(corr: CorrectorSpec, z: Tensor, route=None) -> Tensor:
-    h = relu(conv2d(z, corr.convs[0], route=route))
-    h = relu(conv2d(h, corr.convs[1], route=route))
-    return conv2d(h, corr.convs[2], route=route)
+def forward_corrector(corr: CorrectorSpec, z: Tensor) -> Tensor:
+    h = relu(conv2d(z, corr.convs[0]))
+    h = relu(conv2d(h, corr.convs[1]))
+    return conv2d(h, corr.convs[2])
 
 
 def _check_streams(streams):
@@ -122,22 +122,11 @@ def _concat_features(streams, corr):
     return zcat
 
 
-def fuse_residual(streams: "list[StreamOutput]", corr: CorrectorSpec,
-                  route=None) -> Tensor:
+def fuse_residual(streams: "list[StreamOutput]", corr: CorrectorSpec) -> Tensor:
     """Averaged probabilities plus the learned correction (unnormalized)."""
     _check_streams(streams)
     avg = mean_n([s.probs for s in streams])
-    return add(avg, forward_corrector(corr, _concat_features(streams, corr),
-                                      route=route))
-
-
-def fuse_replace(streams: "list[StreamOutput]", corr: CorrectorSpec,
-                 route=None) -> Tensor:
-    """Legacy variant: the corrector output alone, discarding the average.
-    Kept behind a config flag for comparison runs; not the default and
-    not part of the accepted surface."""
-    _check_streams(streams)
-    return forward_corrector(corr, _concat_features(streams, corr), route=route)
+    return add(avg, forward_corrector(corr, _concat_features(streams, corr)))
 
 
 @dataclass

@@ -75,7 +75,7 @@ def predict_probs(spec: NetworkSpec, bands: np.ndarray,
 
     def worker(win):
         x = Tensor(_crop_window(bands, win)[None])
-        logits, _, _ = forward_parts(spec, x, mode="eval")
+        logits, _ = forward_parts(spec, x, mode="eval")
         return softmax_channels(logits).data[0]
 
     with no_grad():
@@ -106,8 +106,8 @@ def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
     def worker(win):
         xa = Tensor(_crop_window(bands_a, win)[None])
         xb = Tensor(_crop_window(bands_b, win)[None])
-        la, fa, _ = forward_parts(spec_a, xa, mode="eval")
-        lb, fb, _ = forward_parts(spec_b, xb, mode="eval")
+        la, fa = forward_parts(spec_a, xa, mode="eval")
+        lb, fb = forward_parts(spec_b, xb, mode="eval")
         streams = [StreamOutput(softmax_channels(la), fa),
                    StreamOutput(softmax_channels(lb), fb)]
         if corr is None:

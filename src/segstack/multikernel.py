@@ -4,6 +4,13 @@ distinct sizes whose outputs are averaged with weight exactly 1/S.
 Averaging the branch outputs makes the head equivalent to averaging an
 ensemble of S single-branch models that share the trunk, so a plain
 single-conv head is just the S = 1 case.
+
+By linearity the average of same-padded branches is one same-padded conv
+whose kernel is the mean of the branch kernels, each zero-padded to the
+largest size, and whose bias is the mean bias.  ``forward_multikernel``
+runs that folded conv; each branch kernel's gradient is the centre crop
+of the folded kernel's gradient times 1/S.  ``branch_outputs`` is the
+per-branch reference path.
 """
 
 import bisect
@@ -13,7 +20,7 @@ import numpy as np
 
 from .errors import SpecError
 from .nnops import ConvParams, conv2d, cross_entropy_loss, he_fill, same_padding
-from .tensor import Tensor, mean_n
+from .tensor import Tensor, _record, mean_n
 
 
 @dataclass
@@ -80,13 +87,32 @@ def make_head(in_channels: int, k: int, scales=(3, 5, 7), bias: bool = True,
     return MultiKernelHead(branches)
 
 
-def branch_outputs(head: MultiKernelHead, x: Tensor, route=None) -> "list[Tensor]":
-    return [conv2d(x, b, route=route) for b in head.branches]
+def branch_outputs(head: MultiKernelHead, x: Tensor) -> "list[Tensor]":
+    return [conv2d(x, b) for b in head.branches]
 
 
-def forward_multikernel(head: MultiKernelHead, x: Tensor, route=None) -> Tensor:
-    """(1/S) sum of branch convolutions, ascending kernel size."""
-    return mean_n(branch_outputs(head, x, route=route))
+def _centre_pad(kernel: Tensor, size: int) -> Tensor:
+    """(oc,ic,k,k) kernel zero-padded to (oc,ic,size,size), centred."""
+    o = (size - kernel.shape[2]) // 2
+    out = Tensor(np.pad(kernel.data, ((0, 0), (0, 0), (o, o), (o, o))))
+    return _record(out, (kernel,), lambda g: (g[:, :, o:size - o, o:size - o]
+                                              .copy(),), "centre_pad")
+
+
+def fold_head(head: MultiKernelHead) -> ConvParams:
+    """The head as one conv; a one-branch head is its own fold."""
+    if len(head.branches) == 1:
+        return head.branches[0]
+    size = head.scales[-1]
+    weight = mean_n([_centre_pad(b.weight, size) for b in head.branches])
+    bias = (None if head.branches[0].bias is None
+            else mean_n([b.bias for b in head.branches]))
+    return ConvParams(weight, bias, (same_padding(size),) * 2)
+
+
+def forward_multikernel(head: MultiKernelHead, x: Tensor) -> Tensor:
+    """(1/S) sum of branch convolutions, run as the folded conv."""
+    return conv2d(x, fold_head(head))
 
 
 def multikernel_loss(branch_logits, labels) -> Tensor:

@@ -148,8 +148,12 @@ class BNState:
 
 
 def conv2d(x: Tensor, params: ConvParams, route: str | None = None) -> Tensor:
-    """2-D convolution (cross-correlation) with zero padding."""
+    """2-D convolution (cross-correlation) with zero padding; ``route``
+    overrides the kernel route ``ck.select_route`` picks."""
     w, b = params.weight, params.bias
+    oh, ow = ck.check_conv_shapes(x.data, w.data, params.padding, params.stride)
+    if route is None:
+        route = ck.select_route(x.shape[0] * oh * ow, x.shape[1])
     out_data = ck.conv2d_forward(
         x.data, w.data, None if b is None else b.data,
         params.padding, params.stride, route=route)
@@ -158,7 +162,7 @@ def conv2d(x: Tensor, params: ConvParams, route: str | None = None) -> Tensor:
 
     def fn(g):
         gx, gw, gb = ck.conv2d_backward(
-            x.data, w.data, g, params.padding, params.stride,
+            x.data, w.data, g, params.padding, params.stride, route,
             need_input_grad=x.requires_grad)
         return (gx, gw) if b is None else (gx, gw, gb)
 

@@ -12,7 +12,7 @@ reduction with identical wiring for desk-scale runs. Both come out of
 the same builder loop.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 from .multikernel import (MultiKernelHead, branch_outputs, forward_multikernel,
                           make_head)
 from .nnops import BNState, ConvParams, batchnorm, conv2d, he_fill, maxpool2, unpool2
-from .tensor import Tensor, mean_n, relu
+from .tensor import Tensor, relu
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
 FULL_CONV_COUNTS = (2, 2, 3, 3, 3)
@@ -51,13 +51,6 @@ class NetworkSpec:
     @property
     def depth(self) -> int:
         return len(self.widths)
-
-    def with_head(self, head: MultiKernelHead) -> "NetworkSpec":
-        if head.in_channels != self.head.in_channels or head.out_channels != self.k:
-            raise SpecError(
-                f"replacement head wants {head.in_channels}->{head.out_channels}, "
-                f"network provides {self.head.in_channels}->{self.k}")
-        return replace(self, head=head)
 
 
 def build_segnet(k: int, scale: str = "full", widths=None, conv_counts=None,
@@ -128,13 +121,14 @@ def init_he(spec: NetworkSpec, seed: int) -> None:
         he_fill(b, rng)
 
 
-def _apply_unit(h: Tensor, u: ConvUnit, mode: str, route) -> Tensor:
-    return relu(batchnorm(conv2d(h, u.params, route=route), u.bn, mode))
+def _apply_unit(h: Tensor, u: ConvUnit, mode: str) -> Tensor:
+    return relu(batchnorm(conv2d(h, u.params), u.bn, mode))
 
 
-def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train",
-                  route=None):
-    """Returns (logits, trunk features, per-branch logits)."""
+def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
+    """Returns (logits, trunk features). The head runs folded into one
+    conv; ``branch_outputs(spec.head, features)`` gives the per-branch
+    logits it averages."""
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D, got shape {x.shape}")
     if x.shape[1] != spec.in_channels:
@@ -148,19 +142,18 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train",
     h = x
     for block in spec.enc_blocks:
         for u in block:
-            h = _apply_unit(h, u, mode, route)
+            h = _apply_unit(h, u, mode)
         h, m = maxpool2(h)
         masks.append(m)
     for block in spec.dec_blocks:
         h = unpool2(h, masks.pop())
         for u in block:
-            h = _apply_unit(h, u, mode, route)
-    branches = branch_outputs(spec.head, h, route=route)
-    return mean_n(branches), h, branches
+            h = _apply_unit(h, u, mode)
+    return forward_multikernel(spec.head, h), h
 
 
-def forward(spec: NetworkSpec, x: Tensor, mode: str = "train", route=None) -> Tensor:
-    logits, _, _ = forward_parts(spec, x, mode, route)
+def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
+    logits, _ = forward_parts(spec, x, mode)
     return logits
 
 
@@ -179,14 +172,6 @@ def named_parameters(spec: NetworkSpec) -> "list[tuple[str, Tensor, str]]":
         for suffix, t in b.tensors():
             out.append((f"head.{bname}.{suffix}", t, "head"))
     return out
-
-
-def _buffer_entries(spec: NetworkSpec):
-    """(name, BNState, attr, group) for non-gradient state."""
-    for u in _units(spec):
-        yield f"{u.name}.bn.running_mean", u.bn, "running_mean", u.group
-        yield f"{u.name}.bn.running_var", u.bn, "running_var", u.group
-        yield f"{u.name}.bn.initialized", u.bn, "initialized", u.group
 
 
 @dataclass
@@ -211,92 +196,64 @@ def param_groups(spec: NetworkSpec, ratio: float = 1.0) -> "list[ParamGroup]":
     return groups
 
 
+def state_entries(spec: NetworkSpec) -> "list[tuple]":
+    """(name, holder, attribute, group) of every parameter (a Tensor's
+    ``data``) and batch-norm buffer, in checkpoint order."""
+    out = [(name, t, "data", group) for name, t, group in named_parameters(spec)]
+    for u in _units(spec):
+        for attr in ("running_mean", "running_var", "initialized"):
+            out.append((f"{u.name}.bn.{attr}", u.bn, attr, u.group))
+    return out
+
+
 def save_checkpoint(spec: NetworkSpec, dirpath) -> None:
-    entries = [(name, t.data, group)
-               for name, t, group in named_parameters(spec)]
-    for name, bn, attr, group in _buffer_entries(spec):
-        if attr == "initialized":
-            arr = np.asarray(1.0 if bn.initialized else 0.0)
-        else:
-            arr = getattr(bn, attr)
-        entries.append((name, arr, group))
-    tenio.save_bundle(dirpath, entries)
+    tenio.save_bundle(dirpath, [
+        (name, np.asarray(float(h.initialized)) if attr == "initialized"
+         else getattr(h, attr), group)
+        for name, h, attr, group in state_entries(spec)])
 
 
-def _stage(bundle, name, want_shape):
-    entry = bundle.get(name)
-    if entry is None:
-        return None
-    if entry.array.shape != tuple(want_shape):
+def restore_entries(bundle, entries, missing_label: str) -> None:
+    """Write bundle arrays into ``state_entries``-style rows, all or
+    nothing: every name and shape is validated before the first write."""
+    staged, missing = [], []
+    for name, holder, attr, _ in entries:
+        entry = bundle.get(name)
+        if entry is None:
+            missing.append(name)
+            continue
+        want = np.shape(getattr(holder, attr))
+        if entry.array.shape != want:
+            raise CheckpointError(f"{name}: checkpoint shape "
+                                  f"{entry.array.shape}, expected {want}")
+        staged.append((holder, attr, entry.array))
+    if missing:
         raise CheckpointError(
-            f"{name}: checkpoint shape {entry.array.shape}, network expects "
-            f"{tuple(want_shape)}")
-    return entry.array
+            f"{missing_label}: {missing[:5]}"
+            + (f" and {len(missing) - 5} more" if len(missing) > 5 else ""))
+    for holder, attr, arr in staged:
+        if attr == "initialized":
+            holder.initialized = bool(arr)
+        else:
+            cur = getattr(holder, attr)
+            cur[...] = arr.astype(cur.dtype, copy=False)
 
 
 def load_checkpoint(spec: NetworkSpec, dirpath) -> None:
-    """Full restore. Validates every name and shape before touching any
-    parameter, so a bad bundle leaves the network untouched."""
+    """Full restore; a bad bundle leaves the network untouched."""
     bundle = tenio.load_bundle(dirpath)
-    staged = []
-    for name, t, _ in named_parameters(spec):
-        arr = _stage(bundle, name, t.shape)
-        if arr is None:
-            raise CheckpointError(f"checkpoint is missing parameter {name}")
-        staged.append((t, arr))
-    buf_staged = []
-    for name, bn, attr, _ in _buffer_entries(spec):
-        arr = _stage(bundle, name, () if attr == "initialized"
-                     else getattr(bn, attr).shape)
-        if arr is None:
-            raise CheckpointError(f"checkpoint is missing buffer {name}")
-        buf_staged.append((bn, attr, arr))
-    known = {n for n, _, _ in named_parameters(spec)}
-    known.update(n for n, _, _, _ in _buffer_entries(spec))
+    entries = state_entries(spec)
+    known = {e[0] for e in entries}
     extra = [n for n in bundle if n not in known]
     if extra:
         raise CheckpointError(f"checkpoint has unknown entries: {extra[:5]}")
-    for t, arr in staged:
-        t.data[...] = arr.astype(t.dtype, copy=False)
-    for bn, attr, arr in buf_staged:
-        if attr == "initialized":
-            bn.initialized = bool(arr)
-        else:
-            getattr(bn, attr)[...] = arr.astype(np.float64, copy=False)
+    restore_entries(bundle, entries, "checkpoint is missing entries")
 
 
 def load_encoder_checkpoint(spec: NetworkSpec, dirpath) -> None:
     """Overwrite encoder parameters and statistics from a bundle (a full
     checkpoint works; its decoder entries are ignored). Decoder and head
     stay untouched. All-or-nothing: validation precedes any mutation."""
-    bundle = tenio.load_bundle(dirpath)
-    staged, missing = [], []
-    for name, t, group in named_parameters(spec):
-        if group != "encoder":
-            continue
-        arr = _stage(bundle, name, t.shape)
-        if arr is None:
-            missing.append(name)
-        else:
-            staged.append((t, arr))
-    buf_staged = []
-    for name, bn, attr, group in _buffer_entries(spec):
-        if group != "encoder":
-            continue
-        arr = _stage(bundle, name, () if attr == "initialized"
-                     else getattr(bn, attr).shape)
-        if arr is None:
-            missing.append(name)
-        else:
-            buf_staged.append((bn, attr, arr))
-    if missing:
-        raise CheckpointError(
-            f"missing encoder parameters: {missing[:5]}"
-            + (f" and {len(missing) - 5} more" if len(missing) > 5 else ""))
-    for t, arr in staged:
-        t.data[...] = arr.astype(t.dtype, copy=False)
-    for bn, attr, arr in buf_staged:
-        if attr == "initialized":
-            bn.initialized = bool(arr)
-        else:
-            getattr(bn, attr)[...] = arr.astype(np.float64, copy=False)
+    restore_entries(tenio.load_bundle(dirpath),
+                    [e for e in state_entries(spec) if e[3] == "encoder"],
+                    "missing encoder parameters")

@@ -77,10 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self) -> None:
         backward(self)
 

@@ -21,8 +21,9 @@ from .fusion import (CorrectorSpec, StreamOutput, fuse_average, fuse_residual,
                      fusion_stats)
 from .multikernel import multikernel_loss
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
-from .segnet import (NetworkSpec, ParamGroup, forward_parts,
-                     named_parameters, param_groups, save_checkpoint)
+from .segnet import (NetworkSpec, ParamGroup, branch_outputs, forward_parts,
+                     param_groups, restore_entries, save_checkpoint,
+                     state_entries)
 from .tensor import Tensor, backward, no_grad
 
 MANIFEST_NAME = "manifest.json"
@@ -106,31 +107,28 @@ class _LastGoodGuard:
     somewhere that only the next forward reveals as broken."""
 
     def __init__(self):
-        self._tensors = []
-        self._bn = []
+        self._entries = []
         self._state = None
 
     def track_spec(self, spec) -> None:
-        from .segnet import _buffer_entries
-        self._tensors += [t for _, t, _ in named_parameters(spec)]
-        self._bn += [(bn, attr) for _, bn, attr, _ in _buffer_entries(spec)]
+        self._entries += state_entries(spec)
 
     def track_tensors(self, named) -> None:
-        self._tensors += [t for _, t in named]
+        self._entries += [(name, t, "data", None) for name, t in named]
 
     def update(self) -> None:
-        self._state = ([t.data.copy() for t in self._tensors],
-                       [np.copy(getattr(bn, attr)) if attr != "initialized"
-                        else bn.initialized for bn, attr in self._bn])
+        self._state = [h.initialized if attr == "initialized"
+                       else np.copy(getattr(h, attr))
+                       for _, h, attr, _ in self._entries]
 
     def restore(self) -> None:
         if self._state is None:
             return
-        arrays, stats = self._state
-        for t, arr in zip(self._tensors, arrays):
-            t.data[...] = arr
-        for (bn, attr), val in zip(self._bn, stats):
-            setattr(bn, attr, val)
+        for (_, h, attr, _), val in zip(self._entries, self._state):
+            if attr == "data":
+                h.data[...] = val
+            else:
+                setattr(h, attr, val)
 
 
 def _chunks(order, size):
@@ -138,16 +136,18 @@ def _chunks(order, size):
         yield order[i:i + size]
 
 
-def _crop(rng, x, y, patch):
+def _crop(rng, patch, y, *xs):
+    """One random patch window of labels ``y`` and co-registered bands
+    ``xs``; returns (y, *xs) cropped."""
     h, w = y.shape
     if (h, w) == (patch, patch):
-        return x, y
+        return (y,) + xs
     if h < patch or w < patch:
         raise ConfigError(f"tile {h}x{w} smaller than patch {patch}")
     top = int(rng.integers(0, h - patch + 1))
     left = int(rng.integers(0, w - patch + 1))
-    return (x[:, top:top + patch, left:left + patch],
-            y[top:top + patch, left:left + patch])
+    sl = np.s_[top:top + patch, left:left + patch]
+    return (y[sl],) + tuple(x[(slice(None),) + sl] for x in xs)
 
 
 def _batch_accuracy(logit_data, labels):
@@ -234,14 +234,14 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         opt.base_lr = lr
         xs, ys = [], []
         for x, y in batch:
-            cx, cy = _crop(rng, x, y, config.patch)
+            cy, cx = _crop(rng, config.patch, y, x)
             xs.append(cx)
             ys.append(cy)
         xt = Tensor(np.stack(xs))
         labels = np.stack(ys)
-        logits, _, branches = forward_parts(spec, xt, mode="train")
+        logits, feats = forward_parts(spec, xt, mode="train")
         if config.loss_variant == "branch":
-            loss = multikernel_loss(branches, labels)
+            loss = multikernel_loss(branch_outputs(spec.head, feats), labels)
         else:
             loss = cross_entropy_loss(logits, labels)
         val = float(loss.item())
@@ -272,26 +272,17 @@ def save_corrector(corr: CorrectorSpec, dirpath) -> None:
 
 
 def load_corrector(corr: CorrectorSpec, dirpath) -> None:
-    bundle = tenio.load_bundle(dirpath)
-    staged = []
-    for name, t in corr.tensors():
-        entry = bundle.get(name)
-        if entry is None:
-            raise TrainingError(f"corrector checkpoint is missing {name}")
-        if entry.array.shape != t.shape:
-            raise TrainingError(f"{name}: checkpoint shape {entry.array.shape},"
-                                f" corrector expects {t.shape}")
-        staged.append((t, entry.array))
-    for t, arr in staged:
-        t.data[...] = arr.astype(t.dtype, copy=False)
+    restore_entries(tenio.load_bundle(dirpath),
+                    [(name, t, "data", None) for name, t in corr.tensors()],
+                    "corrector checkpoint is missing entries")
 
 
 def _stream_forward(spec, x, train_stream: bool):
     if train_stream:
-        logits, feats, _ = forward_parts(spec, x, mode="train")
+        logits, feats = forward_parts(spec, x, mode="train")
         return softmax_channels(logits), feats
     with no_grad():
-        logits, feats, _ = forward_parts(spec, x, mode="eval")
+        logits, feats = forward_parts(spec, x, mode="eval")
         return softmax_channels(logits), feats
 
 
@@ -327,16 +318,10 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
         opt.base_lr = lr
         xa, xb, ys = [], [], []
         for a, b, y in batch:
-            h, w = y.shape
-            if (h, w) == (config.patch, config.patch):
-                top = left = 0
-            else:
-                top = int(rng.integers(0, h - config.patch + 1))
-                left = int(rng.integers(0, w - config.patch + 1))
-            sl = np.s_[top:top + config.patch, left:left + config.patch]
-            xa.append(a[(slice(None),) + sl])
-            xb.append(b[(slice(None),) + sl])
-            ys.append(y[sl])
+            cy, ca, cb = _crop(rng, config.patch, y, a, b)
+            xa.append(ca)
+            xb.append(cb)
+            ys.append(cy)
         labels = np.stack(ys)
         pa, fa = _stream_forward(spec_a, Tensor(np.stack(xa)), unfreeze_streams)
         pb, fb = _stream_forward(spec_b, Tensor(np.stack(xb)), unfreeze_streams)
@@ -380,7 +365,7 @@ def pixel_accuracy(spec: NetworkSpec, dataset, mode: str = "eval",
             batch = dataset[i:i + batch_size]
             x = Tensor(np.stack([b[0] for b in batch]))
             labels = np.stack([b[1] for b in batch])
-            logits, _, _ = forward_parts(spec, x, mode=mode)
+            logits, _ = forward_parts(spec, x, mode=mode)
             c, p = _batch_accuracy(logits.data, labels)
             correct += c
             pixels += p

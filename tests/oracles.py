@@ -40,6 +40,32 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     return out
 
 
+def naive_conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                          pad: tuple[int, int] = (0, 0), stride: int = 1
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grad_x, grad_w, grad_b) of naive_conv2d for upstream gradient ``g``,
+    by scattering every output coordinate's gradient through every tap."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    ph, pw = pad
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float64)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros((oc, c, kh, kw), dtype=np.float64)
+    for i in range(n):
+        for y in range(g.shape[2]):
+            for z in range(g.shape[3]):
+                for u in range(kh):
+                    for v in range(kw):
+                        yy, zz = y * stride + u, z * stride + v
+                        for o in range(oc):
+                            go = float(g[i, o, y, z])
+                            gw[o, :, u, v] += go * xp[i, :, yy, zz]
+                            gxp[i, :, yy, zz] += go * w[o, :, u, v]
+    return (gxp[:, :, ph:ph + h, pw:pw + wd], gw,
+            g.sum(axis=(0, 2, 3), dtype=np.float64))
+
+
 def scan_maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive per-window scan; ties resolved to the first row-major slot."""
     n, c, h, w = x.shape

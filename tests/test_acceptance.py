@@ -145,7 +145,7 @@ def test_criterion_01_gradient_suite():
                     rng.choice(len(params), size=5, replace=False)]
 
     def net_loss():
-        logits, _, _ = forward_parts(net, xn, mode="train")
+        logits, _ = forward_parts(net, xn, mode="train")
         return cross_entropy_loss(logits, net_labels)
 
     worst["composed_net"] = check_gradients(net_loss, picks, rng,
@@ -427,7 +427,7 @@ def test_criterion_08_freeze_contract():
               if g == "encoder"}
     opt = SGD(param_groups(frozen_net, ratio=0.0), 0.05, 0.9)
     for _ in range(FREEZE_STEPS):
-        logits, _, _ = forward_parts(frozen_net, batch_x, mode="train")
+        logits, _ = forward_parts(frozen_net, batch_x, mode="train")
         backward(cross_entropy_loss(logits, batch_y))
         opt.step()
     frozen_ok = all(np.array_equal(t.data, before[n])

@@ -5,7 +5,7 @@ import oracles
 from segstack import (ShapeError, SpecError, Tensor, backward,
                       cross_entropy_loss, softmax_channels, sum_all)
 from segstack.fusion import (CorrectorSpec, StreamOutput, forward_corrector,
-                             fuse_average, fuse_replace, fuse_residual,
+                             fuse_average, fuse_residual,
                              fusion_stats, init_corrector, make_corrector)
 from segstack.nnops import ConvParams, he_fill
 
@@ -91,16 +91,6 @@ class TestResidual:
         corr = self.corrector(c_total=5)
         with pytest.raises(SpecError, match="channels"):
             fuse_residual(streams, corr)
-
-    def test_replace_variant_is_corrector_alone(self, rng):
-        streams = [make_stream(rng), make_stream(rng)]
-        corr = self.corrector()
-        he_fill(corr.convs[2], np.random.default_rng(6))
-        out = fuse_replace(streams, corr)
-        from segstack.tensor import concat_channels
-        zcat = concat_channels([s.features for s in streams])
-        np.testing.assert_array_equal(out.data,
-                                      forward_corrector(corr, zcat).data)
 
     def test_serialization_names(self):
         corr = self.corrector()

@@ -48,7 +48,7 @@ class TestPredictProbs:
         probs = predict_probs(net, irrg.data, TileGeometry(32, 32))
         from segstack.nnops import softmax_channels
         with no_grad():
-            logits, _, _ = forward_parts(net, Tensor(irrg.data[None]),
+            logits, _ = forward_parts(net, Tensor(irrg.data[None]),
                                          mode="eval")
         manual = softmax_channels(logits).data[0].astype(np.float64)
         np.testing.assert_array_equal(probs, manual)

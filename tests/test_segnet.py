@@ -88,11 +88,11 @@ class TestStructure:
         spec = mini(k=4, seed=3)
         x = Tensor(np.random.default_rng(2)
                    .standard_normal((2, 3, 32, 32)).astype(np.float32))
-        logits, feats, branches = forward_parts(spec, x)
+        logits, feats = forward_parts(spec, x)
         assert np.isfinite(logits.data).all()
         assert np.isfinite(feats.data).all()
         assert feats.shape == (2, 16, 32, 32)
-        assert len(branches) == 1
+        assert logits.shape == (2, 4, 32, 32)
 
     def test_no_bias_option(self):
         spec = build_segnet(3, scale="mini", bias=False)

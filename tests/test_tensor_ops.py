@@ -1,5 +1,5 @@
-"""Forward semantics of the tensor operator set, pinned against the
-naive oracles."""
+"""Forward semantics of the tensor operator set and the conv kernels'
+gradients, pinned against the naive oracles."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ import oracles
 from segstack import (IGNORE_LABEL, ConvParams, ShapeError, StaleTapeError,
                       Tensor, backward, conv2d, cross_entropy_loss, maxpool2,
                       relu, softmax_channels, sum_all, unpool2)
-from segstack.convkernels import conv2d_forward
+from segstack import convkernels as ck
+from segstack.convkernels import conv2d_backward, conv2d_forward
 
 
 @pytest.fixture
@@ -255,6 +256,78 @@ class TestBackwardBasics:
         assert np.isfinite(loss.data).all()
         assert np.isfinite(x.grad).all()
         assert np.isfinite(params.weight.grad).all()
+
+
+# the acceptance suite's conv oracle tolerance
+CONV_TOL = 1e-6
+
+# (kh, kw), (ph, pw), stride; padding above k-1 makes the input
+# gradient's re-padding negative, so it crops the upstream gradient
+BACKWARD_CASES = [
+    ((3, 3), (1, 1), 1),
+    ((3, 3), (0, 0), 2),
+    ((5, 5), (2, 2), 2),
+    ((1, 1), (3, 3), 1),
+    ((3, 3), (3, 1), 1),
+    ((3, 3), (3, 3), 2),
+    ((2, 4), (0, 3), 3),
+]
+
+
+def _force_route(monkeypatch, route):
+    """Send every correlation, the input gradient's included, to ``route``."""
+    monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1.0)
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("route", ["direct", "im2col"])
+    @pytest.mark.parametrize(
+        "ksize,pad,stride", BACKWARD_CASES,
+        ids=[f"k{k[0]}x{k[1]}-pad{p[0]}-{p[1]}-s{s}"
+             for k, p, s in BACKWARD_CASES])
+    def test_matches_oracle(self, rng, monkeypatch, route, ksize, pad, stride):
+        _force_route(monkeypatch, route)
+        x = rng.standard_normal((2, 3, 9, 8))
+        w = rng.standard_normal((4, 3) + ksize)
+        g = rng.standard_normal(
+            conv2d_forward(x, w, None, pad, stride, route=route).shape)
+        got = conv2d_backward(x, w, g, pad, stride, route)
+        want = oracles.naive_conv2d_backward(x, w, g, pad, stride)
+        for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9,
+                                       err_msg=name)
+
+    def test_input_grad_skipped_on_request(self, rng):
+        x = rng.standard_normal((1, 2, 5, 5))
+        w = rng.standard_normal((3, 2, 3, 3))
+        gx, gw, _ = conv2d_backward(x, w, np.ones((1, 3, 3, 3)), (0, 0), 1,
+                                    "direct", need_input_grad=False)
+        assert gx is None and gw.shape == w.shape
+
+    @pytest.mark.parametrize("xshape,wshape", [
+        ((4, 512, 4, 4), (512, 512, 3, 3)),
+        ((1, 16, 64, 64), (5, 16, 7, 7)),
+    ], ids=["3x3-512ch-4px", "7x7-16to5-64px"])
+    def test_routes_agree_on_router_shapes(self, rng, monkeypatch, xshape,
+                                           wshape):
+        x = rng.standard_normal(xshape)
+        w = rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))
+        pad = ((wshape[2] - 1) // 2,) * 2
+        g = rng.standard_normal(xshape[:1] + wshape[:1] + xshape[2:])
+        results = []
+        for route in ("direct", "im2col"):
+            _force_route(monkeypatch, route)
+            results.append(
+                (conv2d_forward(x, w, None, pad, 1, route=route),)
+                + conv2d_backward(x, w, g, pad, 1, route))
+        for name, a, b in zip(("out", "grad_x", "grad_w", "grad_b"),
+                              *results):
+            assert _rel_err(a, b) < CONV_TOL, name
 
 
 class TestConvOracleProperty:

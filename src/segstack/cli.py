@@ -9,6 +9,7 @@ divergence during training.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import tenio
 from .datapipe import (CLASS_NAMES, TileGeometry, colorize_labels, read_pgm,
                        synth_dataset, write_pgm, write_ppm)
-from .errors import ConfigError, DivergenceError, SegstackError
+from .errors import ConfigError, DivergenceError, FormatError, SegstackError
 from .fusion import init_corrector, make_corrector
 from .inference import (labels_from_probs, predict_probs, predict_probs_fused,
                         thread_budget)
@@ -26,10 +27,13 @@ from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
 from .multikernel import extend_with_scale
 from .segnet import (build_segnet, init_he, load_checkpoint, named_parameters,
                      param_groups, ParamGroup)
-from .training import (CHECKPOINT_DIR, TrainConfig, load_corrector,
+from .training import (MANIFEST_NAME, TrainConfig, load_corrector,
                        measure_fusion_stats, train_fusion, train_segnet)
 
 DATASET_INDEX = "dataset.txt"
+# band streams in the order _load_dataset returns them; a run manifest
+# without a "stream" key is read as the first
+STREAMS = ("irrg", "comp")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +92,7 @@ def _add_train_flags(p):
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--net", default="mini", choices=("mini", "full"))
-    p.add_argument("--stream", default="irrg", choices=("irrg", "comp"))
+    p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
     p.add_argument("--init-seed", type=int, default=0)
     p.add_argument("--base-lr", type=float, default=0.01)
     p.add_argument("--lr-ratio", type=float, default=1.0)
@@ -97,8 +101,6 @@ def _add_train_flags(p):
     p.add_argument("--batch-size", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patch", type=int, default=64)
-    p.add_argument("--stride", type=int, default=64)
-    p.add_argument("--loss-variant", default="avg", choices=("avg", "branch"))
     p.add_argument("--plateau-patience", type=int, default=0)
     p.add_argument("--decay-factor", type=float, default=0.1)
 
@@ -107,9 +109,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(base_lr=args.base_lr, lr_ratio=args.lr_ratio,
                        momentum=args.momentum, epochs=args.epochs,
                        batch_size=args.batch_size, seed=args.seed,
-                       patch=args.patch, stride=args.stride,
-                       loss_variant=args.loss_variant,
-                       decay_factor=args.decay_factor,
+                       patch=args.patch, decay_factor=args.decay_factor,
                        plateau_patience=args.plateau_patience)
 
 
@@ -129,31 +129,51 @@ def _load_dataset(data_dir):
     return triples
 
 
-def _pick_stream(triples, stream: str):
-    idx = 0 if stream == "irrg" else 1
-    return [(t[idx], t[2]) for t in triples]
+def _stream_samples(triples, *streams):
+    """Per tile, the bands of each named stream, then the labels."""
+    idx = [STREAMS.index(s) for s in streams]
+    return [tuple(t[i] for i in idx) + (t[2],) for t in triples]
 
 
-def _stream_triples(triples, man_a, man_b):
-    ia = 0 if man_a.get("stream", "irrg") == "irrg" else 1
-    ib = 0 if man_b.get("stream", "irrg") == "irrg" else 1
-    return [(t[ia], t[ib], t[2]) for t in triples]
+def _read_manifest(run_dir, keys) -> dict:
+    """A run's manifest: a missing file is a usage error (exit 1), bad
+    JSON, a missing key or an unknown stream a data error (exit 2)."""
+    path = os.path.join(run_dir, MANIFEST_NAME)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read run manifest: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    missing = [k for k in keys if k not in manifest]
+    if missing:
+        raise FormatError(f"{path}: manifest is missing {missing}")
+    if manifest.setdefault("stream", STREAMS[0]) not in STREAMS:
+        raise FormatError(f"{path}: unknown stream {manifest['stream']!r}")
+    return manifest
 
 
 def _load_run(run_dir):
     """Rebuild a trained single-stream network from its run directory."""
-    import json
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read run manifest: {exc}") from None
+    manifest = _read_manifest(run_dir, ("k", "scale", "in_channels",
+                                        "head_scales", "checkpoint"))
     spec = build_segnet(k=manifest["k"], scale=manifest["scale"],
                         in_channels=manifest["in_channels"],
                         head_scales=tuple(manifest["head_scales"]))
     load_checkpoint(spec, os.path.join(run_dir, manifest["checkpoint"]))
     return spec, manifest
+
+
+def _load_fusion_run(run_dir):
+    manifest = _read_manifest(run_dir, ("corrector_in", "k", "hidden",
+                                        "checkpoint"))
+    corr = make_corrector(in_channels=manifest["corrector_in"],
+                          k=manifest["k"], hidden=manifest["hidden"])
+    load_corrector(corr, os.path.join(run_dir, manifest["checkpoint"]))
+    return corr
 
 
 def _extra(args, variant, n_tiles):
@@ -185,8 +205,7 @@ def cmd_synth(args):
 
 
 def _run_train(args, head_scales):
-    triples = _load_dataset(args.data)
-    dataset = _pick_stream(triples, args.stream)
+    dataset = _stream_samples(_load_dataset(args.data), args.stream)
     spec = build_segnet(k=args.classes, scale=args.net, in_channels=3,
                         head_scales=head_scales)
     init_he(spec, seed=args.init_seed)
@@ -212,9 +231,8 @@ def cmd_train_mk(args):
 
 def cmd_extend_scale(args):
     spec, run_manifest = _load_run(args.run)
-    triples = _load_dataset(args.data)
-    stream = run_manifest.get("stream", "irrg")
-    dataset = _pick_stream(triples, stream)
+    args.stream = run_manifest["stream"]
+    dataset = _stream_samples(_load_dataset(args.data), args.stream)
 
     old_ids = {id(t) for _, t, g in named_parameters(spec) if g == "head"}
     rng = np.random.default_rng(args.init_seed)
@@ -229,11 +247,9 @@ def cmd_extend_scale(args):
         groups = [ParamGroup("frozen", 0.0, frozen),
                   ParamGroup("new_branch", 1.0, fresh)]
 
-    args.stream = stream
     extra = _extra(args, "extended", len(dataset))
     extra["extended_from"] = args.run
     extra["new_scale"] = args.new_scale
-    args.classes = run_manifest["k"]
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
                             groups=groups, manifest_extra=extra)
     print(f"extended head to scales {manifest['head_scales']}, "
@@ -244,8 +260,8 @@ def cmd_extend_scale(args):
 def cmd_train_fusion(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    triples = _load_dataset(args.data)
-    dataset = _stream_triples(triples, man_a, man_b)
+    dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
+                              man_b["stream"])
     corr_in = spec_a.head.in_channels + spec_b.head.in_channels
     corr = make_corrector(in_channels=corr_in, k=spec_a.k,
                           hidden=args.hidden)
@@ -265,20 +281,8 @@ def cmd_train_fusion(args):
     return 0
 
 
-def _load_fusion_run(args):
-    import json
-    with open(os.path.join(args.fusion_run, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    corr = make_corrector(in_channels=manifest["corrector_in"],
-                          k=manifest["k"], hidden=manifest["hidden"])
-    load_corrector(corr, os.path.join(args.fusion_run,
-                                      manifest["checkpoint"]))
-    return corr, manifest
-
-
-def _scene_bands(args, stream):
-    suffix = ".irrg.ten" if stream == "irrg" else ".comp.ten"
-    return tenio.read_ten(args.scene + suffix)
+def _scene_bands(args, manifest):
+    return tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
 
 
 def cmd_predict(args):
@@ -287,16 +291,14 @@ def cmd_predict(args):
     if args.run_a and args.run_b:
         spec_a, man_a = _load_run(args.run_a)
         spec_b, man_b = _load_run(args.run_b)
-        corr = None
-        if args.fusion_run:
-            corr, _ = _load_fusion_run(args)
-        bands_a = _scene_bands(args, man_a.get("stream", "irrg"))
-        bands_b = _scene_bands(args, man_b.get("stream", "comp"))
+        corr = _load_fusion_run(args.fusion_run) if args.fusion_run else None
+        bands_a = _scene_bands(args, man_a)
+        bands_b = _scene_bands(args, man_b)
         probs = predict_probs_fused(spec_a, spec_b, corr, bands_a, bands_b,
                                     geom, threads)
     elif args.run:
         spec, manifest = _load_run(args.run)
-        bands = _scene_bands(args, manifest.get("stream", "irrg"))
+        bands = _scene_bands(args, manifest)
         probs = predict_probs(spec, bands, geom, threads)
     else:
         raise ConfigError("predict needs --run, or --run-a and --run-b")
@@ -325,9 +327,9 @@ def cmd_evaluate(args):
 def cmd_fusion_stats(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    corr, _ = _load_fusion_run(args)
-    triples = _load_dataset(args.data)
-    dataset = _stream_triples(triples, man_a, man_b)
+    corr = _load_fusion_run(args.fusion_run)
+    dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
+                              man_b["stream"])
     stats, corr_mag, avg_mag = measure_fusion_stats(spec_a, spec_b, corr,
                                                     dataset)
     for key in ("m_avg", "s_avg", "m_corr", "s_corr"):

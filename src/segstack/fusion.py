@@ -113,20 +113,19 @@ def fuse_average(streams: "list[StreamOutput]") -> Tensor:
     return mean_n([s.probs for s in streams])
 
 
-def _concat_features(streams, corr):
+def correction(streams: "list[StreamOutput]", corr: CorrectorSpec) -> Tensor:
+    """The corrector's output over the streams' concatenated features."""
     zcat = concat_channels([s.features for s in streams])
     if zcat.shape[1] != corr.in_channels:
         raise SpecError(
             f"corrector expects {corr.in_channels} input channels, streams "
             f"concatenate to {zcat.shape[1]}")
-    return zcat
+    return forward_corrector(corr, zcat)
 
 
 def fuse_residual(streams: "list[StreamOutput]", corr: CorrectorSpec) -> Tensor:
     """Averaged probabilities plus the learned correction (unnormalized)."""
-    _check_streams(streams)
-    avg = mean_n([s.probs for s in streams])
-    return add(avg, forward_corrector(corr, _concat_features(streams, corr)))
+    return add(fuse_average(streams), correction(streams, corr))
 
 
 @dataclass

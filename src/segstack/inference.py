@@ -1,6 +1,9 @@
 """Full-scene prediction by tiling, per-window forward passes, and
 overlap averaging.
 
+``window_map`` is the one eval path from windows to a class map; scene
+prediction and the accuracy measurements in ``training`` share it.
+
 Windows are processed by a small thread pool (numpy releases the GIL for
 the heavy kernels) but the stitch accumulates window results in planning
 order on the calling thread, so the output is bitwise independent of the
@@ -14,7 +17,7 @@ import numpy as np
 
 from .datapipe import TileGeometry, plan_tiles, stitch_average
 from .errors import ConfigError, ShapeError
-from .fusion import CorrectorSpec, StreamOutput, fuse_average, fuse_residual
+from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
 from .tensor import Tensor, no_grad
@@ -41,22 +44,59 @@ def thread_budget(requested=None) -> int:
     return n
 
 
-def _check_bands(bands, what: str) -> None:
-    if bands.ndim != 3:
-        raise ShapeError(f"{what} must be (bands, height, width), "
-                         f"got shape {bands.shape}")
-
-
 def _crop_window(bands, win):
     return bands[:, win.top:win.top + win.height,
                  win.left:win.left + win.width]
 
 
-def _map_windows(windows, worker, threads: int):
-    if threads == 1:
-        return [worker(w) for w in windows]
-    with ThreadPoolExecutor(max_workers=min(threads, len(windows))) as ex:
-        return list(ex.map(worker, windows))
+def stream_outputs(specs, xs) -> "list[StreamOutput]":
+    """Eval-mode softmax probabilities and head features of each network
+    in ``specs`` on its input in ``xs``."""
+    outs = []
+    for spec, x in zip(specs, xs):
+        logits, feats = forward_parts(spec, x, mode="eval")
+        outs.append(StreamOutput(softmax_channels(logits), feats))
+    return outs
+
+
+def window_map(specs, corr, xs) -> np.ndarray:
+    """Class map (n, k, h, w) of co-registered inputs ``xs``, one per
+    network in ``specs``: one stream's probabilities, the streams'
+    average, or with a corrector the residual-corrected average. The
+    caller holds ``no_grad()``; the flag is process-wide, so tile workers
+    must not toggle it."""
+    streams = stream_outputs(specs, xs)
+    if corr is not None:
+        return fuse_residual(streams, corr).data
+    if len(streams) == 1:
+        return streams[0].probs.data
+    return fuse_average(streams).data
+
+
+def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
+    """Stitched ``window_map`` over co-registered scenes, one per network."""
+    for b in bands:
+        if b.ndim != 3:
+            raise ShapeError(f"scene must be (bands, height, width), "
+                             f"got shape {b.shape}")
+    h, w = bands[0].shape[1:]
+    if any(b.shape[1:] != (h, w) for b in bands):
+        raise ShapeError(f"streams must be co-registered, got "
+                         f"{[b.shape[1:] for b in bands]}")
+    windows = plan_tiles(h, w, geom or TileGeometry())
+    threads = thread_budget(threads)
+
+    def worker(win):
+        return window_map(specs, corr, [Tensor(_crop_window(b, win)[None])
+                                         for b in bands])[0]
+
+    with no_grad():
+        if threads == 1:
+            maps = [worker(win) for win in windows]
+        else:
+            with ThreadPoolExecutor(min(threads, len(windows))) as ex:
+                maps = list(ex.map(worker, windows))
+    return stitch_average(windows, maps, h, w)
 
 
 def predict_probs(spec: NetworkSpec, bands: np.ndarray,
@@ -67,20 +107,7 @@ def predict_probs(spec: NetworkSpec, bands: np.ndarray,
     overlapping predictions are averaged per pixel after the softmax, so
     each output pixel is a mean of distributions (and still sums to 1).
     """
-    _check_bands(bands, "scene")
-    geom = geom or TileGeometry()
-    h, w = bands.shape[1:]
-    windows = plan_tiles(h, w, geom)
-    threads = thread_budget(threads)
-
-    def worker(win):
-        x = Tensor(_crop_window(bands, win)[None])
-        logits, _ = forward_parts(spec, x, mode="eval")
-        return softmax_channels(logits).data[0]
-
-    with no_grad():
-        maps = _map_windows(windows, worker, threads)
-    return stitch_average(windows, maps, h, w)
+    return _predict_scene([spec], None, [bands], geom, threads)
 
 
 def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
@@ -93,32 +120,8 @@ def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
     With a corrector the fused values are corrected scores rather than
     renormalized probabilities; argmax treats them the same way.
     """
-    _check_bands(bands_a, "first stream")
-    _check_bands(bands_b, "second stream")
-    if bands_a.shape[1:] != bands_b.shape[1:]:
-        raise ShapeError(f"streams must be co-registered, got "
-                         f"{bands_a.shape[1:]} vs {bands_b.shape[1:]}")
-    geom = geom or TileGeometry()
-    h, w = bands_a.shape[1:]
-    windows = plan_tiles(h, w, geom)
-    threads = thread_budget(threads)
-
-    def worker(win):
-        xa = Tensor(_crop_window(bands_a, win)[None])
-        xb = Tensor(_crop_window(bands_b, win)[None])
-        la, fa = forward_parts(spec_a, xa, mode="eval")
-        lb, fb = forward_parts(spec_b, xb, mode="eval")
-        streams = [StreamOutput(softmax_channels(la), fa),
-                   StreamOutput(softmax_channels(lb), fb)]
-        if corr is None:
-            fused = fuse_average(streams)
-        else:
-            fused = fuse_residual(streams, corr)
-        return fused.data[0]
-
-    with no_grad():
-        maps = _map_windows(windows, worker, threads)
-    return stitch_average(windows, maps, h, w)
+    return _predict_scene([spec_a, spec_b], corr, [bands_a, bands_b], geom,
+                          threads)
 
 
 def labels_from_probs(probs: np.ndarray) -> np.ndarray:

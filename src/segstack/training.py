@@ -17,18 +17,17 @@ import numpy as np
 
 from . import tenio
 from .errors import ConfigError, DivergenceError, TrainingError
-from .fusion import (CorrectorSpec, StreamOutput, fuse_average, fuse_residual,
-                     fusion_stats)
-from .multikernel import multikernel_loss
+from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
+                     fuse_residual, fusion_stats)
+from .inference import stream_outputs, window_map
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
-from .segnet import (NetworkSpec, ParamGroup, branch_outputs, forward_parts,
-                     param_groups, restore_entries, save_checkpoint,
-                     state_entries)
+from .segnet import (NetworkSpec, ParamGroup, forward_parts, param_groups,
+                     restore_entries, save_checkpoint, state_entries)
 from .tensor import Tensor, backward, no_grad
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_DIR = "checkpoint"
-LOSS_VARIANTS = ("avg", "branch")  # algebraically identical code paths
+EVAL_BATCH = 8  # samples per forward in the whole-dataset measurements
 
 
 @dataclass
@@ -40,8 +39,6 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     patch: int = 64
-    stride: int = 64
-    loss_variant: str = "avg"
     decay_factor: float = 0.1
     plateau_patience: int = 0  # 0 disables the plateau decay
 
@@ -52,13 +49,10 @@ class TrainConfig:
             raise ConfigError(f"lr_ratio must be >= 0, got {self.lr_ratio}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("epochs", "batch_size", "patch", "stride"):
+        for name in ("epochs", "batch_size", "patch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got "
                                   f"{getattr(self, name)}")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ConfigError(f"loss_variant must be one of {LOSS_VARIANTS}, "
-                              f"got {self.loss_variant!r}")
         if not 0 < self.decay_factor <= 1:
             raise ConfigError(f"decay_factor must be in (0, 1], got "
                               f"{self.decay_factor}")
@@ -117,18 +111,27 @@ class _LastGoodGuard:
         self._entries += [(name, t, "data", None) for name, t in named]
 
     def update(self) -> None:
-        self._state = [h.initialized if attr == "initialized"
-                       else np.copy(getattr(h, attr))
-                       for _, h, attr, _ in self._entries]
+        """Snapshot the tracked state into buffers kept across steps."""
+        if self._state is None:
+            self._state = [None if attr == "initialized"
+                           else np.empty_like(getattr(h, attr))
+                           for _, h, attr, _ in self._entries]
+        for i, (_, h, attr, _) in enumerate(self._entries):
+            if attr == "initialized":
+                self._state[i] = h.initialized
+            else:
+                np.copyto(self._state[i], getattr(h, attr))
 
     def restore(self) -> None:
+        """Copy the snapshot back into the holders' own arrays, so the
+        guard's buffers never become live state."""
         if self._state is None:
             return
         for (_, h, attr, _), val in zip(self._entries, self._state):
-            if attr == "data":
-                h.data[...] = val
+            if attr == "initialized":
+                h.initialized = val
             else:
-                setattr(h, attr, val)
+                getattr(h, attr)[...] = val
 
 
 def _chunks(order, size):
@@ -239,11 +242,8 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
             ys.append(cy)
         xt = Tensor(np.stack(xs))
         labels = np.stack(ys)
-        logits, feats = forward_parts(spec, xt, mode="train")
-        if config.loss_variant == "branch":
-            loss = multikernel_loss(branch_outputs(spec.head, feats), labels)
-        else:
-            loss = cross_entropy_loss(logits, labels)
+        logits, _ = forward_parts(spec, xt, mode="train")
+        loss = cross_entropy_loss(logits, labels)
         val = float(loss.item())
         if np.isfinite(val):
             guard.update()
@@ -275,15 +275,6 @@ def load_corrector(corr: CorrectorSpec, dirpath) -> None:
     restore_entries(tenio.load_bundle(dirpath),
                     [(name, t, "data", None) for name, t in corr.tensors()],
                     "corrector checkpoint is missing entries")
-
-
-def _stream_forward(spec, x, train_stream: bool):
-    if train_stream:
-        logits, feats = forward_parts(spec, x, mode="train")
-        return softmax_channels(logits), feats
-    with no_grad():
-        logits, feats = forward_parts(spec, x, mode="eval")
-        return softmax_channels(logits), feats
 
 
 def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
@@ -323,9 +314,16 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
             xb.append(cb)
             ys.append(cy)
         labels = np.stack(ys)
-        pa, fa = _stream_forward(spec_a, Tensor(np.stack(xa)), unfreeze_streams)
-        pb, fb = _stream_forward(spec_b, Tensor(np.stack(xb)), unfreeze_streams)
-        fused = fuse_residual([StreamOutput(pa, fa), StreamOutput(pb, fb)], corr)
+        xs = [Tensor(np.stack(xa)), Tensor(np.stack(xb))]
+        if unfreeze_streams:
+            streams = []
+            for spec, x in zip((spec_a, spec_b), xs):
+                logits, feats = forward_parts(spec, x, mode="train")
+                streams.append(StreamOutput(softmax_channels(logits), feats))
+        else:
+            with no_grad():
+                streams = stream_outputs((spec_a, spec_b), xs)
+        fused = fuse_residual(streams, corr)
         loss = cross_entropy_loss(fused, labels)
         val = float(loss.item())
         if np.isfinite(val):
@@ -357,58 +355,45 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
 # Whole-dataset measurements (used by acceptance checks and the CLI)
 
 
-def pixel_accuracy(spec: NetworkSpec, dataset, mode: str = "eval",
-                   batch_size: int = 8) -> float:
+def _eval_batches(dataset):
+    """(input tensors, labels) of consecutive EVAL_BATCH-sample slices of
+    a dataset of (input_1, ..., input_S, labels) samples."""
+    for i in range(0, len(dataset), EVAL_BATCH):
+        *xs, labels = (np.stack(col)
+                       for col in zip(*dataset[i:i + EVAL_BATCH]))
+        yield [Tensor(x) for x in xs], labels
+
+
+def _map_accuracy(specs, corr, dataset) -> float:
     correct = pixels = 0
     with no_grad():
-        for i in range(0, len(dataset), batch_size):
-            batch = dataset[i:i + batch_size]
-            x = Tensor(np.stack([b[0] for b in batch]))
-            labels = np.stack([b[1] for b in batch])
-            logits, _ = forward_parts(spec, x, mode=mode)
-            c, p = _batch_accuracy(logits.data, labels)
+        for xs, labels in _eval_batches(dataset):
+            c, p = _batch_accuracy(window_map(specs, corr, xs), labels)
             correct += c
             pixels += p
     return correct / max(pixels, 1)
 
 
-def fusion_pixel_accuracy(spec_a, spec_b, corr, dataset,
-                          batch_size: int = 8) -> float:
-    correct = pixels = 0
-    with no_grad():
-        for i in range(0, len(dataset), batch_size):
-            batch = dataset[i:i + batch_size]
-            xa = Tensor(np.stack([b[0] for b in batch]))
-            xb = Tensor(np.stack([b[1] for b in batch]))
-            labels = np.stack([b[2] for b in batch])
-            pa, fa = _stream_forward(spec_a, xa, False)
-            pb, fb = _stream_forward(spec_b, xb, False)
-            fused = fuse_residual([StreamOutput(pa, fa),
-                                   StreamOutput(pb, fb)], corr)
-            c, p = _batch_accuracy(fused.data, labels)
-            correct += c
-            pixels += p
-    return correct / max(pixels, 1)
+def pixel_accuracy(spec: NetworkSpec, dataset) -> float:
+    """Eval-mode accuracy over (input, labels) pairs."""
+    return _map_accuracy([spec], None, dataset)
 
 
-def measure_fusion_stats(spec_a, spec_b, corr, dataset,
-                         batch_size: int = 8):
+def fusion_pixel_accuracy(spec_a, spec_b, corr, dataset) -> float:
+    """Eval-mode accuracy of the fused map over (input_a, input_b,
+    labels) triples; ``corr`` None scores the plain average."""
+    return _map_accuracy([spec_a, spec_b], corr, dataset)
+
+
+def measure_fusion_stats(spec_a, spec_b, corr, dataset):
     """FusionStats over a batch of triples, plus the mean magnitudes the
     small-correction check compares."""
-    from .fusion import forward_corrector
-    from .tensor import concat_channels
     avg_parts, cor_parts = [], []
     with no_grad():
-        for i in range(0, len(dataset), batch_size):
-            batch = dataset[i:i + batch_size]
-            xa = Tensor(np.stack([b[0] for b in batch]))
-            xb = Tensor(np.stack([b[1] for b in batch]))
-            pa, fa = _stream_forward(spec_a, xa, False)
-            pb, fb = _stream_forward(spec_b, xb, False)
-            avg = fuse_average([StreamOutput(pa, fa), StreamOutput(pb, fb)])
-            correction = forward_corrector(corr, concat_channels([fa, fb]))
-            avg_parts.append(avg.data)
-            cor_parts.append(correction.data)
+        for xs, _ in _eval_batches(dataset):
+            streams = stream_outputs((spec_a, spec_b), xs)
+            avg_parts.append(fuse_average(streams).data)
+            cor_parts.append(correction(streams, corr).data)
     avg = np.concatenate(avg_parts)
     cor = np.concatenate(cor_parts)
     stats = fusion_stats(avg, cor)

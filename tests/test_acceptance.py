@@ -264,7 +264,7 @@ def desk(tmp_path_factory):
     irrg = [(a.data, y) for a, b, y in tiles]
     comp = [(b.data, y) for a, b, y in tiles]
     dual = [(a.data, b.data, y) for a, b, y in tiles]
-    cfg = TrainConfig(epochs=60, batch_size=4, seed=11, patch=64, stride=64)
+    cfg = TrainConfig(epochs=60, batch_size=4, seed=11, patch=64)
 
     plain = build_segnet(k=5, scale="mini", in_channels=3)
     init_he(plain, seed=101)
@@ -275,9 +275,7 @@ def desk(tmp_path_factory):
 
     mk = build_segnet(k=5, scale="mini", in_channels=3, head_scales=(3, 5, 7))
     init_he(mk, seed=102)
-    mk_cfg = TrainConfig(epochs=60, batch_size=4, seed=11, patch=64,
-                         stride=64, loss_variant="branch")
-    train_segnet(mk, irrg, mk_cfg, root / "mk")
+    train_segnet(mk, irrg, cfg, root / "mk")
     mk_acc = pixel_accuracy(mk, irrg)
 
     second = build_segnet(k=5, scale="mini", in_channels=3)
@@ -291,7 +289,7 @@ def desk(tmp_path_factory):
     # finite minimizer, so sustained full-rate training drifts the corrector
     # onto logit scale and out of the small-correction regime
     fusion_cfg = TrainConfig(base_lr=1e-5, epochs=12, batch_size=4, seed=12,
-                             patch=64, stride=64)
+                             patch=64)
     train_fusion(plain, second, corr, dual, fusion_cfg, root / "fusion")
     fusion_acc = fusion_pixel_accuracy(plain, second, corr, dual)
     stats, corr_mag, avg_mag = measure_fusion_stats(plain, second, corr,
@@ -490,8 +488,7 @@ def test_criterion_10_determinism(tmp_path):
     for run in ("one", "two"):
         spec = build_segnet(k=5, scale="mini", in_channels=3)
         init_he(spec, seed=301)
-        cfg = TrainConfig(epochs=3, batch_size=2, seed=77, patch=32,
-                          stride=32)
+        cfg = TrainConfig(epochs=3, batch_size=2, seed=77, patch=32)
         train_segnet(spec, dataset, cfg, tmp_path / run)
         outs.append(tmp_path / run)
     a, b = outs

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def workspace(tmp_path_factory):
     assert main(["synth", "--out", str(data), "--seed", "3",
                  "--tiles", "6", "--size", "32"]) == 0
     common = ["--data", str(data), "--epochs", "2", "--batch-size", "3",
-              "--patch", "32", "--stride", "32"]
+              "--patch", "32"]
     assert main(["train", "--out", str(root / "run-a"), "--seed", "1",
                  *common]) == 0
     assert main(["train", "--out", str(root / "run-b"), "--stream", "comp",
@@ -60,7 +61,7 @@ class TestTrain:
     def test_config_file_supplies_values(self, workspace, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=1\nbatch-size=2\n# comment\n"
-                       "patch=32\nstride=32\n")
+                       "patch=32\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--data",
                      str(workspace / "data"), "--out", str(out),
@@ -71,7 +72,7 @@ class TestTrain:
 
     def test_flags_beat_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("epochs=5\npatch=32\nstride=32\nbatch-size=3\n")
+        cfg.write_text("epochs=5\npatch=32\nbatch-size=3\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--data",
                      str(workspace / "data"), "--out", str(out),
@@ -97,8 +98,7 @@ class TestTrain:
         out = tmp_path / "mk"
         assert main(["train-mk", "--data", str(workspace / "data"), "--out",
                      str(out), "--epochs", "1", "--batch-size", "3",
-                     "--patch", "32", "--stride", "32",
-                     "--scales", "3,5"]) == 0
+                     "--patch", "32", "--scales", "3,5"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["head_scales"] == [3, 5]
         assert manifest["variant"] == "multikernel"
@@ -107,8 +107,8 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(workspace / "data"), "--out",
                          str(tmp_path / "div"), "--epochs", "5",
-                         "--batch-size", "3", "--patch", "32", "--stride",
-                         "32", "--base-lr", "1e8"])
+                         "--batch-size", "3", "--patch", "32",
+                         "--base-lr", "1e8"])
         assert code == 3
         manifest = json.loads((tmp_path / "div" / "manifest.json")
                               .read_text())
@@ -121,7 +121,7 @@ class TestExtendScale:
         assert main(["extend-scale", "--run", str(workspace / "run-a"),
                      "--data", str(workspace / "data"), "--out", str(out),
                      "--new-scale", "5", "--epochs", "1", "--batch-size",
-                     "3", "--patch", "32", "--stride", "32"]) == 0
+                     "3", "--patch", "32"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["head_scales"] == [3, 5]
         assert manifest["new_scale"] == 5
@@ -212,8 +212,8 @@ class TestFusionCommands:
         assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
                      "--run-b", str(workspace / "run-b"), "--data",
                      str(workspace / "data"), "--out", str(out),
-                     "--epochs", "1", "--batch-size", "3", "--patch", "32",
-                     "--stride", "32"]) == 0
+                     "--epochs", "1", "--batch-size", "3",
+                     "--patch", "32"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["variant"] == "fusion"
         assert manifest["corrector_in"] == 32
@@ -230,8 +230,8 @@ class TestFusionCommands:
         assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
                      "--run-b", str(workspace / "run-b"), "--data",
                      str(workspace / "data"), "--out", str(fusion),
-                     "--epochs", "1", "--batch-size", "3", "--patch", "32",
-                     "--stride", "32"]) == 0
+                     "--epochs", "1", "--batch-size", "3",
+                     "--patch", "32"]) == 0
         out = tmp_path / "pred"
         assert main(["predict", "--run-a", str(workspace / "run-a"),
                      "--run-b", str(workspace / "run-b"), "--fusion-run",
@@ -239,6 +239,50 @@ class TestFusionCommands:
                      str(workspace / "data" / "tile-003"), "--out",
                      str(out), "--patch", "32", "--stride", "32"]) == 0
         assert read_ten(out / "probs.ten").shape == (5, 32, 32)
+
+
+class TestRunManifest:
+    def scene(self, workspace):
+        return ["--scene", str(workspace / "data" / "tile-000"), "--patch",
+                "32", "--stride", "32"]
+
+    def test_missing_stream_is_first_stream_for_every_run(self, workspace,
+                                                          tmp_path):
+        bare = tmp_path / "bare"
+        shutil.copytree(workspace / "run-a", bare)
+        manifest = json.loads((bare / "manifest.json").read_text())
+        del manifest["stream"]
+        (bare / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["predict", "--run", str(bare), "--out",
+                     str(tmp_path / "single"), *self.scene(workspace)]) == 0
+        assert main(["predict", "--run-a", str(bare), "--run-b", str(bare),
+                     "--out", str(tmp_path / "dual"),
+                     *self.scene(workspace)]) == 0
+        np.testing.assert_array_equal(read_ten(tmp_path / "dual" / "probs.ten"),
+                                      read_ten(tmp_path / "single" / "probs.ten"))
+
+    @pytest.mark.parametrize("break_manifest", [
+        lambda text: "{not json",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "head_scales"}),
+    ], ids=["invalid_json", "missing_key"])
+    def test_broken_manifest_is_data_error(self, workspace, tmp_path, capsys,
+                                           break_manifest):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run-a", run)
+        path = run / "manifest.json"
+        path.write_text(break_manifest(path.read_text()))
+        capsys.readouterr()
+        assert main(["predict", "--run", str(run), "--out",
+                     str(tmp_path / "pred"), *self.scene(workspace)]) == 2
+        assert "manifest" in capsys.readouterr().err
+
+    def test_missing_fusion_manifest_is_usage_error(self, workspace,
+                                                    tmp_path):
+        assert main(["predict", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--fusion-run",
+                     str(tmp_path / "nowhere"), "--out",
+                     str(tmp_path / "pred"), *self.scene(workspace)]) == 1
 
 
 class TestEvaluate:

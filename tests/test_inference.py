@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import segstack
 from segstack.datapipe import TileGeometry, synth_dataset
 from segstack.errors import ConfigError, ShapeError
 from segstack.fusion import make_corrector, init_corrector
@@ -139,3 +143,23 @@ class TestThreadBudget:
     def test_zero_rejected(self):
         with pytest.raises(ConfigError, match=">= 1"):
             thread_budget(0)
+
+
+class TestBenchmarkTracing:
+    """perfbench/tracing.py wraps library functions by module attribute;
+    a renamed or dropped binding fails its install with a KeyError."""
+
+    def test_install_wraps_the_prediction_path(self, nets, scene):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        corr = make_corrector(in_channels=32, k=5)
+        with tracing.install(tracer, segstack):
+            predict_probs_fused(*nets, corr, scene[0][:, :32, :32],
+                                scene[1][:, :32, :32], TileGeometry(32, 32))
+        layers = {s[1] for s in tracer.spans}
+        assert {"segnet.forward", "nnops.softmax", "fusion.fuse",
+                "fusion.corrector", "datapipe.stitch"} <= layers
+        assert segstack.inference.forward_parts is segstack.segnet.forward_parts

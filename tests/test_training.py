@@ -8,13 +8,16 @@ from segstack.datapipe import synth_dataset
 from segstack.errors import (CheckpointError, ConfigError, DivergenceError,
                              TrainingError)
 from segstack.fusion import make_corrector, init_corrector
-from segstack.segnet import (build_segnet, init_he, load_checkpoint,
-                             named_parameters, param_groups)
-from segstack.tensor import Tensor
-from segstack.training import (SGD, TrainConfig, fusion_pixel_accuracy,
-                               load_corrector, measure_fusion_stats,
-                               pixel_accuracy, save_corrector, train_fusion,
-                               train_segnet)
+from segstack.multikernel import branch_outputs, multikernel_loss
+from segstack.nnops import cross_entropy_loss
+from segstack.segnet import (build_segnet, forward_parts, init_he,
+                             load_checkpoint, named_parameters, param_groups,
+                             state_entries)
+from segstack.tensor import Tensor, backward, no_grad
+from segstack.training import (SGD, TrainConfig, _LastGoodGuard,
+                               fusion_pixel_accuracy, load_corrector,
+                               measure_fusion_stats, pixel_accuracy,
+                               save_corrector, train_fusion, train_segnet)
 
 
 def small_dataset(seed=1, n=6, size=32):
@@ -146,7 +149,6 @@ class TestTrainConfig:
         {"epochs": 0},
         {"batch_size": 0},
         {"patch": 0},
-        {"loss_variant": "eq4"},
         {"decay_factor": 0.0},
         {"decay_factor": 1.5},
         {"plateau_patience": -1},
@@ -159,7 +161,7 @@ class TestTrainConfig:
 class TestTrainSegnet:
     def test_manifest_and_checkpoint_layout(self, tmp_path):
         spec = small_net()
-        cfg = TrainConfig(epochs=2, batch_size=3, seed=1, patch=32, stride=32)
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1, patch=32)
         manifest = train_segnet(spec, small_dataset(), cfg, tmp_path)
         assert manifest["status"] == "complete"
         assert len(manifest["epochs"]) == 2
@@ -175,7 +177,7 @@ class TestTrainSegnet:
 
     def test_loss_decreases_on_tiny_problem(self, tmp_path):
         spec = small_net()
-        cfg = TrainConfig(epochs=6, batch_size=3, seed=2, patch=32, stride=32)
+        cfg = TrainConfig(epochs=6, batch_size=3, seed=2, patch=32)
         manifest = train_segnet(spec, small_dataset(), cfg, tmp_path)
         losses = [e["loss"] for e in manifest["epochs"]]
         assert losses[-1] < losses[0]
@@ -184,8 +186,7 @@ class TestTrainSegnet:
         outs = []
         for run in ("a", "b"):
             spec = small_net(seed=9)
-            cfg = TrainConfig(epochs=2, batch_size=2, seed=5, patch=32,
-                              stride=32)
+            cfg = TrainConfig(epochs=2, batch_size=2, seed=5, patch=32)
             d = tmp_path / run
             train_segnet(spec, small_dataset(seed=2, n=4), cfg, d)
             outs.append(d)
@@ -202,25 +203,28 @@ class TestTrainSegnet:
         losses = []
         for seed in (1, 2):
             spec = small_net(seed=9)
-            cfg = TrainConfig(epochs=2, batch_size=2, seed=seed, patch=32,
-                              stride=32)
+            cfg = TrainConfig(epochs=2, batch_size=2, seed=seed, patch=32)
             m = train_segnet(spec, small_dataset(seed=2, n=4), cfg,
                              tmp_path / str(seed))
             losses.append([e["loss"] for e in m["epochs"]])
         assert losses[0] != losses[1]
 
-    def test_loss_variants_share_trajectory(self, tmp_path):
-        """The folded head ("avg") and the per-branch reference ("branch")
-        are one function up to float rounding: a training step gives the
-        same loss and the same update through either."""
+    def test_folded_head_step_matches_branch_reference(self):
+        """The folded head in forward_parts and the per-branch reference
+        (branch_outputs + multikernel_loss) are one function up to float
+        rounding: one SGD step gives the same loss and the same update."""
+        data = small_dataset(seed=3, n=4)
+        x = Tensor(np.stack([d[0] for d in data]))
+        labels = np.stack([d[1] for d in data])
         losses, params = [], []
-        for variant in ("avg", "branch"):
+        for folded in (True, False):
             spec = small_net(seed=3, scales=(3, 5, 7))
-            cfg = TrainConfig(epochs=1, batch_size=4, seed=4, patch=32,
-                              stride=32, loss_variant=variant)
-            m = train_segnet(spec, small_dataset(seed=3, n=4), cfg,
-                             tmp_path / variant)
-            losses.append(m["epochs"][0]["loss"])
+            logits, feats = forward_parts(spec, x, mode="train")
+            loss = (cross_entropy_loss(logits, labels) if folded else
+                    multikernel_loss(branch_outputs(spec.head, feats), labels))
+            losses.append(float(loss.item()))
+            backward(loss)
+            SGD(param_groups(spec), base_lr=0.01, momentum=0.9).step()
             params.append(snapshot(spec))
         assert abs(losses[0] - losses[1]) < 1e-6
         for name, folded in params[0].items():
@@ -231,7 +235,7 @@ class TestTrainSegnet:
         spec = small_net(seed=5)
         before = snapshot(spec)
         cfg = TrainConfig(epochs=3, batch_size=3, seed=6, patch=32,
-                          stride=32, lr_ratio=0.0)
+                          lr_ratio=0.0)
         train_segnet(spec, small_dataset(), cfg, tmp_path)
         for name, t, grp in named_parameters(spec):
             if grp == "encoder":
@@ -249,7 +253,7 @@ class TestTrainSegnet:
             spec = small_net(seed=13)
             before = snapshot(spec)
             cfg = TrainConfig(epochs=1, batch_size=2, seed=9, patch=32,
-                              stride=32, lr_ratio=ratio)
+                              lr_ratio=ratio)
             m = train_segnet(spec, data, cfg, tmp_path / str(ratio))
             manifests[ratio] = m
             if ratio == 0.0:
@@ -268,7 +272,7 @@ class TestTrainSegnet:
         spec = small_net(seed=8)
         dataset = small_dataset()
         cfg = TrainConfig(base_lr=1e8, epochs=5, batch_size=3, seed=1,
-                          patch=32, stride=32)
+                          patch=32)
         with np.errstate(all="ignore"), \
                 pytest.raises(DivergenceError, match="non-finite loss"):
             train_segnet(spec, dataset, cfg, tmp_path)
@@ -287,14 +291,14 @@ class TestTrainSegnet:
 
     def test_patch_sampling_crops_larger_tiles(self, tmp_path):
         spec = small_net()
-        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=32, stride=32)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=32)
         manifest = train_segnet(spec, small_dataset(size=48, n=4), cfg,
                                 tmp_path)
         assert manifest["status"] == "complete"
 
     def test_tile_smaller_than_patch_rejected(self, tmp_path):
         spec = small_net()
-        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=64, stride=64)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=64)
         with pytest.raises(ConfigError, match="smaller than patch"):
             train_segnet(spec, small_dataset(size=32), cfg, tmp_path)
 
@@ -307,7 +311,7 @@ class TestTrainSegnet:
         # produces the same loss, so the plateau rule fires each epoch
         spec = small_net()
         cfg = TrainConfig(base_lr=1e-30, epochs=4, batch_size=1, seed=1,
-                          patch=32, stride=32, plateau_patience=1)
+                          patch=32, plateau_patience=1)
         manifest = train_segnet(spec, small_dataset(n=1), cfg, tmp_path)
         lrs = [e["lr"] for e in manifest["epochs"]]
         assert lrs[0] == lrs[1] == 1e-30
@@ -317,9 +321,45 @@ class TestTrainSegnet:
     def test_plateau_disabled_by_default(self, tmp_path):
         spec = small_net()
         cfg = TrainConfig(base_lr=1e-30, epochs=3, batch_size=1, seed=1,
-                          patch=32, stride=32)
+                          patch=32)
         manifest = train_segnet(spec, small_dataset(n=1), cfg, tmp_path)
         assert len({e["lr"] for e in manifest["epochs"]}) == 1
+
+
+class TestLastGoodGuard:
+    def test_restore_writes_last_snapshot_into_live_arrays(self):
+        spec = small_net()
+        entries = state_entries(spec)
+
+        def mutate():
+            for _, h, attr, _ in entries:
+                if attr == "initialized":
+                    h.initialized = not h.initialized
+                else:
+                    getattr(h, attr)[...] += 1
+
+        def state():
+            return {name: h.initialized if attr == "initialized"
+                    else getattr(h, attr).copy()
+                    for name, h, attr, _ in entries}
+
+        guard = _LastGoodGuard()
+        guard.track_spec(spec)
+        guard.update()
+        mutate()
+        guard.update()
+        want = state()
+        live = {name: getattr(h, attr) for name, h, attr, _ in entries
+                if attr != "initialized"}
+        for _ in range(2):  # the guard's buffers must not become live state
+            mutate()
+            guard.restore()
+            got = state()
+            for name, value in want.items():
+                np.testing.assert_array_equal(got[name], value, err_msg=name)
+        for name, h, attr, _ in entries:
+            if attr != "initialized":
+                assert getattr(h, attr) is live[name], name
 
 
 class TestTrainFusion:
@@ -344,20 +384,20 @@ class TestTrainFusion:
         a = small_net(seed=11)
         b = small_net(seed=12)
         corr = make_corrector(in_channels=32, k=5)
-        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32, stride=32)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
         with pytest.raises(TrainingError, match="uninitialized running"):
             train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path)
 
     def test_tile_smaller_than_patch_rejected(self, tmp_path):
         a, b, corr = self.make_streams()
-        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=64, stride=64)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=64)
         with pytest.raises(ConfigError, match="smaller than patch"):
             train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path)
 
     def test_frozen_streams_stay_fixed(self, tmp_path):
         a, b, corr = self.make_streams()
         before_a, before_b = snapshot(a), snapshot(b)
-        cfg = TrainConfig(epochs=2, batch_size=2, seed=2, patch=32, stride=32)
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=2, patch=32)
         manifest = train_fusion(a, b, corr, triple_dataset(n=4), cfg,
                                 tmp_path)
         assert manifest["status"] == "complete"
@@ -403,7 +443,7 @@ class TestTrainFusion:
     def test_unfrozen_streams_move(self, tmp_path):
         a, b, corr = self.make_streams()
         before = snapshot(a)
-        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32, stride=32)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
         train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path,
                      unfreeze_streams=True)
         changed = [n for n, t, _ in named_parameters(a)
@@ -413,11 +453,17 @@ class TestTrainFusion:
 
 
 class TestAccuracyHelpers:
-    def test_pixel_accuracy_bounds_and_modes(self):
+    def test_pixel_accuracy_counts_eval_argmax(self):
         spec = small_net()
-        data = small_dataset(n=2)
-        acc = pixel_accuracy(spec, data, mode="train")
-        assert 0.0 <= acc <= 1.0
+        data = small_dataset(n=10)  # more than one evaluation batch
+        x = Tensor(np.stack([d[0] for d in data]))
+        labels = np.stack([d[1] for d in data])
+        with no_grad():
+            forward_parts(spec, x, mode="train")  # running statistics
+            logits, _ = forward_parts(spec, x, mode="eval")
+        valid = labels != 255
+        want = (logits.data.argmax(axis=1) == labels)[valid].mean()
+        assert pixel_accuracy(spec, data) == want
 
     def test_perfect_logits_give_unit_accuracy(self):
         # bypass the net: accuracy helper is exercised through a trained

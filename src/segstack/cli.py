@@ -135,9 +135,26 @@ def _stream_samples(triples, *streams):
     return [tuple(t[i] for i in idx) + (t[2],) for t in triples]
 
 
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0  # JSON true/false are bools
+
+
+_INT = (_positive_int, "a positive integer")
+_STR = (lambda v: isinstance(v, str), "a string")
+# (check, description) of each run-manifest key the CLI reads
+_MANIFEST_TYPES = {
+    "k": _INT, "in_channels": _INT, "corrector_in": _INT, "hidden": _INT,
+    "scale": _STR, "checkpoint": _STR,
+    "head_scales": (lambda v: isinstance(v, list)
+                    and all(map(_positive_int, v)),
+                    "a list of positive integers"),
+}
+
+
 def _read_manifest(run_dir, keys) -> dict:
-    """A run's manifest: a missing file is a usage error (exit 1), bad
-    JSON, a missing key or an unknown stream a data error (exit 2)."""
+    """A run's manifest: a missing file is a usage error (exit 1); bad
+    JSON, a missing or mistyped key, an unknown stream or a checkpoint
+    path outside the run directory is a data error (exit 2)."""
     path = os.path.join(run_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -151,6 +168,15 @@ def _read_manifest(run_dir, keys) -> dict:
     missing = [k for k in keys if k not in manifest]
     if missing:
         raise FormatError(f"{path}: manifest is missing {missing}")
+    for key in keys:
+        check, want = _MANIFEST_TYPES[key]
+        if not check(manifest[key]):
+            raise FormatError(f"{path}: {key} must be {want}, got "
+                              f"{manifest[key]!r}")
+    ckpt = os.path.normpath(manifest["checkpoint"])
+    if os.path.isabs(ckpt) or ckpt.split(os.sep)[0] == os.pardir:
+        raise FormatError(f"{path}: checkpoint {manifest['checkpoint']!r} "
+                          "is outside the run directory")
     if manifest.setdefault("stream", STREAMS[0]) not in STREAMS:
         raise FormatError(f"{path}: unknown stream {manifest['stream']!r}")
     return manifest
@@ -225,7 +251,11 @@ def cmd_train(args):
 
 
 def cmd_train_mk(args):
-    scales = tuple(int(s) for s in args.scales.split(","))
+    try:
+        scales = tuple(int(s) for s in args.scales.split(","))
+    except ValueError:
+        raise ConfigError(f"--scales: expected comma-separated integers, "
+                          f"got {args.scales!r}") from None
     return _run_train(args, scales)
 
 

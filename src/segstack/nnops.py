@@ -113,7 +113,11 @@ class PoolMask:
 
 @dataclass
 class BNState:
-    """Batch-norm parameters and running statistics for one channel axis."""
+    """Batch-norm parameters and running statistics for one channel axis.
+
+    ``initialized`` is a 0-d float64 array, 1 once the running statistics
+    hold values; ``batchnorm`` sets it in place, so it checkpoints and
+    restores like the statistics themselves."""
 
     gamma: Tensor
     beta: Tensor
@@ -121,7 +125,7 @@ class BNState:
     running_var: np.ndarray
     momentum: float = 0.1
     eps: float = 1e-5
-    initialized: bool = False
+    initialized: np.ndarray = field(default_factory=lambda: np.zeros(()))
 
     @classmethod
     def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -213,7 +217,7 @@ def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
         state.running_mean += m * mu64
         state.running_var *= (1.0 - m)
         state.running_var += m * var64
-        state.initialized = True
+        state.initialized[...] = 1.0
         mu = mu64.astype(dt)
         inv_std = (1.0 / np.sqrt(var64 + state.eps)).astype(dt)
     else:

@@ -196,47 +196,42 @@ def param_groups(spec: NetworkSpec, ratio: float = 1.0) -> "list[ParamGroup]":
     return groups
 
 
-def state_entries(spec: NetworkSpec) -> "list[tuple]":
-    """(name, holder, attribute, group) of every parameter (a Tensor's
-    ``data``) and batch-norm buffer, in checkpoint order."""
-    out = [(name, t, "data", group) for name, t, group in named_parameters(spec)]
+def state_entries(spec: NetworkSpec) -> "list[tuple[str, np.ndarray, str]]":
+    """(name, array, group) of every parameter (its Tensor's ``data``) and
+    batch-norm buffer (``running_mean``, ``running_var``, ``initialized``),
+    in checkpoint order. The arrays are the live state: writing into them
+    writes into the network."""
+    out = [(name, t.data, group) for name, t, group in named_parameters(spec)]
     for u in _units(spec):
         for attr in ("running_mean", "running_var", "initialized"):
-            out.append((f"{u.name}.bn.{attr}", u.bn, attr, u.group))
+            out.append((f"{u.name}.bn.{attr}", getattr(u.bn, attr), u.group))
     return out
 
 
 def save_checkpoint(spec: NetworkSpec, dirpath) -> None:
-    tenio.save_bundle(dirpath, [
-        (name, np.asarray(float(h.initialized)) if attr == "initialized"
-         else getattr(h, attr), group)
-        for name, h, attr, group in state_entries(spec)])
+    tenio.save_bundle(dirpath, state_entries(spec))
 
 
 def restore_entries(bundle, entries, missing_label: str) -> None:
-    """Write bundle arrays into ``state_entries``-style rows, all or
-    nothing: every name and shape is validated before the first write."""
+    """Copy bundle arrays into the live arrays of (name, array, group)
+    rows, all or nothing: every name and shape is validated before the
+    first write."""
     staged, missing = [], []
-    for name, holder, attr, _ in entries:
+    for name, cur, _ in entries:
         entry = bundle.get(name)
         if entry is None:
             missing.append(name)
-            continue
-        want = np.shape(getattr(holder, attr))
-        if entry.array.shape != want:
+        elif entry.array.shape != cur.shape:
             raise CheckpointError(f"{name}: checkpoint shape "
-                                  f"{entry.array.shape}, expected {want}")
-        staged.append((holder, attr, entry.array))
+                                  f"{entry.array.shape}, expected {cur.shape}")
+        else:
+            staged.append((cur, entry.array))
     if missing:
         raise CheckpointError(
             f"{missing_label}: {missing[:5]}"
             + (f" and {len(missing) - 5} more" if len(missing) > 5 else ""))
-    for holder, attr, arr in staged:
-        if attr == "initialized":
-            holder.initialized = bool(arr)
-        else:
-            cur = getattr(holder, attr)
-            cur[...] = arr.astype(cur.dtype, copy=False)
+    for cur, arr in staged:
+        cur[...] = arr
 
 
 def load_checkpoint(spec: NetworkSpec, dirpath) -> None:
@@ -255,5 +250,5 @@ def load_encoder_checkpoint(spec: NetworkSpec, dirpath) -> None:
     checkpoint works; its decoder entries are ignored). Decoder and head
     stay untouched. All-or-nothing: validation precedes any mutation."""
     restore_entries(tenio.load_bundle(dirpath),
-                    [e for e in state_entries(spec) if e[3] == "encoder"],
+                    [e for e in state_entries(spec) if e[2] == "encoder"],
                     "missing encoder parameters")

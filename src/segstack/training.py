@@ -1,6 +1,12 @@
 """SGD training with per-group learning rates, run manifests, and the
-desk-scale training loops for the plain, multi-kernel, branch-extension
-and dual-stream fusion variants.
+desk-scale trainers for the plain, multi-kernel, branch-extension and
+dual-stream fusion variants.
+
+Every trainer runs the one loop ``_train`` over (*inputs, labels)
+samples. A trainer supplies its parameter groups, its (name, array,
+group) state rows for the last-good guard, a ``forward(inputs) ->
+logits`` and a save function; cropping, batching, the loss, SGD,
+divergence handling and the manifest are the loop's.
 
 Determinism contract: with a fixed config (including seed) and dataset,
 single-threaded runs write bit-identical manifests and checkpoints. To
@@ -98,59 +104,46 @@ class _LastGoodGuard:
     """In-memory copy of the state that produced the most recent finite
     loss. Epoch checkpoints alone are not enough: an epoch can end with
     finite losses while its final step already pushed the parameters
-    somewhere that only the next forward reveals as broken."""
+    somewhere that only the next forward reveals as broken.
 
-    def __init__(self):
-        self._entries = []
-        self._state = None
+    ``rows`` are (name, array, group) state rows whose arrays are the live
+    state; ``update`` copies them into buffers allocated on its first call
+    and ``restore`` copies the buffers back, so the guard's buffers never
+    become live state."""
 
-    def track_spec(self, spec) -> None:
-        self._entries += state_entries(spec)
-
-    def track_tensors(self, named) -> None:
-        self._entries += [(name, t, "data", None) for name, t in named]
+    def __init__(self, rows):
+        self._arrays = [arr for _, arr, _ in rows]
+        self._saved = None
 
     def update(self) -> None:
-        """Snapshot the tracked state into buffers kept across steps."""
-        if self._state is None:
-            self._state = [None if attr == "initialized"
-                           else np.empty_like(getattr(h, attr))
-                           for _, h, attr, _ in self._entries]
-        for i, (_, h, attr, _) in enumerate(self._entries):
-            if attr == "initialized":
-                self._state[i] = h.initialized
-            else:
-                np.copyto(self._state[i], getattr(h, attr))
+        if self._saved is None:
+            self._saved = [np.empty_like(a) for a in self._arrays]
+        for buf, arr in zip(self._saved, self._arrays):
+            np.copyto(buf, arr)
 
     def restore(self) -> None:
-        """Copy the snapshot back into the holders' own arrays, so the
-        guard's buffers never become live state."""
-        if self._state is None:
-            return
-        for (_, h, attr, _), val in zip(self._entries, self._state):
-            if attr == "initialized":
-                h.initialized = val
-            else:
-                getattr(h, attr)[...] = val
+        if self._saved is not None:
+            for buf, arr in zip(self._saved, self._arrays):
+                arr[...] = buf
 
 
-def _chunks(order, size):
-    for i in range(0, len(order), size):
-        yield order[i:i + size]
-
-
-def _crop(rng, patch, y, *xs):
-    """One random patch window of labels ``y`` and co-registered bands
-    ``xs``; returns (y, *xs) cropped."""
-    h, w = y.shape
+def _crop(rng, patch, sample):
+    """One random patch window of a (*inputs, labels) sample, shared by
+    its co-registered band arrays and labels; returned in the same order."""
+    h, w = sample[-1].shape
     if (h, w) == (patch, patch):
-        return (y,) + xs
+        return sample
     if h < patch or w < patch:
         raise ConfigError(f"tile {h}x{w} smaller than patch {patch}")
     top = int(rng.integers(0, h - patch + 1))
     left = int(rng.integers(0, w - patch + 1))
-    sl = np.s_[top:top + patch, left:left + patch]
-    return (y[sl],) + tuple(x[(slice(None),) + sl] for x in xs)
+    return tuple(a[..., top:top + patch, left:left + patch] for a in sample)
+
+
+def _batch(samples):
+    """Column-stack (*inputs, labels) samples into (input tensors, labels)."""
+    *xs, labels = (np.stack(col) for col in zip(*samples))
+    return [Tensor(x) for x in xs], labels
 
 
 def _batch_accuracy(logit_data, labels):
@@ -159,24 +152,28 @@ def _batch_accuracy(logit_data, labels):
     return int((pred == labels)[valid].sum()), int(valid.sum())
 
 
-def _write_manifest(out_dir, manifest) -> None:
+def _finish(out_dir, manifest, log, status) -> dict:
+    """Record the epoch log and the run's status, and write the manifest."""
+    manifest.update(epochs=log, status=status)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    return manifest
 
 
-def _finish(out_dir, manifest, status):
-    manifest["status"] = status
-    _write_manifest(out_dir, manifest)
-
-
-def _run_epochs(config: TrainConfig, dataset, step_fn, save_fn, guard,
-                out_dir, manifest) -> dict:
-    """Shared epoch loop: shuffling, patch sampling, plateau decay,
-    divergence handling, checkpointing and the manifest write."""
+def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
+           forward, save) -> dict:
+    """The one epoch and step loop: shuffling, patch sampling, SGD on
+    ``groups``, plateau decay, the last-good guard over ``rows``,
+    divergence handling, checkpointing through ``save`` and the manifest
+    write. ``forward(input tensors)`` returns the logits the loss scores."""
+    if not dataset:
+        raise ConfigError("dataset is empty")
     os.makedirs(out_dir, exist_ok=True)
+    opt = SGD(groups, config.base_lr, config.momentum)
+    guard = _LastGoodGuard(rows)
     rng = np.random.default_rng(config.seed)
-    save_fn()  # params at init are the first "last good" state
+    save()  # params at init are the first "last good" state
     lr = config.base_lr
     best = np.inf
     stall = 0
@@ -184,18 +181,25 @@ def _run_epochs(config: TrainConfig, dataset, step_fn, save_fn, guard,
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         loss_sum, n_batches, correct, pixels = 0.0, 0, 0, 0
-        for idx in _chunks(order, config.batch_size):
-            batch = [dataset[i] for i in idx]
-            loss_val, c, p = step_fn(batch, rng, lr)
-            if not np.isfinite(loss_val):
+        for i in range(0, len(order), config.batch_size):
+            batch = [dataset[j] for j in order[i:i + config.batch_size]]
+            xs, labels = _batch([_crop(rng, config.patch, s) for s in batch])
+            logits = forward(xs)
+            loss = cross_entropy_loss(logits, labels)
+            val = float(loss.item())
+            if not np.isfinite(val):
                 guard.restore()
-                save_fn()
-                manifest["epochs"] = log
-                _finish(out_dir, manifest, "diverged")
+                save()
+                _finish(out_dir, manifest, log, "diverged")
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last good checkpoint "
                     f"kept at {os.path.join(out_dir, CHECKPOINT_DIR)}")
-            loss_sum += loss_val
+            guard.update()
+            backward(loss)
+            opt.base_lr = lr
+            opt.step()
+            c, p = _batch_accuracy(logits.data, labels)
+            loss_sum += val
             n_batches += 1
             correct += c
             pixels += p
@@ -210,10 +214,8 @@ def _run_epochs(config: TrainConfig, dataset, step_fn, save_fn, guard,
                 if stall >= config.plateau_patience:
                     lr *= config.decay_factor
                     stall = 0
-        save_fn()
-    manifest["epochs"] = log
-    _finish(out_dir, manifest, "complete")
-    return manifest
+        save()
+    return _finish(out_dir, manifest, log, "complete")
 
 
 def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
@@ -224,34 +226,9 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
     ``groups`` overrides the Table-1-style encoder/decoder split (used by
     the branch-extension protocol to freeze everything but new params).
     """
-    if not dataset:
-        raise ConfigError("dataset is empty")
     if groups is None:
         groups = param_groups(spec, config.lr_ratio)
-    opt = SGD(groups, config.base_lr, config.momentum)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
-    guard = _LastGoodGuard()
-    guard.track_spec(spec)
-
-    def step_fn(batch, rng, lr):
-        opt.base_lr = lr
-        xs, ys = [], []
-        for x, y in batch:
-            cy, cx = _crop(rng, config.patch, y, x)
-            xs.append(cx)
-            ys.append(cy)
-        xt = Tensor(np.stack(xs))
-        labels = np.stack(ys)
-        logits, _ = forward_parts(spec, xt, mode="train")
-        loss = cross_entropy_loss(logits, labels)
-        val = float(loss.item())
-        if np.isfinite(val):
-            guard.update()
-            backward(loss)
-            opt.step()
-        c, p = _batch_accuracy(logits.data, labels)
-        return val, c, p
-
     manifest = {
         "config": asdict(config),
         "k": spec.k,
@@ -261,26 +238,31 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         "checkpoint": CHECKPOINT_DIR,
     }
     manifest.update(manifest_extra or {})
-    return _run_epochs(config, dataset, step_fn,
-                       lambda: save_checkpoint(spec, ckpt_dir), guard,
-                       out_dir, manifest)
+    return _train(config, dataset, out_dir, manifest, groups,
+                  state_entries(spec),
+                  lambda xs: forward_parts(spec, xs[0], mode="train")[0],
+                  lambda: save_checkpoint(spec, ckpt_dir))
+
+
+def corrector_entries(corr: CorrectorSpec) -> "list[tuple]":
+    """(name, array, group) rows of the corrector's parameters."""
+    return [(name, t.data, "corrector") for name, t in corr.tensors()]
 
 
 def save_corrector(corr: CorrectorSpec, dirpath) -> None:
-    tenio.save_bundle(dirpath, [(name, t.data, "corrector")
-                                for name, t in corr.tensors()])
+    tenio.save_bundle(dirpath, corrector_entries(corr))
 
 
 def load_corrector(corr: CorrectorSpec, dirpath) -> None:
-    restore_entries(tenio.load_bundle(dirpath),
-                    [(name, t, "data", None) for name, t in corr.tensors()],
+    restore_entries(tenio.load_bundle(dirpath), corrector_entries(corr),
                     "corrector checkpoint is missing entries")
 
 
 def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
                  corr: CorrectorSpec, dataset, config: TrainConfig, out_dir,
                  unfreeze_streams: bool = False, manifest_extra=None) -> dict:
-    """Residual-correction training on (input_a, input_b, labels) triples.
+    """Residual-correction training on (input_a, input_b, labels) triples;
+    both inputs of a sample share one crop window.
 
     Streams run frozen in eval mode by default; the corrector is the only
     trainable part, so it starts at the averaging baseline (zero final
@@ -288,56 +270,33 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     need initialized batchnorm statistics, i.e. they should come from
     trained checkpoints.
     """
-    if not dataset:
-        raise ConfigError("dataset is empty")
+    specs = (spec_a, spec_b)
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
+    rows = corrector_entries(corr)
     if unfreeze_streams:
-        for tag, spec in (("a", spec_a), ("b", spec_b)):
+        for tag, spec in zip("ab", specs):
             for g in param_groups(spec, config.lr_ratio):
                 g.role = f"stream_{tag}.{g.role}"
                 groups.append(g)
-    opt = SGD(groups, config.base_lr, config.momentum)
+            rows += state_entries(spec)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
-    guard = _LastGoodGuard()
-    guard.track_tensors(corr.tensors())
-    if unfreeze_streams:
-        guard.track_spec(spec_a)
-        guard.track_spec(spec_b)
 
-    def step_fn(batch, rng, lr):
-        # one crop window per sample, shared by both co-registered streams
-        opt.base_lr = lr
-        xa, xb, ys = [], [], []
-        for a, b, y in batch:
-            cy, ca, cb = _crop(rng, config.patch, y, a, b)
-            xa.append(ca)
-            xb.append(cb)
-            ys.append(cy)
-        labels = np.stack(ys)
-        xs = [Tensor(np.stack(xa)), Tensor(np.stack(xb))]
+    def forward(xs):
         if unfreeze_streams:
             streams = []
-            for spec, x in zip((spec_a, spec_b), xs):
+            for spec, x in zip(specs, xs):
                 logits, feats = forward_parts(spec, x, mode="train")
                 streams.append(StreamOutput(softmax_channels(logits), feats))
         else:
             with no_grad():
-                streams = stream_outputs((spec_a, spec_b), xs)
-        fused = fuse_residual(streams, corr)
-        loss = cross_entropy_loss(fused, labels)
-        val = float(loss.item())
-        if np.isfinite(val):
-            guard.update()
-            backward(loss)
-            opt.step()
-        c, p = _batch_accuracy(fused.data, labels)
-        return val, c, p
+                streams = stream_outputs(specs, xs)
+        return fuse_residual(streams, corr)
 
-    def save_fn():
+    def save():
         save_corrector(corr, ckpt_dir)
         if unfreeze_streams:
-            save_checkpoint(spec_a, os.path.join(out_dir, "stream_a"))
-            save_checkpoint(spec_b, os.path.join(out_dir, "stream_b"))
+            for tag, spec in zip("ab", specs):
+                save_checkpoint(spec, os.path.join(out_dir, f"stream_{tag}"))
 
     manifest = {
         "config": asdict(config),
@@ -347,8 +306,8 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
         "checkpoint": CHECKPOINT_DIR,
     }
     manifest.update(manifest_extra or {})
-    return _run_epochs(config, dataset, step_fn, save_fn, guard, out_dir,
-                       manifest)
+    return _train(config, dataset, out_dir, manifest, groups, rows, forward,
+                  save)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +318,7 @@ def _eval_batches(dataset):
     """(input tensors, labels) of consecutive EVAL_BATCH-sample slices of
     a dataset of (input_1, ..., input_S, labels) samples."""
     for i in range(0, len(dataset), EVAL_BATCH):
-        *xs, labels = (np.stack(col)
-                       for col in zip(*dataset[i:i + EVAL_BATCH]))
-        yield [Tensor(x) for x in xs], labels
+        yield _batch(dataset[i:i + EVAL_BATCH])
 
 
 def _map_accuracy(specs, corr, dataset) -> float:

@@ -103,6 +103,12 @@ class TestTrain:
         assert manifest["head_scales"] == [3, 5]
         assert manifest["variant"] == "multikernel"
 
+    def test_bad_scales_is_usage_error(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+                     str(tmp_path / "mk"), "--scales", "3,x"]) == 1
+        assert "segstack: error: --scales" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(workspace / "data"), "--out",
@@ -276,6 +282,55 @@ class TestRunManifest:
         assert main(["predict", "--run", str(run), "--out",
                      str(tmp_path / "pred"), *self.scene(workspace)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "5"), ("in_channels", 3.0), ("scale", 1), ("head_scales", "3"),
+        ("head_scales", [3.0]), ("checkpoint", 5)])
+    def test_mistyped_run_value_is_data_error(self, workspace, tmp_path,
+                                              capsys, key, value):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run-a", run)
+        path = run / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    key: value}))
+        capsys.readouterr()
+        assert main(["predict", "--run", str(run), "--out",
+                     str(tmp_path / "pred"), *self.scene(workspace)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("corrector_in", "32"),
+                                            ("hidden", 8.0)])
+    def test_mistyped_fusion_value_is_data_error(self, workspace, tmp_path,
+                                                 capsys, key, value):
+        fusion = tmp_path / "fusion"
+        fusion.mkdir()
+        manifest = {"corrector_in": 32, "k": 5, "hidden": 8,
+                    "checkpoint": "checkpoint", key: value}
+        (fusion / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["predict", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--fusion-run",
+                     str(fusion), "--out", str(tmp_path / "pred"),
+                     *self.scene(workspace)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outside", ["absolute", "parent"])
+    def test_checkpoint_outside_run_is_data_error(self, workspace, tmp_path,
+                                                  capsys, outside):
+        # both paths name a loadable checkpoint, so only confinement
+        # rejects them
+        shutil.copytree(workspace / "run-a", tmp_path / "other")
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run-a", run)
+        ckpt = (str(tmp_path / "other" / "checkpoint")
+                if outside == "absolute" else "../other/checkpoint")
+        path = run / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "checkpoint": ckpt}))
+        capsys.readouterr()
+        assert main(["predict", "--run", str(run), "--out",
+                     str(tmp_path / "pred"), *self.scene(workspace)]) == 2
+        assert "outside the run directory" in capsys.readouterr().err
 
     def test_missing_fusion_manifest_is_usage_error(self, workspace,
                                                     tmp_path):

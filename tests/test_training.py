@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from segstack import training
 from segstack.datapipe import synth_dataset
 from segstack.errors import (CheckpointError, ConfigError, DivergenceError,
                              TrainingError)
@@ -15,9 +16,10 @@ from segstack.segnet import (build_segnet, forward_parts, init_he,
                              state_entries)
 from segstack.tensor import Tensor, backward, no_grad
 from segstack.training import (SGD, TrainConfig, _LastGoodGuard,
-                               fusion_pixel_accuracy, load_corrector,
-                               measure_fusion_stats, pixel_accuracy,
-                               save_corrector, train_fusion, train_segnet)
+                               corrector_entries, fusion_pixel_accuracy,
+                               load_corrector, measure_fusion_stats,
+                               pixel_accuracy, save_corrector, train_fusion,
+                               train_segnet)
 
 
 def small_dataset(seed=1, n=6, size=32):
@@ -329,37 +331,35 @@ class TestTrainSegnet:
 class TestLastGoodGuard:
     def test_restore_writes_last_snapshot_into_live_arrays(self):
         spec = small_net()
-        entries = state_entries(spec)
+        rows = state_entries(spec)
 
-        def mutate():
-            for _, h, attr, _ in entries:
-                if attr == "initialized":
-                    h.initialized = not h.initialized
-                else:
-                    getattr(h, attr)[...] += 1
+        def mutate():  # parameters and every batch-norm buffer, in place
+            for _, arr, _ in rows:
+                arr += 1
 
         def state():
-            return {name: h.initialized if attr == "initialized"
-                    else getattr(h, attr).copy()
-                    for name, h, attr, _ in entries}
+            return {name: arr.copy() for name, arr, _ in rows}
 
-        guard = _LastGoodGuard()
-        guard.track_spec(spec)
+        guard = _LastGoodGuard(rows)
         guard.update()
         mutate()
         guard.update()
         want = state()
-        live = {name: getattr(h, attr) for name, h, attr, _ in entries
-                if attr != "initialized"}
         for _ in range(2):  # the guard's buffers must not become live state
             mutate()
             guard.restore()
             got = state()
             for name, value in want.items():
                 np.testing.assert_array_equal(got[name], value, err_msg=name)
-        for name, h, attr, _ in entries:
-            if attr != "initialized":
-                assert getattr(h, attr) is live[name], name
+        for (name, live, _), (_, now, _) in zip(rows, state_entries(spec)):
+            assert now is live, name
+
+    def test_restore_before_update_changes_nothing(self):
+        spec = small_net()
+        before = {name: arr.copy() for name, arr, _ in state_entries(spec)}
+        _LastGoodGuard(state_entries(spec)).restore()
+        for name, arr, _ in state_entries(spec):
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
 
 class TestTrainFusion:
@@ -439,6 +439,45 @@ class TestTrainFusion:
         assert corr_mag == 0.0
         assert stats.m_corr == 0.0 and stats.s_corr == 0.0
         assert avg_mag > 0
+
+    def test_divergence_keeps_last_good_checkpoints(self, tmp_path,
+                                                    monkeypatch):
+        """checkpoint/, stream_a/ and stream_b/ must hold the state that
+        produced the last finite loss: the state its backward started
+        from."""
+        a, b, corr = self.make_streams()
+        rows = {"checkpoint": corrector_entries(corr),
+                "stream_a": state_entries(a), "stream_b": state_entries(b)}
+        last_good = {}
+        real_backward = training.backward
+
+        def spy(loss):
+            for sub, sub_rows in rows.items():
+                last_good[sub] = [arr.copy() for _, arr, _ in sub_rows]
+            real_backward(loss)
+
+        monkeypatch.setattr(training, "backward", spy)
+        cfg = TrainConfig(base_lr=1e8, epochs=5, batch_size=2, seed=2,
+                          patch=32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="non-finite loss"):
+            train_fusion(a, b, corr, triple_dataset(n=4), cfg, tmp_path,
+                         unfreeze_streams=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "diverged"
+        assert last_good
+        fresh_corr = make_corrector(in_channels=32, k=5)
+        load_corrector(fresh_corr, tmp_path / "checkpoint")
+        loaded = {"checkpoint": corrector_entries(fresh_corr)}
+        for sub in ("stream_a", "stream_b"):
+            net = build_segnet(k=5, scale="mini", in_channels=3)
+            load_checkpoint(net, tmp_path / sub)
+            loaded[sub] = state_entries(net)
+        for sub, sub_rows in loaded.items():
+            for (name, arr, _), want in zip(sub_rows, last_good[sub]):
+                assert np.isfinite(arr).all(), f"{sub}: {name}"
+                np.testing.assert_array_equal(arr, want,
+                                              err_msg=f"{sub}: {name}")
 
     def test_unfrozen_streams_move(self, tmp_path):
         a, b, corr = self.make_streams()

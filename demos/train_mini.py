@@ -1,18 +1,17 @@
 """Train the small encoder-decoder on synthetic tiles and reload it.
 
 Runs a short single-stream training, prints the per-epoch loss curve from
-the run manifest, then restores the checkpoint into a fresh network and
+the run manifest, then reloads the run directory into a fresh network and
 confirms both copies predict identically.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from segstack import (TrainConfig, Tensor, build_segnet, forward, init_he,
-                      load_checkpoint, no_grad, pixel_accuracy, train_segnet)
+                      load_run, no_grad, pixel_accuracy, train_segnet)
 from segstack.datapipe import synth_dataset
 
 
@@ -26,7 +25,9 @@ def main():
     config = TrainConfig(epochs=20, batch_size=4, seed=5)
     train_segnet(net, dataset, config, out)
 
-    manifest = json.loads((out / "manifest.json").read_text())
+    # the run directory alone rebuilds the network: spec from the
+    # manifest, state from the checkpoint
+    clone, manifest = load_run(out)
     print(f"run dir {out} (status {manifest['status']})")
     for entry in manifest["epochs"][::4]:
         print(f"  epoch {entry['epoch']:3d}  loss {entry['loss']:.4f}  "
@@ -35,9 +36,7 @@ def main():
     acc = pixel_accuracy(net, dataset)
     print(f"training-set pixel accuracy {acc:.3f}")
 
-    # restore into a fresh network; eval-mode outputs must match bitwise
-    clone = build_segnet(k=5, scale="mini", in_channels=3)
-    load_checkpoint(clone, out / "checkpoint")
+    # eval-mode outputs of the trained and the reloaded network match bitwise
     x = Tensor(np.stack([dataset[0][0]]))
     with no_grad():
         a = forward(net, x, mode="eval").data

@@ -29,8 +29,8 @@ from .errors import (CheckpointError, ConfigError, DivergenceError,
 from .fusion import (CorrectorSpec, FusionStats, StreamOutput,
                      forward_corrector, fuse_average, fuse_residual,
                      fusion_stats, init_corrector, make_corrector)
-from .inference import (THREADS_ENV, labels_from_probs, predict_probs,
-                        predict_probs_fused, thread_budget)
+from .inference import (labels_from_probs, predict_probs, predict_probs_fused,
+                        thread_budget)
 from .metrics import (ConfusionMatrix, Scores, erode_boundaries, f1_scores,
                       format_report)
 from .multikernel import (MultiKernelHead, branch_outputs, extend_with_scale,
@@ -46,8 +46,9 @@ from .tenio import load_bundle, read_ten, save_bundle, write_ten
 from .tensor import (Tensor, add, add_n, backward, concat_channels, mean_n,
                      no_grad, relu, scale, sum_all)
 from .training import (SGD, TrainConfig, fusion_pixel_accuracy,
-                       load_corrector, measure_fusion_stats, pixel_accuracy,
-                       save_corrector, train_fusion, train_segnet)
+                       load_corrector, load_fusion_run, load_run,
+                       measure_fusion_stats, pixel_accuracy, save_corrector,
+                       train_fusion, train_segnet)
 
 __version__ = "0.1.0"
 
@@ -72,10 +73,10 @@ __all__ = [
     "format_report",
     "write_ten", "read_ten", "save_bundle", "load_bundle",
     "TrainConfig", "SGD", "train_segnet", "train_fusion", "save_corrector",
-    "load_corrector", "pixel_accuracy", "fusion_pixel_accuracy",
-    "measure_fusion_stats",
+    "load_corrector", "load_run", "load_fusion_run", "pixel_accuracy",
+    "fusion_pixel_accuracy", "measure_fusion_stats",
     "predict_probs", "predict_probs_fused", "labels_from_probs",
-    "thread_budget", "THREADS_ENV",
+    "thread_budget",
     "SegstackError", "ShapeError", "SpecError", "ConfigError", "FormatError",
     "CheckpointError", "TilingError", "StaleTapeError", "TrainingError",
     "DivergenceError",

@@ -9,7 +9,6 @@ divergence during training.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,14 +19,13 @@ from .datapipe import (CLASS_NAMES, TileGeometry, colorize_labels, read_pgm,
                        synth_dataset, write_pgm, write_ppm)
 from .errors import ConfigError, DivergenceError, FormatError, SegstackError
 from .fusion import init_corrector, make_corrector
-from .inference import (labels_from_probs, predict_probs, predict_probs_fused,
-                        thread_budget)
+from .inference import labels_from_probs, predict_probs, predict_probs_fused
 from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
     format_report
 from .multikernel import extend_with_scale
-from .segnet import (build_segnet, init_he, load_checkpoint, named_parameters,
-                     param_groups, ParamGroup)
-from .training import (MANIFEST_NAME, TrainConfig, load_corrector,
+from .segnet import (build_segnet, init_he, named_parameters, param_groups,
+                     ParamGroup)
+from .training import (MANIFEST_NAME, TrainConfig, load_fusion_run, load_run,
                        measure_fusion_stats, train_fusion, train_segnet)
 
 DATASET_INDEX = "dataset.txt"
@@ -135,77 +133,19 @@ def _stream_samples(triples, *streams):
     return [tuple(t[i] for i in idx) + (t[2],) for t in triples]
 
 
-def _positive_int(value) -> bool:
-    return type(value) is int and value > 0  # JSON true/false are bools
-
-
-_INT = (_positive_int, "a positive integer")
-_STR = (lambda v: isinstance(v, str), "a string")
-# (check, description) of each run-manifest key the CLI reads
-_MANIFEST_TYPES = {
-    "k": _INT, "in_channels": _INT, "corrector_in": _INT, "hidden": _INT,
-    "scale": _STR, "checkpoint": _STR,
-    "head_scales": (lambda v: isinstance(v, list)
-                    and all(map(_positive_int, v)),
-                    "a list of positive integers"),
-}
-
-
-def _read_manifest(run_dir, keys) -> dict:
-    """A run's manifest: a missing file is a usage error (exit 1); bad
-    JSON, a missing or mistyped key, an unknown stream or a checkpoint
-    path outside the run directory is a data error (exit 2)."""
-    path = os.path.join(run_dir, MANIFEST_NAME)
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read run manifest: {exc}") from None
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a JSON manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
-    missing = [k for k in keys if k not in manifest]
-    if missing:
-        raise FormatError(f"{path}: manifest is missing {missing}")
-    for key in keys:
-        check, want = _MANIFEST_TYPES[key]
-        if not check(manifest[key]):
-            raise FormatError(f"{path}: {key} must be {want}, got "
-                              f"{manifest[key]!r}")
-    ckpt = os.path.normpath(manifest["checkpoint"])
-    if os.path.isabs(ckpt) or ckpt.split(os.sep)[0] == os.pardir:
-        raise FormatError(f"{path}: checkpoint {manifest['checkpoint']!r} "
-                          "is outside the run directory")
-    if manifest.setdefault("stream", STREAMS[0]) not in STREAMS:
-        raise FormatError(f"{path}: unknown stream {manifest['stream']!r}")
-    return manifest
-
-
 def _load_run(run_dir):
-    """Rebuild a trained single-stream network from its run directory."""
-    manifest = _read_manifest(run_dir, ("k", "scale", "in_channels",
-                                        "head_scales", "checkpoint"))
-    spec = build_segnet(k=manifest["k"], scale=manifest["scale"],
-                        in_channels=manifest["in_channels"],
-                        head_scales=tuple(manifest["head_scales"]))
-    load_checkpoint(spec, os.path.join(run_dir, manifest["checkpoint"]))
+    """``training.load_run`` plus the CLI's own ``stream`` key, which
+    names the band file the run reads; a run without one is irrg."""
+    spec, manifest = load_run(run_dir)
+    if manifest.setdefault("stream", STREAMS[0]) not in STREAMS:
+        raise FormatError(f"{os.path.join(run_dir, MANIFEST_NAME)}: unknown "
+                          f"stream {manifest['stream']!r}")
     return spec, manifest
 
 
-def _load_fusion_run(run_dir):
-    manifest = _read_manifest(run_dir, ("corrector_in", "k", "hidden",
-                                        "checkpoint"))
-    corr = make_corrector(in_channels=manifest["corrector_in"],
-                          k=manifest["k"], hidden=manifest["hidden"])
-    load_corrector(corr, os.path.join(run_dir, manifest["checkpoint"]))
-    return corr
-
-
 def _extra(args, variant, n_tiles):
-    return {"variant": variant, "stream": args.stream,
-            "in_channels": 3, "data": args.data, "n_tiles": n_tiles,
-            "init_seed": args.init_seed}
+    return {"variant": variant, "stream": args.stream, "data": args.data,
+            "n_tiles": n_tiles, "init_seed": args.init_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +232,12 @@ def cmd_train_fusion(args):
     spec_b, man_b = _load_run(args.run_b)
     dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
                               man_b["stream"])
-    corr_in = spec_a.head.in_channels + spec_b.head.in_channels
-    corr = make_corrector(in_channels=corr_in, k=spec_a.k,
-                          hidden=args.hidden)
+    corr = make_corrector(
+        in_channels=spec_a.head.in_channels + spec_b.head.in_channels,
+        k=spec_a.k, hidden=args.hidden)
     init_corrector(corr, seed=args.init_seed)
-    extra = {"run_a": args.run_a, "run_b": args.run_b,
-             "corrector_in": corr_in, "hidden": args.hidden,
-             "data": args.data, "n_tiles": len(dataset),
-             "init_seed": args.init_seed}
+    extra = {"run_a": args.run_a, "run_b": args.run_b, "data": args.data,
+             "n_tiles": len(dataset), "init_seed": args.init_seed}
     manifest = train_fusion(spec_a, spec_b, corr, dataset,
                             _train_config(args), args.out,
                             unfreeze_streams=args.unfreeze_streams,
@@ -311,27 +249,22 @@ def cmd_train_fusion(args):
     return 0
 
 
-def _scene_bands(args, manifest):
-    return tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
-
-
 def cmd_predict(args):
-    geom = TileGeometry(args.patch, args.stride)
-    threads = thread_budget(args.threads)
     if args.run_a and args.run_b:
-        spec_a, man_a = _load_run(args.run_a)
-        spec_b, man_b = _load_run(args.run_b)
-        corr = _load_fusion_run(args.fusion_run) if args.fusion_run else None
-        bands_a = _scene_bands(args, man_a)
-        bands_b = _scene_bands(args, man_b)
-        probs = predict_probs_fused(spec_a, spec_b, corr, bands_a, bands_b,
-                                    geom, threads)
+        runs = [_load_run(args.run_a), _load_run(args.run_b)]
+        corr = load_fusion_run(args.fusion_run) if args.fusion_run else None
     elif args.run:
-        spec, manifest = _load_run(args.run)
-        bands = _scene_bands(args, manifest)
-        probs = predict_probs(spec, bands, geom, threads)
+        runs, corr = [_load_run(args.run)], None
     else:
         raise ConfigError("predict needs --run, or --run-a and --run-b")
+    specs = [spec for spec, _ in runs]
+    bands = [tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
+             for _, manifest in runs]
+    geom = TileGeometry(args.patch, args.stride)
+    if len(runs) == 2:
+        probs = predict_probs_fused(*specs, corr, *bands, geom, args.threads)
+    else:
+        probs = predict_probs(*specs, *bands, geom, args.threads)
     labels = labels_from_probs(probs)
     os.makedirs(args.out, exist_ok=True)
     tenio.write_ten(os.path.join(args.out, "probs.ten"), probs)
@@ -357,7 +290,7 @@ def cmd_evaluate(args):
 def cmd_fusion_stats(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    corr = _load_fusion_run(args.fusion_run)
+    corr = load_fusion_run(args.fusion_run)
     dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
                               man_b["stream"])
     stats, corr_mag, avg_mag = measure_fusion_stats(spec_a, spec_b, corr,

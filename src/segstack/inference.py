@@ -10,35 +10,22 @@ order on the calling thread, so the output is bitwise independent of the
 worker count.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .datapipe import TileGeometry, plan_tiles, stitch_average
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
 from .tensor import Tensor, no_grad
 
-THREADS_ENV = "SEGSTACK_THREADS"
-
 
 def thread_budget(requested=None) -> int:
-    """Tile-level worker count: explicit argument if given, else the
-    SEGSTACK_THREADS environment variable, else 1 (deterministic mode is
+    """Tile-level worker count, 1 unless requested (deterministic mode is
     the default, parallelism is opt-in)."""
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, "
-                              f"got {raw!r}") from None
-    n = int(requested)
+    n = 1 if requested is None else int(requested)
     if n < 1:
         raise ConfigError(f"thread count must be >= 1, got {n}")
     return n
@@ -74,11 +61,17 @@ def window_map(specs, corr, xs) -> np.ndarray:
 
 
 def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
-    """Stitched ``window_map`` over co-registered scenes, one per network."""
-    for b in bands:
+    """Stitched ``window_map`` over co-registered scenes, one per network;
+    stream i is the scene of ``specs[i]``."""
+    for i, b in enumerate(bands):
         if b.ndim != 3:
             raise ShapeError(f"scene must be (bands, height, width), "
                              f"got shape {b.shape}")
+        if not np.isfinite(b).all():
+            band, row, col = np.argwhere(~np.isfinite(b))[0]
+            raise DataError(f"stream {i} scene has a non-finite value "
+                            f"{b[band, row, col]} at band {band}, row {row}, "
+                            f"column {col}")
     h, w = bands[0].shape[1:]
     if any(b.shape[1:] != (h, w) for b in bands):
         raise ShapeError(f"streams must be co-registered, got "

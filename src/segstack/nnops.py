@@ -15,7 +15,7 @@ import numpy as np
 
 from . import convkernels as ck
 from .errors import ShapeError, SpecError, TrainingError
-from .tensor import Tensor, _record, grad_enabled
+from .tensor import Tensor, _record
 
 #: Label value excluded from losses and metrics.
 IGNORE_LABEL = 255

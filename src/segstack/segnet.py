@@ -53,28 +53,19 @@ class NetworkSpec:
         return len(self.widths)
 
 
-def build_segnet(k: int, scale: str = "full", widths=None, conv_counts=None,
-                 in_channels: int = 3, head_scales=(3,), bias: bool = True,
+def build_segnet(k: int, scale: str = "full", in_channels: int = 3,
+                 head_scales=(3,), bias: bool = True,
                  dtype=np.float32) -> NetworkSpec:
     """Parameters start at zero; apply init_he (and optionally an encoder
     checkpoint) before use."""
     if k < 2:
         raise SpecError(f"need at least 2 classes, got {k}")
     if scale == "full":
-        widths = FULL_WIDTHS if widths is None else tuple(widths)
-        conv_counts = FULL_CONV_COUNTS if conv_counts is None else tuple(conv_counts)
+        widths, conv_counts = FULL_WIDTHS, FULL_CONV_COUNTS
     elif scale == "mini":
-        widths = MINI_WIDTHS if widths is None else tuple(widths)
-        conv_counts = MINI_CONV_COUNTS if conv_counts is None else tuple(conv_counts)
+        widths, conv_counts = MINI_WIDTHS, MINI_CONV_COUNTS
     else:
         raise SpecError(f"unknown scale {scale!r}, expected 'full' or 'mini'")
-    if not widths:
-        raise SpecError("width plan is empty")
-    if len(widths) != len(conv_counts):
-        raise SpecError(f"width plan {widths} does not pair with conv counts "
-                        f"{conv_counts}")
-    if any(c < 1 for c in conv_counts) or any(w < 1 for w in widths):
-        raise SpecError("widths and conv counts must be positive")
 
     def unit(name, ic, oc, group):
         return ConvUnit(name, ConvParams.zeros(ic, oc, 3, bias=bias, dtype=dtype),

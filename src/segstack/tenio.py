@@ -119,6 +119,10 @@ def load_bundle(dirpath) -> "dict[str, BundleEntry]":
             name, fname, shape_tok, group = parts
             if name in out:
                 raise CheckpointError(f"duplicate parameter name {name!r}")
+            if fname in ("", ".", "..") or os.path.basename(fname) != fname:
+                raise CheckpointError(f"{INDEX_NAME}:{lineno}: payload "
+                                      f"{fname!r} is not a file name in the "
+                                      "bundle directory")
             fpath = os.path.join(dirpath, fname)
             if not os.path.exists(fpath):
                 raise CheckpointError(f"missing payload {fname} for {name}")

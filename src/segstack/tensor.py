@@ -28,10 +28,6 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _grad_enabled = True
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Disable tape recording inside the block (used by inference paths)."""

@@ -8,6 +8,9 @@ group) state rows for the last-good guard, a ``forward(inputs) ->
 logits`` and a save function; cropping, batching, the loss, SGD,
 divergence handling and the manifest are the loop's.
 
+A run directory is this module's format: the trainers write every
+manifest key that ``load_run`` and ``load_fusion_run`` read back.
+
 Determinism contract: with a fixed config (including seed) and dataset,
 single-threaded runs write bit-identical manifests and checkpoints. To
 keep that true the manifest holds no timestamps and only paths relative
@@ -22,13 +25,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tenio
-from .errors import ConfigError, DivergenceError, TrainingError
+from .errors import ConfigError, DivergenceError, FormatError, TrainingError
 from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
-                     fuse_residual, fusion_stats)
+                     fuse_residual, fusion_stats, make_corrector)
 from .inference import stream_outputs, window_map
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
-from .segnet import (NetworkSpec, ParamGroup, forward_parts, param_groups,
-                     restore_entries, save_checkpoint, state_entries)
+from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward_parts,
+                     load_checkpoint, param_groups, restore_entries,
+                     save_checkpoint, state_entries)
 from .tensor import Tensor, backward, no_grad
 
 MANIFEST_NAME = "manifest.json"
@@ -121,10 +125,13 @@ class _LastGoodGuard:
         for buf, arr in zip(self._saved, self._arrays):
             np.copyto(buf, arr)
 
-    def restore(self) -> None:
-        if self._saved is not None:
-            for buf, arr in zip(self._saved, self._arrays):
-                arr[...] = buf
+    def restore(self) -> bool:
+        """Copy the last snapshot back; False if there is none yet."""
+        if self._saved is None:
+            return False
+        for buf, arr in zip(self._saved, self._arrays):
+            arr[...] = buf
+        return True
 
 
 def _crop(rng, patch, sample):
@@ -169,6 +176,8 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
     write. ``forward(input tensors)`` returns the logits the loss scores."""
     if not dataset:
         raise ConfigError("dataset is empty")
+    manifest = {"config": asdict(config), "checkpoint": CHECKPOINT_DIR,
+                **manifest}
     os.makedirs(out_dir, exist_ok=True)
     opt = SGD(groups, config.base_lr, config.momentum)
     guard = _LastGoodGuard(rows)
@@ -188,8 +197,9 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
             loss = cross_entropy_loss(logits, labels)
             val = float(loss.item())
             if not np.isfinite(val):
-                guard.restore()
-                save()
+                # no snapshot: the initial save is still the last good state
+                if guard.restore():
+                    save()
                 _finish(out_dir, manifest, log, "diverged")
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last good checkpoint "
@@ -230,14 +240,13 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         groups = param_groups(spec, config.lr_ratio)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
     manifest = {
-        "config": asdict(config),
         "k": spec.k,
         "scale": spec.scale_name,
+        "in_channels": spec.in_channels,
         "head_scales": list(spec.head.scales),
         "group_multipliers": {g.role: g.lr_multiplier for g in groups},
-        "checkpoint": CHECKPOINT_DIR,
+        **(manifest_extra or {}),
     }
-    manifest.update(manifest_extra or {})
     return _train(config, dataset, out_dir, manifest, groups,
                   state_entries(spec),
                   lambda xs: forward_parts(spec, xs[0], mode="train")[0],
@@ -299,15 +308,86 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
                 save_checkpoint(spec, os.path.join(out_dir, f"stream_{tag}"))
 
     manifest = {
-        "config": asdict(config),
         "k": spec_a.k,
         "variant": "fusion",
+        "corrector_in": corr.in_channels,
+        "hidden": corr.convs[0].out_channels,
         "unfreeze_streams": unfreeze_streams,
-        "checkpoint": CHECKPOINT_DIR,
+        **(manifest_extra or {}),
     }
-    manifest.update(manifest_extra or {})
     return _train(config, dataset, out_dir, manifest, groups, rows, forward,
                   save)
+
+
+# ---------------------------------------------------------------------------
+# Reading run directories back
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0  # JSON true/false are bools
+
+
+_INT = (_positive_int, "a positive integer")
+_STR = (lambda v: isinstance(v, str), "a string")
+# (check, description) of each manifest key the loaders read
+_MANIFEST_TYPES = {
+    "k": _INT, "in_channels": _INT, "corrector_in": _INT, "hidden": _INT,
+    "scale": _STR, "checkpoint": _STR,
+    "head_scales": (lambda v: isinstance(v, list)
+                    and all(map(_positive_int, v)),
+                    "a list of positive integers"),
+}
+
+
+def _read_manifest(run_dir, keys) -> "tuple[dict, str]":
+    """A run's manifest and its checkpoint path. A missing manifest is a
+    ConfigError; bad JSON, a missing or mistyped key or a checkpoint path
+    outside the run directory is a FormatError."""
+    path = os.path.join(run_dir, MANIFEST_NAME)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read run manifest: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    missing = [k for k in keys if k not in manifest]
+    if missing:
+        raise FormatError(f"{path}: manifest is missing {missing}")
+    for key in keys:
+        check, want = _MANIFEST_TYPES[key]
+        if not check(manifest[key]):
+            raise FormatError(f"{path}: {key} must be {want}, got "
+                              f"{manifest[key]!r}")
+    ckpt = os.path.normpath(manifest["checkpoint"])
+    if os.path.isabs(ckpt) or ckpt.split(os.sep)[0] == os.pardir:
+        raise FormatError(f"{path}: checkpoint {manifest['checkpoint']!r} "
+                          "is outside the run directory")
+    return manifest, os.path.join(run_dir, ckpt)
+
+
+def load_run(run_dir) -> "tuple[NetworkSpec, dict]":
+    """Rebuild a trained ``train_segnet`` network from its run directory;
+    returns it with the run's manifest."""
+    manifest, ckpt = _read_manifest(run_dir, ("k", "scale", "in_channels",
+                                              "head_scales", "checkpoint"))
+    spec = build_segnet(k=manifest["k"], scale=manifest["scale"],
+                        in_channels=manifest["in_channels"],
+                        head_scales=tuple(manifest["head_scales"]))
+    load_checkpoint(spec, ckpt)
+    return spec, manifest
+
+
+def load_fusion_run(run_dir) -> CorrectorSpec:
+    """Rebuild the corrector a ``train_fusion`` run trained."""
+    manifest, ckpt = _read_manifest(run_dir, ("corrector_in", "k", "hidden",
+                                              "checkpoint"))
+    corr = make_corrector(in_channels=manifest["corrector_in"],
+                          k=manifest["k"], hidden=manifest["hidden"])
+    load_corrector(corr, ckpt)
+    return corr
 
 
 # ---------------------------------------------------------------------------

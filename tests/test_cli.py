@@ -7,7 +7,11 @@ import pytest
 
 from segstack.cli import main
 from segstack.datapipe import read_pgm, read_ppm
-from segstack.tenio import read_ten
+from segstack.fusion import init_corrector, make_corrector
+from segstack.segnet import build_segnet, init_he
+from segstack.tenio import read_ten, write_ten
+from segstack.training import (TrainConfig, load_run, train_fusion,
+                               train_segnet)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,20 @@ class TestPredict:
         np.testing.assert_allclose(dual, (singles[0] + singles[1]) / 2,
                                    atol=1e-7)
 
+    def test_non_finite_scene_is_data_error(self, workspace, tmp_path,
+                                            capsys):
+        bands = read_ten(workspace / "data" / "tile-000.irrg.ten")
+        bands[2, 3, 4] = np.nan
+        write_ten(tmp_path / "scene.irrg.ten", bands)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        assert main(["predict", "--run", str(workspace / "run-a"),
+                     "--scene", str(tmp_path / "scene"), "--out", str(out),
+                     "--patch", "32", "--stride", "32"]) == 2
+        assert "non-finite value nan at band 2, row 3, column 4" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_scene_smaller_than_patch_is_data_error(self, workspace,
                                                     tmp_path):
         assert main(["predict", "--run", str(workspace / "run-a"),
@@ -245,6 +263,74 @@ class TestFusionCommands:
                      str(workspace / "data" / "tile-003"), "--out",
                      str(out), "--patch", "32", "--stride", "32"]) == 0
         assert read_ten(out / "probs.ten").shape == (5, 32, 32)
+
+
+@pytest.fixture(scope="module")
+def library_runs(workspace):
+    """Runs written by train_segnet and train_fusion with no
+    manifest_extra: a plain irrg stream and a corrector over the CLI's
+    run-a and run-b."""
+    root = workspace / "library"
+    samples = [(read_ten(workspace / "data" / f"tile-00{i}.irrg.ten"),
+                read_pgm(workspace / "data" / f"tile-00{i}.labels.pgm"))
+               for i in range(6)]
+    cfg = TrainConfig(epochs=1, batch_size=3, patch=32)
+    spec = build_segnet(k=5, scale="mini")
+    init_he(spec, seed=4)
+    train_segnet(spec, samples, cfg, root / "stream")
+    (spec_a, _), (spec_b, _) = (load_run(workspace / r)
+                                for r in ("run-a", "run-b"))
+    comp = [read_ten(workspace / "data" / f"tile-00{i}.comp.ten")
+            for i in range(6)]
+    corr = make_corrector(in_channels=32, k=5, hidden=8)
+    init_corrector(corr, seed=5)
+    train_fusion(spec_a, spec_b, corr,
+                 [(x, c, y) for (x, y), c in zip(samples, comp)], cfg,
+                 root / "fusion")
+    return root
+
+
+class TestLibraryRuns:
+    """The CLI reads runs the library wrote without CLI extras."""
+
+    def fused(self, workspace):
+        return ["--run-a", str(workspace / "run-a"), "--run-b",
+                str(workspace / "run-b"), "--fusion-run",
+                str(workspace / "library" / "fusion")]
+
+    def test_predict_single_stream_run(self, workspace, library_runs,
+                                       tmp_path):
+        assert main(["predict", "--run", str(library_runs / "stream"),
+                     "--scene", str(workspace / "data" / "tile-000"),
+                     "--out", str(tmp_path / "pred"), "--patch", "32",
+                     "--stride", "32"]) == 0
+        assert read_ten(tmp_path / "pred" / "probs.ten").shape == (5, 32, 32)
+
+    def test_extend_scale_single_stream_run(self, workspace, library_runs,
+                                            tmp_path):
+        out = tmp_path / "ext"
+        assert main(["extend-scale", "--run", str(library_runs / "stream"),
+                     "--data", str(workspace / "data"), "--out", str(out),
+                     "--new-scale", "5", "--epochs", "1", "--batch-size",
+                     "3", "--patch", "32"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["head_scales"] == [3, 5]
+        assert manifest["in_channels"] == 3
+
+    def test_predict_with_fusion_run(self, workspace, library_runs,
+                                     tmp_path):
+        assert main(["predict", *self.fused(workspace), "--scene",
+                     str(workspace / "data" / "tile-001"), "--out",
+                     str(tmp_path / "pred"), "--patch", "32", "--stride",
+                     "32"]) == 0
+        assert read_ten(tmp_path / "pred" / "probs.ten").shape == (5, 32, 32)
+
+    def test_fusion_stats_of_fusion_run(self, workspace, library_runs,
+                                        capsys):
+        capsys.readouterr()
+        assert main(["fusion-stats", *self.fused(workspace), "--data",
+                     str(workspace / "data")]) == 0
+        assert "m_corr=" in capsys.readouterr().out
 
 
 class TestRunManifest:

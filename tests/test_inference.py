@@ -6,7 +6,7 @@ import pytest
 
 import segstack
 from segstack.datapipe import TileGeometry, synth_dataset
-from segstack.errors import ConfigError, ShapeError
+from segstack.errors import ConfigError, DataError, ShapeError
 from segstack.fusion import make_corrector, init_corrector
 from segstack.inference import (labels_from_probs, predict_probs,
                                 predict_probs_fused, thread_budget)
@@ -67,6 +67,15 @@ class TestPredictProbs:
         with pytest.raises(ShapeError, match="bands, height, width"):
             predict_probs(net, np.zeros((3, 4)), TileGeometry(32, 32))
 
+    def test_rejects_non_finite_pixels(self, net, scene):
+        for value in (np.nan, np.inf):
+            bands = scene[0].copy()
+            bands[1, 40, 7] = value
+            bands[2, 50, 3] = value
+            with pytest.raises(DataError, match=r"stream 0 .*band 1, row "
+                                                r"40, column 7"):
+                predict_probs(net, bands, TileGeometry(32, 32))
+
 
 @pytest.fixture(scope="module")
 def nets():
@@ -91,6 +100,14 @@ class TestPredictFused:
         plain = predict_probs_fused(a, b, None, scene[0], scene[1], geom)
         corrected = predict_probs_fused(a, b, corr, scene[0], scene[1], geom)
         np.testing.assert_array_equal(plain, corrected)
+
+    def test_non_finite_pixel_names_its_stream(self, nets, scene):
+        bands_b = scene[1].copy()
+        bands_b[0, 95, 95] = -np.inf
+        with pytest.raises(DataError, match="stream 1 .*-inf at band 0, "
+                                            "row 95, column 95"):
+            predict_probs_fused(*nets, None, scene[0], bands_b,
+                                TileGeometry(32, 32))
 
     def test_misregistered_streams_rejected(self, nets):
         a, b = nets
@@ -123,22 +140,8 @@ class TestLabels:
 
 
 class TestThreadBudget:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("SEGSTACK_THREADS", "8")
-        assert thread_budget(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SEGSTACK_THREADS", "3")
-        assert thread_budget() == 3
-
-    def test_default_is_single(self, monkeypatch):
-        monkeypatch.delenv("SEGSTACK_THREADS", raising=False)
+    def test_default_is_single(self):
         assert thread_budget() == 1
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SEGSTACK_THREADS", "many")
-        with pytest.raises(ConfigError, match="SEGSTACK_THREADS"):
-            thread_budget()
 
     def test_zero_rejected(self):
         with pytest.raises(ConfigError, match=">= 1"):

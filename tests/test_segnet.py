@@ -79,8 +79,6 @@ class TestStructure:
     def test_bad_plans_rejected(self):
         with pytest.raises(SpecError):
             build_segnet(1, scale="mini")
-        with pytest.raises(SpecError, match="pair"):
-            build_segnet(3, scale="mini", widths=(16, 32, 64))
         with pytest.raises(SpecError, match="scale"):
             build_segnet(3, scale="huge")
 

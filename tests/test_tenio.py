@@ -130,3 +130,24 @@ class TestBundle:
                   np.zeros(5, dtype=np.float32))
         with pytest.raises(CheckpointError, match="shape"):
             load_bundle(tmp_path / "c")
+
+    @pytest.mark.parametrize("fname", [
+        "../../data/tile-000.irrg.ten", "sub/enc.b1.c0.bias.ten",
+        "ABSOLUTE", ".", ".."])
+    def test_payload_outside_bundle_rejected(self, tmp_path, fname):
+        # every name but "." and ".." points at a loadable payload of the
+        # right shape, so only the confinement check rejects it
+        bundle = tmp_path / "run" / "checkpoint"
+        save_bundle(bundle, self.entries()[1:2])
+        bias = np.zeros(4, dtype=np.float32)
+        (tmp_path / "data").mkdir()
+        write_ten(tmp_path / "data" / "tile-000.irrg.ten", bias)
+        (bundle / "sub").mkdir()
+        write_ten(bundle / "sub" / "enc.b1.c0.bias.ten", bias)
+        if fname == "ABSOLUTE":
+            fname = str(tmp_path / "data" / "tile-000.irrg.ten")
+        (bundle / "index.txt").write_text(
+            f"enc.b1.c0.bias\t{fname}\t4\tencoder\n")
+        with pytest.raises(CheckpointError, match="not a file name in the "
+                                                  "bundle directory"):
+            load_bundle(bundle)

@@ -17,9 +17,9 @@ from segstack.segnet import (build_segnet, forward_parts, init_he,
 from segstack.tensor import Tensor, backward, no_grad
 from segstack.training import (SGD, TrainConfig, _LastGoodGuard,
                                corrector_entries, fusion_pixel_accuracy,
-                               load_corrector, measure_fusion_stats,
-                               pixel_accuracy, save_corrector, train_fusion,
-                               train_segnet)
+                               load_corrector, load_fusion_run, load_run,
+                               measure_fusion_stats, pixel_accuracy,
+                               save_corrector, train_fusion, train_segnet)
 
 
 def small_dataset(seed=1, n=6, size=32):
@@ -291,6 +291,25 @@ class TestTrainSegnet:
         logits, _ = forward_parts(restored, x, mode="train")
         assert np.isfinite(float(cross_entropy_loss(logits, labels).item()))
 
+    def test_first_step_divergence_keeps_initial_checkpoint(self, tmp_path):
+        """A non-finite first loss leaves no snapshot to restore; the
+        checkpoint must stay the initial state, not take the train-mode
+        batch-norm statistics of the failed step."""
+        spec = small_net(seed=8)
+        initial = [arr.copy() for _, arr, _ in state_entries(spec)]
+        dataset = small_dataset()
+        for x, _ in dataset:
+            x[0, 5, 5] = np.nan
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1, patch=32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="epoch 0"):
+            train_segnet(spec, dataset, cfg, tmp_path)
+        restored = build_segnet(k=5, scale="mini", in_channels=3)
+        load_checkpoint(restored, tmp_path / "checkpoint")
+        for (name, arr, _), want in zip(state_entries(restored), initial):
+            assert np.isfinite(arr).all(), name
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+
     def test_patch_sampling_crops_larger_tiles(self, tmp_path):
         spec = small_net()
         cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=32)
@@ -489,6 +508,36 @@ class TestTrainFusion:
                    if not np.array_equal(t.data, before[n])]
         assert changed
         assert (tmp_path / "stream_a" / "index.txt").exists()
+
+
+class TestRunLoaders:
+    """A run written by the trainers alone, with no manifest_extra,
+    reloads from its directory."""
+
+    def test_load_run_rebuilds_the_trained_network(self, tmp_path):
+        spec = small_net(seed=5, in_channels=4, scales=(3, 5))
+        data = [(np.concatenate([x, x[:1]]), y) for x, y in small_dataset()]
+        cfg = TrainConfig(epochs=1, batch_size=3, seed=1, patch=32)
+        train_segnet(spec, data, cfg, tmp_path)
+        loaded, manifest = load_run(tmp_path)
+        assert manifest["status"] == "complete"
+        assert manifest["in_channels"] == loaded.in_channels == 4
+        assert loaded.head.scales == (3, 5)
+        for (name, want, _), (_, got, _) in zip(state_entries(spec),
+                                                state_entries(loaded)):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_load_fusion_run_rebuilds_the_corrector(self, tmp_path):
+        a, b, _ = TestTrainFusion().make_streams()
+        corr = make_corrector(in_channels=32, k=5, hidden=8)
+        init_corrector(corr, seed=13)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
+        train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path)
+        loaded = load_fusion_run(tmp_path)
+        assert (loaded.in_channels, loaded.convs[0].out_channels,
+                loaded.out_channels) == (32, 8, 5)
+        for (name, want), (_, got) in zip(corr.tensors(), loaded.tensors()):
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
 
 
 class TestAccuracyHelpers:

@@ -143,9 +143,16 @@ def _load_run(run_dir):
     return spec, manifest
 
 
+def _run_relative(path, out_dir):
+    """``path`` relative to the run directory ``out_dir``, so that the
+    manifest does not depend on where the command ran from."""
+    return os.path.relpath(os.path.realpath(path), os.path.realpath(out_dir))
+
+
 def _extra(args, variant, n_tiles):
-    return {"variant": variant, "stream": args.stream, "data": args.data,
-            "n_tiles": n_tiles, "init_seed": args.init_seed}
+    return {"variant": variant, "stream": args.stream,
+            "data": _run_relative(args.data, args.out), "n_tiles": n_tiles,
+            "init_seed": args.init_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,7 @@ def cmd_extend_scale(args):
                   ParamGroup("new_branch", 1.0, fresh)]
 
     extra = _extra(args, "extended", len(dataset))
-    extra["extended_from"] = args.run
+    extra["extended_from"] = _run_relative(args.run, args.out)
     extra["new_scale"] = args.new_scale
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
                             groups=groups, manifest_extra=extra)
@@ -236,8 +243,9 @@ def cmd_train_fusion(args):
         in_channels=spec_a.head.in_channels + spec_b.head.in_channels,
         k=spec_a.k, hidden=args.hidden)
     init_corrector(corr, seed=args.init_seed)
-    extra = {"run_a": args.run_a, "run_b": args.run_b, "data": args.data,
-             "n_tiles": len(dataset), "init_seed": args.init_seed}
+    extra = {key: _run_relative(getattr(args, key), args.out)
+             for key in ("run_a", "run_b", "data")}
+    extra.update(n_tiles=len(dataset), init_seed=args.init_seed)
     manifest = train_fusion(spec_a, spec_b, corr, dataset,
                             _train_config(args), args.out,
                             unfreeze_streams=args.unfreeze_streams,

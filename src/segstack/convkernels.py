@@ -1,4 +1,5 @@
-"""Raw ndarray kernels for 2-D convolution and 2x2 max pooling.
+"""Raw ndarray kernels for 2-D convolution and 2x2 max pooling on
+channels-last (n, h, w, c) arrays.
 
 Every convolution, forward or backward, is one channels-last correlation
 (``_correlate``) on one of two routes:
@@ -13,6 +14,14 @@ gradient, re-padded by k-1-p, with the flipped, channel-swapped kernel; the
 weight gradient reads the forward's windows on the forward's route.
 ``select_route`` goes by the GEMM's shape.  Both routes agree up to float
 reduction order; the tests pin each against naive nested-loop oracles.
+
+Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
+of a window is its row-major offset (k // 2, k % 2), and the argmax is the
+uint8 slot of the first maximum.
+
+Weights are (oc, c, kh, kw) throughout.  ``conv2d_*``, ``maxpool2_*`` and
+``unpool2_*`` take and return (n, c, h, w) arrays, the layout of the naive
+oracles; each transposes around the channels-last kernel.
 
 Everything here is pure ndarray-in/ndarray-out; autodiff wiring lives
 in ``nnops``.
@@ -37,12 +46,13 @@ _CHUNK_BYTES = 1 << 18
 
 def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
                       stride: int) -> tuple[int, int]:
-    """Validates a conv2d call and returns its output extents (oh, ow)."""
+    """Validates a conv of channels-last ``x`` and returns its output
+    extents (oh, ow)."""
     if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-D (n,c,h,w), got {x.ndim}-D")
+        raise ShapeError(f"conv2d: input must be 4-D, got {x.ndim}-D")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: weight must be 4-D (oc,ic,kh,kw), got {w.ndim}-D")
-    n, c, h, wd = x.shape
+    n, h, wd, c = x.shape
     oc, ic, kh, kw = w.shape
     if c != ic:
         raise ShapeError(
@@ -62,19 +72,19 @@ def select_route(rows: int, c: int) -> str:
     return "im2col" if rows < _IM2COL_ROWS_PER_CHANNEL * c else "direct"
 
 
-def _channels_last(x: np.ndarray, offset: tuple[int, int],
-                   extent: tuple[int, int], dilation: int = 1) -> np.ndarray:
-    """Zero (n, eh + 1, ew, c) map with x[:, :, i, j] at offset + dilation *
+def _pad(x: np.ndarray, offset: tuple[int, int], extent: tuple[int, int],
+         dilation: int = 1) -> np.ndarray:
+    """Zero (n, eh + 1, ew, c) map with x[:, i, j] at offset + dilation *
     (i, j); what lands outside (eh, ew) is dropped.  The spare bottom row
     keeps the direct route's shifted row runs inside the buffer."""
-    out = np.zeros((x.shape[0], extent[0] + 1, extent[1], x.shape[1]), x.dtype)
+    out = np.zeros((x.shape[0], extent[0] + 1, extent[1], x.shape[3]), x.dtype)
     src, dst = [], []
-    for o, e, length in zip(offset, extent, x.shape[2:]):
+    for o, e, length in zip(offset, extent, x.shape[1:3]):
         lo = max(0, -(o // dilation))
         hi = max(lo, min(length, (e - 1 - o) // dilation + 1))
         src.append(slice(lo, hi))
         dst.append(slice(o + dilation * lo, o + dilation * hi, dilation))
-    out[:, dst[0], dst[1]] = x[:, :, src[0], src[1]].transpose(0, 2, 3, 1)
+    out[:, dst[0], dst[1]] = x[:, src[0], src[1]]
     return out
 
 
@@ -85,7 +95,7 @@ def _row_chunks(span: int, c: int, oc: int, itemsize: int):
 
 def _columns(xp: np.ndarray, kh: int, kw: int, stride: int,
              oh: int, ow: int) -> np.ndarray:
-    """(n*oh*ow, kh*kw*c) receptive fields of a ``_channels_last`` map."""
+    """(n*oh*ow, kh*kw*c) receptive fields of a ``_pad`` map."""
     win = sliding_window_view(xp[:, :-1], (kh, kw), axis=(1, 2))
     win = win[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride]
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * oh * ow, -1)
@@ -93,13 +103,13 @@ def _columns(xp: np.ndarray, kh: int, kw: int, stride: int,
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
                route: str) -> np.ndarray:
-    """``_channels_last`` map * ``w`` (oc,c,kh,kw) -> (n,oc,oh,ow)."""
+    """``_pad`` map * ``w`` (oc,c,kh,kw) -> (n,oh,ow,oc)."""
     n, _, width, c = xp.shape
     oc, _, kh, kw = w.shape
     if route == "im2col":
         out = (_columns(xp, kh, kw, stride, oh, ow)
                @ w.transpose(0, 2, 3, 1).reshape(oc, -1).T)
-        return np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+        return out.reshape(n, oh, ow, oc)
     if route != "direct":
         raise ValueError(f"unknown conv route {route!r}")
     # output row r reads input rows r + i*width + j; rows that wrap past a
@@ -115,33 +125,30 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
         out, p = acc[r0:r1], part[:r1 - r0]
         for shift, wk in taps:
             out += np.matmul(flat[r0 + shift:r1 + shift], wk, out=p)
-    acc = acc.reshape(xp.shape[:3] + (oc,)).transpose(0, 3, 1, 2)
+    acc = acc.reshape(xp.shape[:3] + (oc,))
     return np.ascontiguousarray(
-        acc[:, :, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride])
+        acc[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride])
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   pad: tuple[int, int], stride: int, route: str) -> np.ndarray:
-    """Cross-correlation of ``x`` (n,c,h,w) with ``w`` (oc,c,kh,kw)."""
+def conv_forward(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
+                 stride: int, route: str) -> np.ndarray:
+    """Cross-correlation of ``x`` (n,h,w,c) with ``w`` (oc,c,kh,kw) ->
+    (n,oh,ow,oc), bias not added."""
     oh, ow = check_conv_shapes(x, w, pad, stride)
-    xp = _channels_last(x, pad, (x.shape[2] + 2 * pad[0], x.shape[3] + 2 * pad[1]))
-    out = _correlate(xp, w.astype(x.dtype, copy=False), stride, oh, ow, route)
-    if b is not None:
-        out += b.reshape(1, -1, 1, 1).astype(x.dtype, copy=False)
-    return out
+    xp = _pad(x, pad, (x.shape[1] + 2 * pad[0], x.shape[2] + 2 * pad[1]))
+    return _correlate(xp, w.astype(x.dtype, copy=False), stride, oh, ow, route)
 
 
 def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
                  stride: int, route: str) -> np.ndarray:
     """(oc,kh,kw,c) weight gradient, read from the forward's windows of xp."""
     _, hp1, width, c = xp.shape
-    oc, oh, ow = g.shape[1:]
+    oh, ow, oc = g.shape[1:]
     if route == "im2col":
         cols = _columns(xp, kh, kw, stride, oh, ow)
-        return (g.transpose(0, 2, 3, 1).reshape(-1, oc).T @ cols).reshape(
-            oc, kh, kw, c)
+        return (g.reshape(-1, oc).T @ cols).reshape(oc, kh, kw, c)
     # g on the stride-1 output grid, laid out like xp, shifts like the forward
-    gf = _channels_last(g, (0, 0), (hp1 - 1, width), stride).reshape(-1, oc)
+    gf = _pad(g, (0, 0), (hp1 - 1, width), stride).reshape(-1, oc)
     xf = xp.reshape(-1, c)
     shifts = [ki * width + kj for ki in range(kh) for kj in range(kw)]
     gw = np.zeros((len(shifts), oc, c), dtype=xp.dtype)
@@ -152,78 +159,136 @@ def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return gw.reshape(kh, kw, oc, c).transpose(2, 0, 1, 3)
 
 
-def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                    pad: tuple[int, int], stride: int, route: str,
-                    need_input_grad: bool = True
-                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of the conv2d output w.r.t. input, weight and bias.
+def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                  pad: tuple[int, int], stride: int, route: str,
+                  need_input_grad: bool = True
+                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of ``conv_forward`` plus a bias w.r.t. input, weight and
+    bias.
 
-    ``g`` is the upstream gradient with the output's shape (n,oc,oh,ow)
+    ``g`` is the upstream gradient with the output's shape (n,oh,ow,oc)
     and ``route`` the route the forward took.  Returns (grad_x, grad_w,
     grad_b); grad_x is None when not requested.
     """
-    n, c, h, wd = x.shape
+    n, h, wd, c = x.shape
     oc, _, kh, kw = w.shape
     ph, pw = pad
     grad_w = np.ascontiguousarray(_weight_grad(
-        _channels_last(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw, stride,
+        _pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw, stride,
         route).transpose(0, 3, 1, 2), dtype=w.dtype)
     grad_x = None
     if need_input_grad:
-        gp = _channels_last(g, (kh - 1 - ph, kw - 1 - pw),
-                            (h + kh - 1, wd + kw - 1), stride)
+        gp = _pad(g, (kh - 1 - ph, kw - 1 - pw), (h + kh - 1, wd + kw - 1),
+                  stride)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(g.dtype, copy=False)
         grad_x = _correlate(gp, w_t, 1, h, wd, select_route(n * h * wd, oc))
-    return grad_x, grad_w, g.sum(axis=(0, 2, 3))
+    return grad_x, grad_w, g.sum(axis=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
 # 2x2 max pooling with argmax masks
 
-
-def _window_view(x: np.ndarray) -> np.ndarray:
-    """(n,c,h,w) -> (n,c,h/2,w/2,4) with row-major window order."""
-    n, c, h, w = x.shape
-    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    return v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# slot number at each position of a ``_windows`` view
+_SLOT_IDS = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
 
 
-def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pooled, indices); indices are flat offsets 0..3 within each
-    2x2 window, row-major, first occurrence winning ties."""
+def _windows(x: np.ndarray) -> np.ndarray:
+    """(n,h,w,c) -> (n,h/2,2,w/2,2,c); slot (i, j) is [:, :, i, :, j]."""
+    n, h, w, c = x.shape
+    return x.reshape(n, h // 2, 2, w // 2, 2, c)
+
+
+def _slots(x: np.ndarray) -> list[np.ndarray]:
+    v = _windows(x)
+    return [v[:, :, i, :, j] for i, j in _SLOTS]
+
+
+def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (pooled, indices) of channels-last ``x``; indices are the
+    window slots 0..3, first occurrence winning ties."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2: input must be 4-D, got {x.ndim}-D")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if h % 2:
         raise ShapeError(f"maxpool2: height axis extent {h} is odd")
     if w % 2:
         raise ShapeError(f"maxpool2: width axis extent {w} is odd")
-    v = _window_view(x)
-    idx = v.argmax(axis=-1).astype(np.uint8)
-    out = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), idx
+    a, b, c, d = _slots(x)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    # the first slot holding the maximum is the run of slots below it
+    below = a < out
+    idx = below.astype(np.uint8)
+    for slot in (b, c):
+        below &= slot < out
+        idx += below
+    return out, idx
 
 
-def _scatter_windows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Place ``values`` (n,c,oh,ow) at window offsets ``idx`` in a doubled map."""
-    n, c, oh, ow = values.shape
-    buf = np.zeros((n, c, oh, ow, 4), dtype=values.dtype)
-    np.put_along_axis(buf, idx[..., None].astype(np.intp), values[..., None], axis=-1)
-    out = buf.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(out.reshape(n, c, 2 * oh, 2 * ow))
+def scatter2(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Place ``values`` (n,oh,ow,c) at window slots ``idx`` of a zero
+    (n,2oh,2ow,c) map: unpooling, and the gradient of pooling."""
+    n, oh, ow, c = values.shape
+    out = np.where(idx[:, :, None, :, None] == _SLOT_IDS,
+                   values[:, :, None, :, None], values.dtype.type(0))
+    return out.reshape(n, 2 * oh, 2 * ow, c)
+
+
+def gather2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The window-slot ``idx`` entries of ``g``: the gradient of
+    ``scatter2`` w.r.t. its values."""
+    return np.choose(idx, _slots(g))
+
+
+# ---------------------------------------------------------------------------
+# (n, c, h, w) adapters
+
+
+def nhwc(x: np.ndarray) -> np.ndarray:
+    """Channels-last view of a 4-D (n,c,h,w) array; other ranks as given."""
+    return x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+
+
+def nchw(x: np.ndarray) -> np.ndarray:
+    """Contiguous (n,c,h,w) copy of a channels-last array."""
+    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                   pad: tuple[int, int], stride: int, route: str) -> np.ndarray:
+    """Cross-correlation of ``x`` (n,c,h,w) with ``w`` (oc,c,kh,kw), plus
+    ``b``."""
+    out = conv_forward(nhwc(x), w, pad, stride, route)
+    if b is not None:
+        out += b.astype(x.dtype, copy=False)
+    return nchw(out)
+
+
+def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                    pad: tuple[int, int], stride: int, route: str,
+                    need_input_grad: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``conv_backward`` of (n,c,h,w) ``x`` and ``g``."""
+    gx, gw, gb = conv_backward(nhwc(x), w, nhwc(g), pad, stride, route,
+                               need_input_grad)
+    return None if gx is None else nchw(gx), gw, gb
+
+
+def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out, idx = maxpool2(nhwc(x))
+    return nchw(out), nchw(idx)
 
 
 def maxpool2_backward(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return _scatter_windows(g, idx)
+    return nchw(scatter2(nhwc(g), nhwc(idx)))
 
 
 def unpool2_forward(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if x.shape != idx.shape:
         raise ShapeError(
             f"unpool2: input shape {x.shape} does not match mask shape {idx.shape}")
-    return _scatter_windows(x, idx)
+    return nchw(scatter2(nhwc(x), nhwc(idx)))
 
 
 def unpool2_backward(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    gv = _window_view(g)
-    return np.take_along_axis(gv, idx[..., None].astype(np.intp), axis=-1)[..., 0]
+    return nchw(gather2(nhwc(g), nhwc(idx)))

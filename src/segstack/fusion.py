@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, SpecError
 from .nnops import ConvParams, conv2d, he_fill
-from .tensor import Tensor, add, concat_channels, mean_n, relu
+from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
 
 
 @dataclass
@@ -91,9 +91,12 @@ def init_corrector(corr: CorrectorSpec, seed: int) -> None:
 
 
 def forward_corrector(corr: CorrectorSpec, z: Tensor) -> Tensor:
-    h = relu(conv2d(z, corr.convs[0]))
-    h = relu(conv2d(h, corr.convs[1]))
-    return conv2d(h, corr.convs[2])
+    """The corrector on (n,c,h,w) ``z``, run channels-last."""
+    h = permute(z, (0, 2, 3, 1))
+    for conv in corr.convs[:-1]:
+        h = relu(conv2d(h, conv, channels_last=True))
+    return permute(conv2d(h, corr.convs[-1], channels_last=True),
+                   (0, 3, 1, 2))
 
 
 def _check_streams(streams):

@@ -110,9 +110,11 @@ def fold_head(head: MultiKernelHead) -> ConvParams:
     return ConvParams(weight, bias, (same_padding(size),) * 2)
 
 
-def forward_multikernel(head: MultiKernelHead, x: Tensor) -> Tensor:
-    """(1/S) sum of branch convolutions, run as the folded conv."""
-    return conv2d(x, fold_head(head))
+def forward_multikernel(head: MultiKernelHead, x: Tensor,
+                        channels_last: bool = False) -> Tensor:
+    """(1/S) sum of branch convolutions, run as the folded conv, of
+    (n,c,h,w) ``x`` or with ``channels_last`` (n,h,w,c) ``x``."""
+    return conv2d(x, fold_head(head), channels_last=channels_last)
 
 
 def multikernel_loss(branch_logits, labels) -> Tensor:

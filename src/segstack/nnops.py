@@ -4,6 +4,11 @@ softmax and the pixel-wise cross-entropy loss.
 These wrap the raw kernels from ``convkernels`` with tape recording and
 carry the parameter containers (``ConvParams``, ``BNState``) and the
 pooling argmax record (``PoolMask``).
+
+The network runs on channels-last (n, h, w, c) activations:
+``conv_bn_relu`` is one unit as one tape node, and ``conv2d``,
+``maxpool2`` and ``unpool2`` take either layout. ``batchnorm`` and the
+loss work on (n, c, h, w).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import convkernels as ck
 from .errors import ShapeError, SpecError, TrainingError
-from .tensor import Tensor, _record
+from .tensor import Tensor, _record, permute, recording
 
 #: Label value excluded from losses and metrics.
 IGNORE_LABEL = 255
@@ -98,12 +103,14 @@ def he_fill(params: ConvParams, rng: np.random.Generator) -> None:
 class PoolMask:
     """Per-window argmax record of a 2x2 pooling pass.
 
-    ``indices[n,c,i,j]`` is the flat row-major offset (0..3) of the max
-    within the window that produced pooled cell (i, j).
+    ``indices`` has the pooled map's shape and layout, (n,c,i,j) or with
+    ``channels_last`` (n,i,j,c); each entry is the flat row-major offset
+    (0..3) of the max within the window that produced pooled cell (i, j).
     """
 
     shape: tuple[int, int, int, int]
     indices: np.ndarray
+    channels_last: bool = False
 
     def __post_init__(self):
         if tuple(self.indices.shape) != tuple(self.shape):
@@ -151,46 +158,189 @@ class BNState:
 # Operators
 
 
-def conv2d(x: Tensor, params: ConvParams, route: str | None = None) -> Tensor:
-    """2-D convolution (cross-correlation) with zero padding; ``route``
+def conv2d(x: Tensor, params: ConvParams, route: str | None = None,
+           channels_last: bool = False) -> Tensor:
+    """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
+    ``x``, or of (n,h,w,c) ``x`` with ``channels_last``; ``route``
     overrides the kernel route ``ck.select_route`` picks."""
-    w, b = params.weight, params.bias
-    oh, ow = ck.check_conv_shapes(x.data, w.data, params.padding, params.stride)
+    if channels_last:
+        return _conv_unit(x, params, None, "train", route)
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: input must be 4-D, got {x.ndim}-D")
+    return permute(_conv_unit(permute(x, (0, 2, 3, 1)), params, None,
+                              "train", route), (0, 3, 1, 2))
+
+
+def conv_bn_relu(h: Tensor, unit, mode: str = "train") -> Tensor:
+    """relu(batchnorm(conv2d(h))) of channels-last (n,h,w,c) ``h`` as one
+    tape node; ``unit`` carries the ``params`` (ConvParams) and ``bn``
+    (BNState) of the conv and its batch norm, and ``mode`` is the batch
+    norm's."""
+    return _conv_unit(h, unit.params, unit.bn, mode, None)
+
+
+def _conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
+               mode: str, route: str | None) -> Tensor:
+    """Channels-last conv plus bias, or with ``bn`` conv -> batch norm ->
+    ReLU.
+
+    Train mode keeps for backward only the conv input, the normalised
+    pre-ReLU activation and the ReLU mask; the conv bias cancels against
+    the batch mean, so it enters only the running mean. Eval mode applies
+    the running statistics as one per-channel scale and shift on the conv
+    output, in place, unless the tape needs the normalised activation."""
+    x, w, b = h.data, params.weight, params.bias
+    oh, ow = ck.check_conv_shapes(x, w.data, params.padding, params.stride)
     if route is None:
-        route = ck.select_route(x.shape[0] * oh * ow, x.shape[1])
-    out_data = ck.conv2d_forward(
-        x.data, w.data, None if b is None else b.data,
-        params.padding, params.stride, route=route)
-    out = Tensor(out_data)
-    parents = (x, w) if b is None else (x, w, b)
+        route = ck.select_route(len(x) * oh * ow, x.shape[3])
+    rows = ck.conv_forward(x, w.data, params.padding, params.stride, route)
+    n, oc = len(x), rows.shape[-1]
+    rows = rows.reshape(-1, oc)
+    parents = (h, w) + (() if b is None else (b,))
+    bias = None if b is None else b.data
+    if bn is None:
+        if bias is not None:
+            rows += bias.astype(rows.dtype, copy=False)
+    else:
+        _check_bn(bn, oc, mode)
+        parents += (bn.gamma, bn.beta)
+        gamma = bn.gamma.data
+        if mode == "eval" and not recording(parents):
+            scale, shift = _eval_affine(bn, bias, rows.dtype)
+            rows *= scale
+            rows += shift
+            np.maximum(rows, 0, out=rows)
+            return Tensor(rows.reshape(n, oh, ow, oc))
+        inv = _normalize(rows, bn, mode, bias)
+        xhat, rows = rows, rows * gamma
+        rows += bn.beta.data
+        mask = rows > 0
+        np.maximum(rows, 0, out=rows)
+    out = Tensor(rows.reshape(n, oh, ow, oc))
 
     def fn(g):
-        gx, gw, gb = ck.conv2d_backward(
-            x.data, w.data, g, params.padding, params.stride, route,
-            need_input_grad=x.requires_grad)
-        return (gx, gw) if b is None else (gx, gw, gb)
+        gy = g.reshape(-1, oc)
+        if bn is not None:
+            gy, dgamma, dbeta = _bn_backward(gy * mask, xhat, gamma, inv,
+                                             mode)
+        gx, gw, gb = ck.conv_backward(
+            x, w.data, gy.reshape(n, oh, ow, oc), params.padding,
+            params.stride, route, need_input_grad=h.requires_grad)
+        grads = (gx, gw) + (() if b is None else (gb,))
+        return grads if bn is None else grads + (dgamma, dbeta)
 
-    return _record(out, parents, fn, "conv2d")
+    return _record(out, parents, fn,
+                   "conv2d" if bn is None else "conv_bn_relu")
 
 
-def maxpool2(x: Tensor) -> tuple[Tensor, PoolMask]:
-    """2x2 max pooling with stride 2; ties go to the first window slot."""
-    out_data, idx = ck.maxpool2_forward(x.data)
-    mask = PoolMask(out_data.shape, idx)
+def maxpool2(x: Tensor, channels_last: bool = False
+             ) -> tuple[Tensor, PoolMask]:
+    """2x2 max pooling with stride 2 of (n,c,h,w) ``x``, or of (n,h,w,c)
+    ``x`` with ``channels_last``; ties go to the first window slot."""
+    if channels_last:
+        out_data, idx = ck.maxpool2(x.data)
+        bwd = ck.scatter2
+    else:
+        out_data, idx = ck.maxpool2_forward(x.data)
+        bwd = ck.maxpool2_backward
+    mask = PoolMask(out_data.shape, idx, channels_last)
     out = Tensor(out_data)
-    fn = lambda g: (ck.maxpool2_backward(g, idx),)
+    fn = lambda g: (bwd(g, idx),)
     return _record(out, (x,), fn, "maxpool2"), mask
 
 
 def unpool2(x: Tensor, mask: PoolMask) -> Tensor:
-    """Scatter pooled activations back to the mask's argmax positions."""
-    out = Tensor(ck.unpool2_forward(x.data, mask.indices))
-    fn = lambda g: (ck.unpool2_backward(g, mask.indices),)
+    """Scatter pooled activations back to the mask's argmax positions; ``x``
+    has the mask's layout."""
+    if mask.channels_last:
+        fwd, bwd = ck.scatter2, ck.gather2
+    else:
+        fwd, bwd = ck.unpool2_forward, ck.unpool2_backward
+    out = Tensor(fwd(x.data, mask.indices))
+    fn = lambda g: (bwd(g, mask.indices),)
     return _record(out, (x,), fn, "unpool2")
 
 
+def _check_bn(state: BNState, channels: int, mode: str) -> None:
+    if channels != state.channels:
+        raise ShapeError(
+            f"batchnorm: channel axis has {channels} channels, state expects "
+            f"{state.channels}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"batchnorm: unknown mode {mode!r}")
+    if mode == "eval" and not state.initialized:
+        raise TrainingError(
+            "batchnorm: uninitialized running statistics; run a train step "
+            "or load them from a checkpoint before eval mode")
+
+
+def _inv_std(var, state: BNState) -> np.ndarray:
+    return 1.0 / np.sqrt(var + state.eps)
+
+
+def _eval_affine(state: BNState, bias, dtype):
+    """Per-channel (scale, shift) taking a conv output that lacks ``bias``
+    to the eval-mode batch norm of the conv output plus ``bias``."""
+    scale = state.gamma.data * _inv_std(state.running_var, state)
+    mean = state.running_mean if bias is None else state.running_mean - bias
+    return scale.astype(dtype), (state.beta.data - mean * scale).astype(dtype)
+
+
+def _normalize(rows: np.ndarray, state: BNState, mode: str,
+               bias=None) -> np.ndarray:
+    """Normalizes (pixels, channels) ``rows`` in place by the batch (train)
+    or running (eval) statistics of ``rows + bias``; returns the per-channel
+    1/sqrt(var + eps). Train mode folds the batch statistics into the
+    running ones. The statistics are GEMVs over the rows, the variance
+    taken around the mean."""
+    dt = rows.dtype
+    if mode == "train":
+        ones = np.ones(len(rows), dt)
+        # where a float32 sum or square overflows, redo it in float64
+        with np.errstate(over="ignore"):
+            mean = (ones @ rows).astype(np.float64) / len(rows)
+            if not np.isfinite(mean).all():
+                mean = rows.mean(axis=0, dtype=np.float64)
+            rows -= mean.astype(dt)
+            var = (ones @ np.square(rows)).astype(np.float64) / len(rows)
+        if not np.isfinite(var).all():
+            var = np.square(rows, dtype=np.float64).mean(axis=0)
+        if bias is not None:
+            mean += bias
+        m = state.momentum
+        state.running_mean *= (1.0 - m)
+        state.running_mean += m * mean
+        state.running_var *= (1.0 - m)
+        state.running_var += m * var
+        state.initialized[...] = 1.0
+    else:
+        offset = state.running_mean - (0.0 if bias is None else bias)
+        rows -= offset.astype(dt)
+        var = state.running_var
+    inv = _inv_std(var, state).astype(dt)
+    rows *= inv
+    return inv
+
+
+def _bn_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+                 inv: np.ndarray, mode: str):
+    """(grad of the input rows, dgamma, dbeta) of gamma * xhat + beta for
+    upstream (pixels, channels) rows ``g``, which it overwrites. Train
+    mode is the closed form through the batch statistics."""
+    ones = np.ones(len(g), g.dtype)
+    dbeta = ones @ g
+    tmp = g * xhat
+    dgamma = ones @ tmp
+    if mode == "train":
+        g -= dbeta / len(g)
+        g -= np.multiply(xhat, dgamma / len(g), out=tmp)
+    g *= gamma * inv
+    return g, dgamma, dbeta
+
+
 def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
-    """Channel-wise batch normalization with affine parameters.
+    """Channel-wise batch normalization with affine parameters of
+    (n,c,h,w) ``x``.
 
     Train mode normalizes by batch statistics and folds them into the
     running averages; eval mode normalizes by the running statistics and
@@ -198,59 +348,18 @@ def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm: input must be 4-D, got shape {x.shape}")
-    if x.shape[1] != state.channels:
-        raise ShapeError(
-            f"batchnorm: channel axis has {x.shape[1]} channels, state expects "
-            f"{state.channels}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm: unknown mode {mode!r}")
-
+    _check_bn(state, x.shape[1], mode)
     gamma, beta = state.gamma, state.beta
-    dt = x.dtype
+    n, c, hh, ww = x.shape
+    xhat = np.copy(ck.nhwc(x.data), order="C").reshape(-1, c)
+    inv = _normalize(xhat, state, mode)
+    out = Tensor(ck.nchw((xhat * gamma.data + beta.data)
+                          .reshape(n, hh, ww, c)))
 
-    if mode == "train":
-        mu64 = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-        var64 = (x.data.astype(np.float64) ** 2).mean(axis=(0, 2, 3)) - mu64 ** 2
-        var64 = np.maximum(var64, 0.0)
-        m = state.momentum
-        state.running_mean *= (1.0 - m)
-        state.running_mean += m * mu64
-        state.running_var *= (1.0 - m)
-        state.running_var += m * var64
-        state.initialized[...] = 1.0
-        mu = mu64.astype(dt)
-        inv_std = (1.0 / np.sqrt(var64 + state.eps)).astype(dt)
-    else:
-        if not state.initialized:
-            raise TrainingError(
-                "batchnorm: uninitialized running statistics; run a train step "
-                "or load them from a checkpoint before eval mode")
-        mu = state.running_mean.astype(dt)
-        inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dt)
-
-    xhat = (x.data - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    out = Tensor(gamma.data.reshape(1, -1, 1, 1) * xhat
-                 + beta.data.reshape(1, -1, 1, 1))
-
-    if mode == "train":
-        def fn(g):
-            gam = gamma.data.reshape(1, -1, 1, 1)
-            inv = inv_std.reshape(1, -1, 1, 1)
-            cnt = g.shape[0] * g.shape[2] * g.shape[3]
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
-            dxhat = g * gam
-            s1 = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-            dx = (inv / cnt) * (cnt * dxhat - s1 - xhat * s2)
-            return dx.astype(g.dtype, copy=False), dgamma, dbeta
-    else:
-        def fn(g):
-            gam = gamma.data.reshape(1, -1, 1, 1)
-            inv = inv_std.reshape(1, -1, 1, 1)
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
-            return g * gam * inv, dgamma, dbeta
+    def fn(g):
+        rows = np.copy(ck.nhwc(g), order="C").reshape(-1, c)
+        dx, dgamma, dbeta = _bn_backward(rows, xhat, gamma.data, inv, mode)
+        return ck.nchw(dx.reshape(n, hh, ww, c)), dgamma, dbeta
 
     return _record(out, (x, gamma, beta), fn, "batchnorm")
 

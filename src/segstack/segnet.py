@@ -18,10 +18,13 @@ import numpy as np
 
 from . import tenio
 from .errors import CheckpointError, ConfigError, ShapeError, SpecError
-from .multikernel import (MultiKernelHead, branch_outputs, forward_multikernel,
+# branch_outputs and batchnorm are unused here; perfbench/tracing.py wraps
+# them at these names
+from .multikernel import (MultiKernelHead, branch_outputs, forward_multikernel,  # noqa: F401
                           make_head)
-from .nnops import BNState, ConvParams, batchnorm, conv2d, he_fill, maxpool2, unpool2
-from .tensor import Tensor, relu
+from .nnops import (BNState, ConvParams, batchnorm, conv_bn_relu,  # noqa: F401
+                    he_fill, maxpool2, unpool2)
+from .tensor import Tensor, permute
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
 FULL_CONV_COUNTS = (2, 2, 3, 3, 3)
@@ -112,12 +115,9 @@ def init_he(spec: NetworkSpec, seed: int) -> None:
         he_fill(b, rng)
 
 
-def _apply_unit(h: Tensor, u: ConvUnit, mode: str) -> Tensor:
-    return relu(batchnorm(conv2d(h, u.params), u.bn, mode))
-
-
 def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
-    """Returns (logits, trunk features). The head runs folded into one
+    """Returns (logits, trunk features), both (n,c,h,w) like ``x``. In
+    between, activations are channels-last. The head runs folded into one
     conv; ``branch_outputs(spec.head, features)`` gives the per-branch
     logits it averages."""
     if x.ndim != 4:
@@ -130,17 +130,18 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
         raise ShapeError(f"spatial extents {x.shape[2:]} must be divisible by "
                          f"{div} for {spec.depth} pooling levels")
     masks = []
-    h = x
+    h = permute(x, (0, 2, 3, 1))
     for block in spec.enc_blocks:
         for u in block:
-            h = _apply_unit(h, u, mode)
-        h, m = maxpool2(h)
+            h = conv_bn_relu(h, u, mode)
+        h, m = maxpool2(h, channels_last=True)
         masks.append(m)
     for block in spec.dec_blocks:
         h = unpool2(h, masks.pop())
         for u in block:
-            h = _apply_unit(h, u, mode)
-    return forward_multikernel(spec.head, h), h
+            h = conv_bn_relu(h, u, mode)
+    logits = forward_multikernel(spec.head, h, channels_last=True)
+    return permute(logits, (0, 3, 1, 2)), permute(h, (0, 3, 1, 2))
 
 
 def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:

@@ -6,9 +6,11 @@ a backward closure on its output; ``backward()`` walks that tape once,
 writes ``grad`` buffers, and frees the tape.  Calling ``backward`` a
 second time on the same graph raises ``StaleTapeError``.
 
-The activation convention throughout the library is 4-D
-(batch, channels, height, width); the class itself accepts any rank so
-that scalar losses and parameter vectors ride the same machinery.
+Public 4-D activations are (batch, channels, height, width). Inside
+the network they are channels-last (batch, height, width, channels):
+``permute`` converts once at the network input and once at its outputs.
+The class itself accepts any rank so that scalar losses and parameter
+vectors ride the same machinery.
 
 The tape is confined to a single thread: ops are pure given their
 inputs, but no cross-thread guarantees are made for a graph in flight.
@@ -81,9 +83,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{tag})"
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a backward closure."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents: Sequence[Tensor], fn, op: str) -> Tensor:
     """Attach a backward closure to ``out`` if recording applies."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = fn
@@ -191,6 +198,14 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0),)
 
     return _record(out, (a,), fn, "relu")
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Contiguous copy of ``a`` with its axes reordered."""
+    inverse = tuple(np.argsort(axes))
+    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
+    return _record(out, (a,), lambda g: (np.ascontiguousarray(
+        g.transpose(inverse)),), "permute")
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

@@ -3,9 +3,10 @@ desk-scale trainers for the plain, multi-kernel, branch-extension and
 dual-stream fusion variants.
 
 Every trainer runs the one loop ``_train`` over (*inputs, labels)
-samples. A trainer supplies its parameter groups, its (name, array,
-group) state rows for the last-good guard, a ``forward(inputs) ->
-logits`` and a save function; cropping, batching, the loss, SGD,
+samples. A trainer supplies its parameter groups, its checkpoint
+bundles as (directory, (name, array, group) state rows) pairs, a
+``forward(inputs) -> logits`` and a save function that writes the
+bundles; cropping, batching, the loss, SGD, the last-good guard,
 divergence handling and the manifest are the loop's.
 
 A run directory is this module's format: the trainers write every
@@ -168,19 +169,20 @@ def _finish(out_dir, manifest, log, status) -> dict:
     return manifest
 
 
-def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
+def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
            forward, save) -> dict:
     """The one epoch and step loop: shuffling, patch sampling, SGD on
-    ``groups``, plateau decay, the last-good guard over ``rows``,
-    divergence handling, checkpointing through ``save`` and the manifest
-    write. ``forward(input tensors)`` returns the logits the loss scores."""
+    ``groups``, plateau decay, the last-good guard over the state rows of
+    ``bundles``, divergence handling, checkpointing through ``save`` and
+    the manifest write. ``forward(input tensors)`` returns the logits the
+    loss scores."""
     if not dataset:
         raise ConfigError("dataset is empty")
     manifest = {"config": asdict(config), "checkpoint": CHECKPOINT_DIR,
                 **manifest}
     os.makedirs(out_dir, exist_ok=True)
     opt = SGD(groups, config.base_lr, config.momentum)
-    guard = _LastGoodGuard(rows)
+    guard = _LastGoodGuard([r for _, rows in bundles for r in rows])
     rng = np.random.default_rng(config.seed)
     save()  # params at init are the first "last good" state
     lr = config.base_lr
@@ -197,9 +199,15 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
             loss = cross_entropy_loss(logits, labels)
             val = float(loss.item())
             if not np.isfinite(val):
-                # no snapshot: the initial save is still the last good state
                 if guard.restore():
                     save()
+                else:
+                    # no snapshot: the initial save is the last good state,
+                    # and the failed forward may have written train-mode
+                    # batch-norm statistics into the live arrays
+                    for path, rows in bundles:
+                        restore_entries(tenio.load_bundle(path), rows,
+                                        "initial checkpoint is missing")
                 _finish(out_dir, manifest, log, "diverged")
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last good checkpoint "
@@ -248,7 +256,7 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         **(manifest_extra or {}),
     }
     return _train(config, dataset, out_dir, manifest, groups,
-                  state_entries(spec),
+                  [(ckpt_dir, state_entries(spec))],
                   lambda xs: forward_parts(spec, xs[0], mode="train")[0],
                   lambda: save_checkpoint(spec, ckpt_dir))
 
@@ -280,15 +288,16 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     trained checkpoints.
     """
     specs = (spec_a, spec_b)
+    ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
-    rows = corrector_entries(corr)
+    bundles = [(ckpt_dir, corrector_entries(corr))]
     if unfreeze_streams:
         for tag, spec in zip("ab", specs):
             for g in param_groups(spec, config.lr_ratio):
                 g.role = f"stream_{tag}.{g.role}"
                 groups.append(g)
-            rows += state_entries(spec)
-    ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
+            bundles.append((os.path.join(out_dir, f"stream_{tag}"),
+                            state_entries(spec)))
 
     def forward(xs):
         if unfreeze_streams:
@@ -304,8 +313,8 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     def save():
         save_corrector(corr, ckpt_dir)
         if unfreeze_streams:
-            for tag, spec in zip("ab", specs):
-                save_checkpoint(spec, os.path.join(out_dir, f"stream_{tag}"))
+            for spec, (path, _) in zip(specs, bundles[1:]):
+                save_checkpoint(spec, path)
 
     manifest = {
         "k": spec_a.k,
@@ -315,8 +324,8 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
         "unfreeze_streams": unfreeze_streams,
         **(manifest_extra or {}),
     }
-    return _train(config, dataset, out_dir, manifest, groups, rows, forward,
-                  save)
+    return _train(config, dataset, out_dir, manifest, groups, bundles,
+                  forward, save)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,25 @@ class TestTrain:
                               .read_text())
         assert manifest["status"] == "diverged"
 
+    def test_manifest_is_independent_of_working_directory(
+            self, workspace, tmp_path, monkeypatch):
+        """--data is recorded relative to the run directory, so an
+        absolute and a relative spelling from two directories give the
+        same bytes."""
+        flags = ["--epochs", "1", "--batch-size", "3", "--patch", "32"]
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--data", str(workspace / "data"), "--out",
+                     "runs/one", *flags]) == 0
+        monkeypatch.chdir(workspace)
+        assert main(["train", "--data", "data", "--out",
+                     str(tmp_path / "runs" / "two"), *flags]) == 0
+        one, two = ((tmp_path / "runs" / r / "manifest.json").read_bytes()
+                    for r in ("one", "two"))
+        assert one == two
+        data = json.loads(one)["data"]
+        assert os.path.realpath(tmp_path / "runs" / "one" / data) == \
+            os.path.realpath(workspace / "data")
+
 
 class TestExtendScale:
     def test_freezes_old_parameters(self, workspace, tmp_path):

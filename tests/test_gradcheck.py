@@ -11,7 +11,9 @@ import oracles
 from segstack import (BNState, ConvParams, Tensor, add, add_n, backward,
                       concat_channels, conv2d, cross_entropy_loss, maxpool2,
                       mean_n, relu, scale, softmax_channels, sum_all, unpool2)
-from segstack.nnops import PoolMask, batchnorm
+from segstack import convkernels as ck
+from segstack.nnops import PoolMask, batchnorm, conv_bn_relu
+from segstack.segnet import ConvUnit
 
 TOL = 1e-4
 
@@ -163,6 +165,41 @@ class TestBatchNormGrad:
             return sum_all(_mul_const(batchnorm(x, state, mode="eval"), w))
 
         err = oracles.check_gradients(loss, [x, state.gamma, state.beta], rng)
+        assert err < TOL
+
+
+class TestConvBnReluGrad:
+    """The fused channels-last unit in both batch-norm modes, on both
+    conv routes (the input gradient's included), with and without bias."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("route", ["direct", "im2col"])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_input_weight_bias_gamma_beta(self, monkeypatch, mode, route,
+                                          bias):
+        monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
+        rng = np.random.default_rng(19)
+        x = t64(rng.standard_normal((2, 6, 5, 3)))
+        params = ConvParams(t64(rng.standard_normal((4, 3, 3, 3)) * 0.4),
+                            t64(rng.standard_normal(4)) if bias else None,
+                            (1, 1))
+        state = BNState.create(4)
+        state.gamma = t64(rng.standard_normal(4) * 0.5 + 1)
+        state.beta = t64(rng.standard_normal(4) * 0.5)
+        if mode == "eval":
+            state.running_mean = rng.standard_normal(4)
+            state.running_var = rng.random(4) + 0.5
+            state.initialized = True
+        unit = ConvUnit("u", params, state, "encoder")
+        w = project(rng, (2, 6, 5, 4))
+        leaves = [x, params.weight, state.gamma, state.beta]
+        if bias:
+            leaves.append(params.bias)
+
+        def loss():
+            return sum_all(_mul_const(conv_bn_relu(x, unit, mode), w))
+
+        err = oracles.check_gradients(loss, leaves, rng)
         assert err < TOL
 
 

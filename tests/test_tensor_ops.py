@@ -12,6 +12,9 @@ from segstack import (IGNORE_LABEL, ConvParams, ShapeError, StaleTapeError,
                       relu, softmax_channels, sum_all, unpool2)
 from segstack import convkernels as ck
 from segstack.convkernels import conv2d_backward, conv2d_forward
+from segstack.nnops import BNState, batchnorm, conv_bn_relu
+from segstack.segnet import ConvUnit
+from segstack.tensor import no_grad
 
 
 @pytest.fixture
@@ -127,6 +130,22 @@ class TestMaxPoolUnpool:
         out = unpool2(x, mask)
         assert not out.data.any()
 
+    def test_channels_last_matches_scan_with_ties(self, rng):
+        # few distinct values, so most windows hold a tied maximum
+        x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(np.float32)
+        out, mask = maxpool2(Tensor(x.transpose(0, 2, 3, 1).copy()),
+                             channels_last=True)
+        expect_v, expect_i = oracles.scan_maxpool2(x)
+        np.testing.assert_array_equal(out.data.transpose(0, 3, 1, 2),
+                                      expect_v)
+        assert mask.indices.dtype == np.uint8
+        np.testing.assert_array_equal(mask.indices.transpose(0, 3, 1, 2),
+                                      expect_i)
+        restored = unpool2(out, mask)
+        np.testing.assert_array_equal(
+            restored.data.transpose(0, 3, 1, 2),
+            oracles.scatter_unpool2(expect_v, expect_i))
+
     def test_unpool_mass_conservation(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         idx = rng.integers(0, 4, size=(2, 3, 4, 4)).astype(np.uint8)
@@ -141,6 +160,56 @@ class TestMaxPoolUnpool:
         idx = np.zeros((1, 1, 2, 2), dtype=np.uint8)
         with pytest.raises(ShapeError, match="mask"):
             unpool2(Tensor(np.zeros((1, 1, 3, 2))), PoolMask((1, 1, 2, 2), idx))
+
+
+def _unit(rng, oc=6, c=4, bias=True, dtype=np.float32):
+    params = ConvParams(
+        Tensor(rng.standard_normal((oc, c, 3, 3)).astype(dtype) * 0.3,
+               requires_grad=True),
+        Tensor(rng.standard_normal(oc).astype(dtype), requires_grad=True)
+        if bias else None, (1, 1))
+    bn = BNState.create(oc, dtype=dtype)
+    bn.gamma.data[...] = rng.uniform(0.5, 1.5, oc)
+    bn.beta.data[...] = rng.standard_normal(oc) * 0.5
+    return ConvUnit("u", params, bn, "encoder")
+
+
+class TestConvBnRelu:
+    """The fused unit against the composition of the (n,c,h,w) ops."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_folded_eval_matches_composition(self, rng, bias):
+        unit = _unit(rng, bias=bias)
+        unit.bn.running_mean[...] = rng.standard_normal(6) * 2
+        unit.bn.running_var[...] = rng.uniform(0.2, 3.0, 6)
+        unit.bn.initialized[...] = 1
+        x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) * 3
+        with no_grad():
+            got = conv_bn_relu(Tensor(x.transpose(0, 2, 3, 1).copy()), unit,
+                               "eval").data
+            want = relu(batchnorm(conv2d(Tensor(x), unit.params), unit.bn,
+                                  "eval")).data
+        assert got.dtype == np.float32
+        assert _rel_err(got.transpose(0, 3, 1, 2), want) < 1e-6
+
+    def test_train_matches_composition_and_running_stats(self, rng):
+        units = [_unit(np.random.default_rng(3)) for _ in range(2)]
+        x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) + 1
+        got = conv_bn_relu(Tensor(x.transpose(0, 2, 3, 1).copy()), units[0],
+                           "train").data
+        want = relu(batchnorm(conv2d(Tensor(x), units[1].params),
+                              units[1].bn, "train")).data
+        assert _rel_err(got.transpose(0, 3, 1, 2), want) < 1e-6
+        for attr in ("running_mean", "running_var"):
+            np.testing.assert_allclose(getattr(units[0].bn, attr),
+                                       getattr(units[1].bn, attr),
+                                       rtol=1e-6, atol=1e-7)
+
+    def test_uninitialized_eval_rejected(self, rng):
+        from segstack import TrainingError
+        with pytest.raises(TrainingError, match="uninitialized"):
+            conv_bn_relu(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
+                         _unit(rng), "eval")
 
 
 class TestSoftmax:

@@ -310,6 +310,23 @@ class TestTrainSegnet:
             assert np.isfinite(arr).all(), name
             np.testing.assert_array_equal(arr, want, err_msg=name)
 
+    def test_first_step_divergence_restores_live_state(self, tmp_path):
+        """The network object itself goes back to the initial state: the
+        failed train-mode forward must not leave NaN batch-norm
+        statistics in it."""
+        spec = small_net(seed=8)
+        initial = [arr.copy() for _, arr, _ in state_entries(spec)]
+        dataset = small_dataset()
+        for x, _ in dataset:
+            x[0, 5, 5] = np.nan
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1, patch=32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="epoch 0"):
+            train_segnet(spec, dataset, cfg, tmp_path)
+        for (name, arr, _), want in zip(state_entries(spec), initial):
+            assert np.isfinite(arr).all(), name
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+
     def test_patch_sampling_crops_larger_tiles(self, tmp_path):
         spec = small_net()
         cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=32)
@@ -497,6 +514,22 @@ class TestTrainFusion:
                 assert np.isfinite(arr).all(), f"{sub}: {name}"
                 np.testing.assert_array_equal(arr, want,
                                               err_msg=f"{sub}: {name}")
+
+    def test_first_step_divergence_restores_live_streams(self, tmp_path):
+        a, b, corr = self.make_streams()
+        rows = corrector_entries(corr) + state_entries(a) + state_entries(b)
+        initial = [arr.copy() for _, arr, _ in rows]
+        data = triple_dataset(n=4)
+        for xa, _, _ in data:
+            xa[0, 5, 5] = np.nan
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=2, patch=32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="epoch 0"):
+            train_fusion(a, b, corr, data, cfg, tmp_path,
+                         unfreeze_streams=True)
+        for (name, arr, _), want in zip(rows, initial):
+            assert np.isfinite(arr).all(), name
+            np.testing.assert_array_equal(arr, want, err_msg=name)
 
     def test_unfrozen_streams_move(self, tmp_path):
         a, b, corr = self.make_streams()

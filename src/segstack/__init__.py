@@ -29,8 +29,7 @@ from .errors import (CheckpointError, ConfigError, DivergenceError,
 from .fusion import (CorrectorSpec, FusionStats, StreamOutput,
                      forward_corrector, fuse_average, fuse_residual,
                      fusion_stats, init_corrector, make_corrector)
-from .inference import (labels_from_probs, predict_probs, predict_probs_fused,
-                        thread_budget)
+from .inference import labels_from_probs, predict_probs, predict_probs_fused
 from .metrics import (ConfusionMatrix, Scores, erode_boundaries, f1_scores,
                       format_report)
 from .multikernel import (MultiKernelHead, branch_outputs, extend_with_scale,
@@ -76,7 +75,6 @@ __all__ = [
     "load_corrector", "load_run", "load_fusion_run", "pixel_accuracy",
     "fusion_pixel_accuracy", "measure_fusion_stats",
     "predict_probs", "predict_probs_fused", "labels_from_probs",
-    "thread_budget",
     "SegstackError", "ShapeError", "SpecError", "ConfigError", "FormatError",
     "CheckpointError", "TilingError", "StaleTapeError", "TrainingError",
     "DivergenceError",

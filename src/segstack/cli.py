@@ -11,6 +11,7 @@ divergence during training.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -92,23 +93,14 @@ def _add_train_flags(p):
     p.add_argument("--net", default="mini", choices=("mini", "full"))
     p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
     p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--base-lr", type=float, default=0.01)
-    p.add_argument("--lr-ratio", type=float, default=1.0)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patch", type=int, default=64)
-    p.add_argument("--plateau-patience", type=int, default=0)
-    p.add_argument("--decay-factor", type=float, default=0.1)
+    for f in fields(TrainConfig):  # --base-lr etc., with the config's defaults
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(base_lr=args.base_lr, lr_ratio=args.lr_ratio,
-                       momentum=args.momentum, epochs=args.epochs,
-                       batch_size=args.batch_size, seed=args.seed,
-                       patch=args.patch, decay_factor=args.decay_factor,
-                       plateau_patience=args.plateau_patience)
+    return TrainConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(TrainConfig)})
 
 
 def _load_dataset(data_dir):
@@ -368,7 +360,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--patch", type=int, default=64)
     p.add_argument("--stride", type=int, default=64)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub("evaluate", cmd_evaluate, "score a prediction against labels")
     p.add_argument("--pred", required=True, help="predicted labels PGM")

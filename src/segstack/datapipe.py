@@ -30,7 +30,6 @@ class Raster:
 
     data: np.ndarray
     band_names: "tuple[str, ...]" = ()
-    nodata: Optional[float] = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -40,18 +39,6 @@ class Raster:
         if self.band_names and len(self.band_names) != self.data.shape[0]:
             raise ShapeError(f"{len(self.band_names)} band names for "
                              f"{self.data.shape[0]} bands")
-
-    @property
-    def bands(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
 
 
 def ndvi(ir: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -269,17 +256,17 @@ def synth_dataset(seed: int, n_tiles: int, size: int, k: int = 5):
 # PPM / PGM IO and the class palette
 
 
-def colorize_labels(labels: np.ndarray, palette: np.ndarray = PALETTE) -> np.ndarray:
-    """(h,w) class ids -> (h,w,3) uint8; the ignore sentinel renders black."""
+def colorize_labels(labels: np.ndarray) -> np.ndarray:
+    """(h,w) class ids -> (h,w,3) uint8 in ``PALETTE``; the ignore
+    sentinel renders black."""
     labels = np.asarray(labels)
-    k = palette.shape[0]
-    bad = (labels >= k) & (labels != IGNORE_LABEL)
+    bad = (labels >= len(PALETTE)) & (labels != IGNORE_LABEL)
     if bad.any():
         y, x = np.argwhere(bad)[0]
         raise ShapeError(f"label {int(labels[y, x])} has no palette entry "
                          f"at pixel (y={y}, x={x})")
     safe = np.where(labels == IGNORE_LABEL, 0, labels)
-    out = palette[safe]
+    out = PALETTE[safe]
     out[labels == IGNORE_LABEL] = SENTINEL_COLOR
     return out
 

@@ -4,10 +4,12 @@ overlap averaging.
 ``window_map`` is the one eval path from windows to a class map; scene
 prediction and the accuracy measurements in ``training`` share it.
 
-Windows are processed by a small thread pool (numpy releases the GIL for
-the heavy kernels) but the stitch accumulates window results in planning
-order on the calling thread, so the output is bitwise independent of the
-worker count.
+``threads`` above its default of 1 runs the windows on a thread pool.
+The pool is optional: the many small numpy calls of a window hold the
+GIL, and on two cores two workers measured no speedup (1.00x on a fused
+512x512 scene). It does not change the output bits either way, because
+the stitch accumulates window results in planning order on the calling
+thread.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -20,15 +22,6 @@ from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
 from .tensor import Tensor, no_grad
-
-
-def thread_budget(requested=None) -> int:
-    """Tile-level worker count, 1 unless requested (deterministic mode is
-    the default, parallelism is opt-in)."""
-    n = 1 if requested is None else int(requested)
-    if n < 1:
-        raise ConfigError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def _crop_window(bands, win):
@@ -63,6 +56,8 @@ def window_map(specs, corr, xs) -> np.ndarray:
 def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
     """Stitched ``window_map`` over co-registered scenes, one per network;
     stream i is the scene of ``specs[i]``."""
+    if threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {threads}")
     for i, b in enumerate(bands):
         if b.ndim != 3:
             raise ShapeError(f"scene must be (bands, height, width), "
@@ -77,7 +72,6 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
         raise ShapeError(f"streams must be co-registered, got "
                          f"{[b.shape[1:] for b in bands]}")
     windows = plan_tiles(h, w, geom or TileGeometry())
-    threads = thread_budget(threads)
 
     def worker(win):
         return window_map(specs, corr, [Tensor(_crop_window(b, win)[None])
@@ -93,7 +87,7 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
 
 
 def predict_probs(spec: NetworkSpec, bands: np.ndarray,
-                  geom: TileGeometry = None, threads=None) -> np.ndarray:
+                  geom: TileGeometry = None, threads: int = 1) -> np.ndarray:
     """Class probability map (k, H, W) in float64 for one scene.
 
     Every window goes through an eval-mode forward and a channel softmax;
@@ -105,7 +99,8 @@ def predict_probs(spec: NetworkSpec, bands: np.ndarray,
 
 def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
                         corr, bands_a: np.ndarray, bands_b: np.ndarray,
-                        geom: TileGeometry = None, threads=None) -> np.ndarray:
+                        geom: TileGeometry = None,
+                        threads: int = 1) -> np.ndarray:
     """Dual-stream prediction: per window, both streams run forward, the
     fused map (residual correction when a corrector is given, plain
     averaging otherwise) is computed, and fused maps are stitched.

@@ -82,12 +82,6 @@ class ConfusionMatrix:
             .reshape(self.k, self.k)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.k != self.k:
-            raise ShapeError(f"cannot merge {other.k}-class into {self.k}-class")
-        self.counts += other.counts
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

@@ -25,8 +25,9 @@ from .tensor import Tensor, _record, mean_n
 
 @dataclass
 class MultiKernelHead:
-    """Branches kept in ascending kernel-size order; the reduction order
-    is fixed by that ordering so repeated forwards are bit-identical."""
+    """Branches kept in strictly ascending kernel-size order; the
+    reduction order is fixed by that ordering so repeated forwards are
+    bit-identical."""
 
     branches: "list[ConvParams]"
 
@@ -51,8 +52,9 @@ class MultiKernelHead:
                     f"{(b.in_channels, b.out_channels)} vs "
                     f"{(first.in_channels, first.out_channels)}")
             sizes.append(kh)
-        if sizes != sorted(sizes):
-            raise SpecError(f"head branches must be ascending by size, got {sizes}")
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise SpecError(f"head branches must be strictly ascending by "
+                            f"size, got {sizes}")
 
     @property
     def scales(self) -> "tuple[int, ...]":
@@ -67,22 +69,14 @@ class MultiKernelHead:
         return self.branches[0].out_channels
 
     def branch_names(self) -> "list[str]":
-        """Stable serialization names: s3, s5, ... (s5_2 for a duplicate)."""
-        seen: "dict[int, int]" = {}
-        names = []
-        for size in self.scales:
-            seen[size] = seen.get(size, 0) + 1
-            names.append(f"s{size}" if seen[size] == 1 else f"s{size}_{seen[size]}")
-        return names
+        """Stable serialization names: s3, s5, ..."""
+        return [f"s{size}" for size in self.scales]
 
 
-def make_head(in_channels: int, k: int, scales=(3, 5, 7), bias: bool = True,
+def make_head(in_channels: int, k: int, scales=(3, 5, 7),
               dtype=np.float32) -> MultiKernelHead:
     """Zero-weight head; call he_fill per branch (or init the whole net)."""
-    if len(set(scales)) != len(scales):
-        raise SpecError(f"duplicate kernel sizes in {tuple(scales)}; "
-                        "use extend_with_scale(allow_duplicate=True) instead")
-    branches = [ConvParams.zeros(in_channels, k, s, bias=bias, dtype=dtype)
+    branches = [ConvParams.zeros(in_channels, k, s, dtype=dtype)
                 for s in sorted(scales)]
     return MultiKernelHead(branches)
 
@@ -130,21 +124,16 @@ def multikernel_loss(branch_logits, labels) -> Tensor:
 
 
 def extend_with_scale(head: MultiKernelHead, new_kernel_size: int,
-                      rng: np.random.Generator,
-                      allow_duplicate: bool = False) -> MultiKernelHead:
+                      rng: np.random.Generator) -> MultiKernelHead:
     """New head with one extra He-initialized branch; existing branch
     parameter tensors are shared, not copied, so they stay bit-unchanged
     and any optimizer state attached to them remains valid."""
-    same_padding(new_kernel_size)  # rejects even sizes
-    if new_kernel_size in head.scales and not allow_duplicate:
-        raise SpecError(f"kernel size {new_kernel_size} already present in "
-                        f"{head.scales}")
     proto = head.branches[0]
     new = ConvParams.zeros(head.in_channels, head.out_channels, new_kernel_size,
                            bias=proto.bias is not None,
                            dtype=proto.weight.dtype)
     he_fill(new, rng)
-    pos = bisect.bisect_right([s for s in head.scales], new_kernel_size)
+    pos = bisect.bisect_right(head.scales, new_kernel_size)
     branches = list(head.branches)
     branches.insert(pos, new)
     return MultiKernelHead(branches)

@@ -135,15 +135,12 @@ class BNState:
     initialized: np.ndarray = field(default_factory=lambda: np.zeros(()))
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-               dtype=np.float32) -> "BNState":
+    def create(cls, channels: int, dtype=np.float32) -> "BNState":
         return cls(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=np.float64),
             running_var=np.ones(channels, dtype=np.float64),
-            momentum=momentum,
-            eps=eps,
         )
 
     @property
@@ -158,17 +155,16 @@ class BNState:
 # Operators
 
 
-def conv2d(x: Tensor, params: ConvParams, route: str | None = None,
+def conv2d(x: Tensor, params: ConvParams,
            channels_last: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
-    ``x``, or of (n,h,w,c) ``x`` with ``channels_last``; ``route``
-    overrides the kernel route ``ck.select_route`` picks."""
+    ``x``, or of (n,h,w,c) ``x`` with ``channels_last``."""
     if channels_last:
-        return _conv_unit(x, params, None, "train", route)
+        return _conv_unit(x, params, None, "train")
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-D, got {x.ndim}-D")
     return permute(_conv_unit(permute(x, (0, 2, 3, 1)), params, None,
-                              "train", route), (0, 3, 1, 2))
+                              "train"), (0, 3, 1, 2))
 
 
 def conv_bn_relu(h: Tensor, unit, mode: str = "train") -> Tensor:
@@ -176,13 +172,13 @@ def conv_bn_relu(h: Tensor, unit, mode: str = "train") -> Tensor:
     tape node; ``unit`` carries the ``params`` (ConvParams) and ``bn``
     (BNState) of the conv and its batch norm, and ``mode`` is the batch
     norm's."""
-    return _conv_unit(h, unit.params, unit.bn, mode, None)
+    return _conv_unit(h, unit.params, unit.bn, mode)
 
 
 def _conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
-               mode: str, route: str | None) -> Tensor:
+               mode: str) -> Tensor:
     """Channels-last conv plus bias, or with ``bn`` conv -> batch norm ->
-    ReLU.
+    ReLU, on the route ``ck.select_route`` picks.
 
     Train mode keeps for backward only the conv input, the normalised
     pre-ReLU activation and the ReLU mask; the conv bias cancels against
@@ -191,8 +187,7 @@ def _conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
     output, in place, unless the tape needs the normalised activation."""
     x, w, b = h.data, params.weight, params.bias
     oh, ow = ck.check_conv_shapes(x, w.data, params.padding, params.stride)
-    if route is None:
-        route = ck.select_route(len(x) * oh * ow, x.shape[3])
+    route = ck.select_route(len(x) * oh * ow, x.shape[3])
     rows = ck.conv_forward(x, w.data, params.padding, params.stride, route)
     n, oc = len(x), rows.shape[-1]
     rows = rows.reshape(-1, oc)

@@ -57,8 +57,7 @@ class NetworkSpec:
 
 
 def build_segnet(k: int, scale: str = "full", in_channels: int = 3,
-                 head_scales=(3,), bias: bool = True,
-                 dtype=np.float32) -> NetworkSpec:
+                 head_scales=(3,), dtype=np.float32) -> NetworkSpec:
     """Parameters start at zero; apply init_he (and optionally an encoder
     checkpoint) before use."""
     if k < 2:
@@ -71,7 +70,7 @@ def build_segnet(k: int, scale: str = "full", in_channels: int = 3,
         raise SpecError(f"unknown scale {scale!r}, expected 'full' or 'mini'")
 
     def unit(name, ic, oc, group):
-        return ConvUnit(name, ConvParams.zeros(ic, oc, 3, bias=bias, dtype=dtype),
+        return ConvUnit(name, ConvParams.zeros(ic, oc, 3, dtype=dtype),
                         BNState.create(oc, dtype=dtype), group)
 
     enc_blocks = []
@@ -94,7 +93,7 @@ def build_segnet(k: int, scale: str = "full", in_channels: int = 3,
                      for ci in range(cnt - 1)]
         dec_blocks.append(block)
 
-    head = make_head(widths[0], k, scales=head_scales, bias=bias, dtype=dtype)
+    head = make_head(widths[0], k, scales=head_scales, dtype=dtype)
     return NetworkSpec(in_channels, k, widths, conv_counts, scale, enc_blocks,
                        dec_blocks, head)
 

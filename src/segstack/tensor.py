@@ -2,9 +2,9 @@
 
 A ``Tensor`` wraps a numpy float array.  Every operation that consumes
 tensors with ``requires_grad`` set (while gradients are enabled) records
-a backward closure on its output; ``backward()`` walks that tape once,
-writes ``grad`` buffers, and frees the tape.  Calling ``backward`` a
-second time on the same graph raises ``StaleTapeError``.
+a backward closure on its output; ``backward(loss)`` walks that tape
+once, writes ``grad`` buffers on the leaves, and frees the tape. Calling
+``backward`` a second time on the same graph raises ``StaleTapeError``.
 
 Public 4-D activations are (batch, channels, height, width). Inside
 the network they are channels-last (batch, height, width, channels):
@@ -75,9 +75,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         tag = f", op={self._op!r}" if self._op else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{tag})"
@@ -99,7 +96,9 @@ def _record(out: Tensor, parents: Sequence[Tensor], fn, op: str) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf (a requires_grad tensor no op
+    produced) reachable from ``loss``; intermediate nodes keep ``grad``
+    None, so their gradients are freed as soon as they are consumed.
 
     ``loss`` must hold a single element.  The tape is freed as it is
     consumed, so a repeated call without a fresh forward pass fails.
@@ -133,9 +132,9 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g
         if node._backward is None:
+            if node.requires_grad:
+                node.grad = g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

@@ -3,11 +3,11 @@ desk-scale trainers for the plain, multi-kernel, branch-extension and
 dual-stream fusion variants.
 
 Every trainer runs the one loop ``_train`` over (*inputs, labels)
-samples. A trainer supplies its parameter groups, its checkpoint
-bundles as (directory, (name, array, group) state rows) pairs, a
-``forward(inputs) -> logits`` and a save function that writes the
-bundles; cropping, batching, the loss, SGD, the last-good guard,
-divergence handling and the manifest are the loop's.
+samples. A trainer supplies its parameter groups, its (name, array,
+group) state rows, a ``forward(inputs) -> logits`` and a save function
+that writes those rows to the run directory; cropping, batching, the
+loss, SGD, the last-good guard, divergence handling and the manifest are
+the loop's.
 
 A run directory is this module's format: the trainers write every
 manifest key that ``load_run`` and ``load_fusion_run`` read back.
@@ -112,27 +112,21 @@ class _LastGoodGuard:
     somewhere that only the next forward reveals as broken.
 
     ``rows`` are (name, array, group) state rows whose arrays are the live
-    state; ``update`` copies them into buffers allocated on its first call
-    and ``restore`` copies the buffers back, so the guard's buffers never
-    become live state."""
+    state. The guard snapshots them when it is constructed; ``update``
+    copies them into its buffers again and ``restore`` copies the buffers
+    back, so the guard's buffers never become live state."""
 
     def __init__(self, rows):
         self._arrays = [arr for _, arr, _ in rows]
-        self._saved = None
+        self._saved = [arr.copy() for arr in self._arrays]
 
     def update(self) -> None:
-        if self._saved is None:
-            self._saved = [np.empty_like(a) for a in self._arrays]
         for buf, arr in zip(self._saved, self._arrays):
             np.copyto(buf, arr)
 
-    def restore(self) -> bool:
-        """Copy the last snapshot back; False if there is none yet."""
-        if self._saved is None:
-            return False
+    def restore(self) -> None:
         for buf, arr in zip(self._saved, self._arrays):
             arr[...] = buf
-        return True
 
 
 def _crop(rng, patch, sample):
@@ -169,11 +163,11 @@ def _finish(out_dir, manifest, log, status) -> dict:
     return manifest
 
 
-def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
+def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
            forward, save) -> dict:
     """The one epoch and step loop: shuffling, patch sampling, SGD on
-    ``groups``, plateau decay, the last-good guard over the state rows of
-    ``bundles``, divergence handling, checkpointing through ``save`` and
+    ``groups``, plateau decay, the last-good guard over the state
+    ``rows``, divergence handling, checkpointing through ``save`` and
     the manifest write. ``forward(input tensors)`` returns the logits the
     loss scores."""
     if not dataset:
@@ -182,9 +176,9 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
                 **manifest}
     os.makedirs(out_dir, exist_ok=True)
     opt = SGD(groups, config.base_lr, config.momentum)
-    guard = _LastGoodGuard([r for _, rows in bundles for r in rows])
     rng = np.random.default_rng(config.seed)
     save()  # params at init are the first "last good" state
+    guard = _LastGoodGuard(rows)
     lr = config.base_lr
     best = np.inf
     stall = 0
@@ -199,15 +193,10 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
             loss = cross_entropy_loss(logits, labels)
             val = float(loss.item())
             if not np.isfinite(val):
-                if guard.restore():
-                    save()
-                else:
-                    # no snapshot: the initial save is the last good state,
-                    # and the failed forward may have written train-mode
-                    # batch-norm statistics into the live arrays
-                    for path, rows in bundles:
-                        restore_entries(tenio.load_bundle(path), rows,
-                                        "initial checkpoint is missing")
+                # the failed forward may have written train-mode batch-norm
+                # statistics into the live arrays
+                guard.restore()
+                save()
                 _finish(out_dir, manifest, log, "diverged")
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last good checkpoint "
@@ -256,7 +245,7 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         **(manifest_extra or {}),
     }
     return _train(config, dataset, out_dir, manifest, groups,
-                  [(ckpt_dir, state_entries(spec))],
+                  state_entries(spec),
                   lambda xs: forward_parts(spec, xs[0], mode="train")[0],
                   lambda: save_checkpoint(spec, ckpt_dir))
 
@@ -289,15 +278,15 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     """
     specs = (spec_a, spec_b)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
+    stream_dirs = [os.path.join(out_dir, f"stream_{tag}") for tag in "ab"]
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
-    bundles = [(ckpt_dir, corrector_entries(corr))]
+    rows = corrector_entries(corr)
     if unfreeze_streams:
         for tag, spec in zip("ab", specs):
             for g in param_groups(spec, config.lr_ratio):
                 g.role = f"stream_{tag}.{g.role}"
                 groups.append(g)
-            bundles.append((os.path.join(out_dir, f"stream_{tag}"),
-                            state_entries(spec)))
+            rows += state_entries(spec)
 
     def forward(xs):
         if unfreeze_streams:
@@ -313,7 +302,7 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     def save():
         save_corrector(corr, ckpt_dir)
         if unfreeze_streams:
-            for spec, (path, _) in zip(specs, bundles[1:]):
+            for spec, path in zip(specs, stream_dirs):
                 save_checkpoint(spec, path)
 
     manifest = {
@@ -324,7 +313,7 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
         "unfreeze_streams": unfreeze_streams,
         **(manifest_extra or {}),
     }
-    return _train(config, dataset, out_dir, manifest, groups, bundles,
+    return _train(config, dataset, out_dir, manifest, groups, rows,
                   forward, save)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -5,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from segstack.cli import main
+from segstack.cli import build_parser, main
 from segstack.datapipe import read_pgm, read_ppm
 from segstack.fusion import init_corrector, make_corrector
 from segstack.segnet import build_segnet, init_he
@@ -167,6 +168,40 @@ class TestExtendScale:
                 moved.append(name)
         assert moved == []
         assert "head.s5.weight" in after
+
+
+    def extend(self, workspace, out, *extra):
+        return main(["extend-scale", "--run", str(workspace / "run-a"),
+                     "--data", str(workspace / "data"), "--out", str(out),
+                     "--new-scale", "5", "--epochs", "1", "--batch-size",
+                     "3", "--patch", "32", *extra])
+
+    def test_unfreeze_all_trains_every_group(self, workspace, tmp_path):
+        assert self.extend(workspace, tmp_path / "ext", "--unfreeze-all") == 0
+        manifest = json.loads((tmp_path / "ext" / "manifest.json")
+                              .read_text())
+        assert manifest["group_multipliers"] == {
+            "encoder": 1.0, "decoder": 1.0, "head": 1.0}
+
+    def test_config_file_boolean_switch(self, workspace, tmp_path):
+        cfg = tmp_path / "ext.cfg"
+        cfg.write_text("unfreeze-all=yes\nlr-ratio=0.5\n")
+        assert self.extend(workspace, tmp_path / "ext", "--config",
+                           str(cfg)) == 0
+        manifest = json.loads((tmp_path / "ext" / "manifest.json")
+                              .read_text())
+        assert manifest["group_multipliers"] == {
+            "encoder": 0.5, "decoder": 1.0, "head": 1.0}
+
+    def test_config_file_bad_boolean_is_usage_error(self, workspace,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "ext.cfg"
+        cfg.write_text("unfreeze-all=maybe\n")
+        capsys.readouterr()
+        assert self.extend(workspace, tmp_path / "ext", "--config",
+                           str(cfg)) == 1
+        assert "unfreeze-all: expected a boolean" in capsys.readouterr().err
+        assert not (tmp_path / "ext").exists()
 
 
 class TestPredict:
@@ -467,6 +502,30 @@ class TestEvaluate:
 
 
 class TestUsage:
+    def test_train_flags_mirror_train_config(self):
+        """Every TrainConfig field has a flag on each training command,
+        with the field's default."""
+        _, registry = build_parser()
+        for command in ("train", "train-mk", "extend-scale", "train-fusion"):
+            parser = registry[command]
+            flags = {a.dest: a for a in parser._actions}
+            for f in dataclasses.fields(TrainConfig):
+                action = flags[f.name]
+                assert action.option_strings == [
+                    "--" + f.name.replace("_", "-")], (command, f.name)
+                assert parser.get_default(f.name) == f.default, \
+                    (command, f.name)
+                assert action.type is type(f.default), (command, f.name)
+
+    def test_os_error_is_exit_2_without_traceback(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        capsys.readouterr()
+        assert main(["synth", "--out", str(taken), "--tiles", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segstack: error:")
+        assert "Traceback" not in err
+
     def test_no_arguments(self, capsys):
         assert main([]) == 1
         capsys.readouterr()

@@ -280,4 +280,4 @@ def test_raster_validation():
     with pytest.raises(ShapeError, match="band names"):
         Raster(np.zeros((2, 4, 4)), band_names=("a",))
     r = Raster(np.zeros((3, 5, 7)), band_names=("ir", "r", "g"))
-    assert (r.bands, r.height, r.width) == (3, 5, 7)
+    assert r.data.shape == (3, 5, 7)

@@ -98,18 +98,28 @@ class TestConvGrad:
         err = oracles.check_gradients(loss, [x, wt, bt], rng)
         assert err < TOL
 
-    def test_im2col_route_grad(self):
+    def test_im2col_route_grad(self, monkeypatch):
+        monkeypatch.setattr(ck, "select_route", lambda rows, c: "im2col")
+        columns = ck._columns
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return columns(*args)
+
+        monkeypatch.setattr(ck, "_columns", spy)
         rng = np.random.default_rng(42)
         x = t64(rng.standard_normal((1, 2, 9, 9)))
         wt = t64(rng.standard_normal((2, 2, 5, 5)) * 0.3)
         params = ConvParams(wt, None, (2, 2), 1)
 
         def loss():
-            out = conv2d(x, params, route="im2col")
+            out = conv2d(x, params)
             return sum_all(_mul_const(out, project(np.random.default_rng(6),
                                                    out.shape)))
 
         err = oracles.check_gradients(loss, [x, wt], rng)
+        assert calls, "the im2col route never ran"
         assert err < TOL
 
 

@@ -1,15 +1,17 @@
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segstack
+from segstack.cli import build_parser
 from segstack.datapipe import TileGeometry, synth_dataset
 from segstack.errors import ConfigError, DataError, ShapeError
 from segstack.fusion import make_corrector, init_corrector
 from segstack.inference import (labels_from_probs, predict_probs,
-                                predict_probs_fused, thread_budget)
+                                predict_probs_fused)
 from segstack.segnet import build_segnet, forward_parts, init_he
 from segstack.tensor import Tensor, no_grad
 
@@ -141,11 +143,17 @@ class TestLabels:
 
 class TestThreadBudget:
     def test_default_is_single(self):
-        assert thread_budget() == 1
+        for fn in (predict_probs, predict_probs_fused):
+            assert inspect.signature(fn).parameters["threads"].default == 1
+        predict = build_parser()[1]["predict"]
+        assert predict.get_default("threads") == 1
 
-    def test_zero_rejected(self):
+    def test_zero_rejected(self, nets, scene):
         with pytest.raises(ConfigError, match=">= 1"):
-            thread_budget(0)
+            predict_probs(nets[0], scene[0], TileGeometry(32, 32), threads=0)
+        with pytest.raises(ConfigError, match=">= 1"):
+            predict_probs_fused(*nets, None, scene[0], scene[1],
+                                TileGeometry(32, 32), threads=0)
 
 
 class TestBenchmarkTracing:

@@ -87,14 +87,14 @@ class TestConfusion:
         np.testing.assert_array_equal(cm.counts, expect)
         assert cm.total == int((gt != IGNORE_LABEL).sum())
 
-    def test_additivity_and_merge(self):
+    def test_additivity(self):
         rng = np.random.default_rng(7)
         gt = rng.integers(0, 3, size=(16, 16)).astype(np.uint8)
         pred = rng.integers(0, 3, size=(16, 16)).astype(np.uint8)
         whole = ConfusionMatrix(3).accumulate(pred, gt)
-        top = ConfusionMatrix(3).accumulate(pred[:8], gt[:8])
-        bottom = ConfusionMatrix(3).accumulate(pred[8:], gt[8:])
-        np.testing.assert_array_equal(top.merge(bottom).counts, whole.counts)
+        halves = ConfusionMatrix(3).accumulate(pred[:8], gt[:8])
+        halves.accumulate(pred[8:], gt[8:])
+        np.testing.assert_array_equal(halves.counts, whole.counts)
 
     def test_invalid_label_rejected(self):
         cm = ConfusionMatrix(3)

@@ -156,14 +156,10 @@ class TestExtend:
         with pytest.raises(SpecError, match="odd"):
             extend_with_scale(head, 4, np.random.default_rng(0))
 
-    def test_duplicate_needs_override(self):
+    def test_duplicate_size_rejected(self):
         head = filled_head(2, 2, (3, 5))
-        with pytest.raises(SpecError, match="already present"):
+        with pytest.raises(SpecError, match="strictly ascending"):
             extend_with_scale(head, 5, np.random.default_rng(0))
-        new = extend_with_scale(head, 5, np.random.default_rng(0),
-                                allow_duplicate=True)
-        assert new.scales == (3, 5, 5)
-        assert new.branch_names() == ["s3", "s5", "s5_2"]
 
 
 class TestValidation:
@@ -186,5 +182,5 @@ class TestValidation:
             multikernel_loss([], np.zeros((1, 2, 2), dtype=np.int64))
 
     def test_make_head_rejects_duplicates(self):
-        with pytest.raises(SpecError, match="duplicate"):
+        with pytest.raises(SpecError, match="strictly ascending"):
             make_head(2, 2, scales=(3, 3))

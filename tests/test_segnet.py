@@ -92,11 +92,6 @@ class TestStructure:
         assert feats.shape == (2, 16, 32, 32)
         assert logits.shape == (2, 4, 32, 32)
 
-    def test_no_bias_option(self):
-        spec = build_segnet(3, scale="mini", bias=False)
-        names = [n for n, _, _ in named_parameters(spec)]
-        assert not any(n.endswith(".bias") for n in names)
-
 
 class TestInit:
     def test_same_seed_bit_identical(self):

@@ -124,6 +124,25 @@ class TestBundle:
         with pytest.raises(CheckpointError, match="head.s3.weight"):
             load_bundle(tmp_path / "c")
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        save_bundle(tmp_path / "c", self.entries())
+        index = tmp_path / "c" / "index.txt"
+        lines = index.read_text().splitlines(keepends=True)
+        index.write_text("".join(lines + lines[:1]))
+        with pytest.raises(CheckpointError, match="duplicate"):
+            load_bundle(tmp_path / "c")
+
+    @pytest.mark.parametrize("line", [
+        "enc.b1.c0.bias\tenc.b1.c0.bias.ten\t4\n",
+        "enc.b1.c0.bias\tenc.b1.c0.bias.ten\t4\tencoder\textra\n"],
+        ids=["three_fields", "five_fields"])
+    def test_wrong_field_count_rejected(self, tmp_path, line):
+        save_bundle(tmp_path / "c", self.entries()[:1])
+        index = tmp_path / "c" / "index.txt"
+        index.write_text(index.read_text() + line)
+        with pytest.raises(CheckpointError, match="index.txt:2: expected 4"):
+            load_bundle(tmp_path / "c")
+
     def test_index_shape_mismatch(self, tmp_path):
         save_bundle(tmp_path / "c", self.entries())
         write_ten(tmp_path / "c" / "enc.b1.c0.bias.ten",

@@ -292,6 +292,18 @@ class TestBackwardBasics:
         assert x.grad is None
         assert y.grad is not None
 
+    def test_only_leaves_keep_gradients(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+        y = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+        from segstack import add
+        hidden = relu(add(x, y))
+        loss = sum_all(hidden)
+        backward(loss)
+        assert hidden.grad is None and loss.grad is None
+        mask = (x.data + y.data > 0).astype(np.float64)
+        np.testing.assert_array_equal(x.grad, mask)
+        np.testing.assert_array_equal(y.grad, mask)
+
     def test_backward_twice_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)
         loss = sum_all(x)

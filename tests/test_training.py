@@ -391,9 +391,15 @@ class TestLastGoodGuard:
             assert now is live, name
 
     def test_restore_before_update_changes_nothing(self):
+        """Restoring right after construction gives back the state at
+        construction."""
         spec = small_net()
-        before = {name: arr.copy() for name, arr, _ in state_entries(spec)}
-        _LastGoodGuard(state_entries(spec)).restore()
+        rows = state_entries(spec)
+        before = {name: arr.copy() for name, arr, _ in rows}
+        guard = _LastGoodGuard(rows)
+        for _, arr, _ in rows:
+            arr += 1
+        guard.restore()
         for name, arr, _ in state_entries(spec):
             np.testing.assert_array_equal(arr, before[name], err_msg=name)
 

@@ -30,7 +30,7 @@ from .training import (MANIFEST_NAME, TrainConfig, load_fusion_run, load_run,
                        measure_fusion_stats, train_fusion, train_segnet)
 
 DATASET_INDEX = "dataset.txt"
-# band streams in the order _load_dataset returns them; a run manifest
+# band streams, each read from its own <tile>.<stream>.ten; a run manifest
 # without a "stream" key is read as the first
 STREAMS = ("irrg", "comp")
 
@@ -45,10 +45,12 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -89,13 +91,18 @@ def _apply_config_file(parser, sub, args, argv):
 def _add_train_flags(p):
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--net", default="mini", choices=("mini", "full"))
-    p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
     p.add_argument("--init-seed", type=int, default=0)
     for f in fields(TrainConfig):  # --base-lr etc., with the config's defaults
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                        default=f.default)
+
+
+def _add_network_flags(p):
+    """The network a command builds from scratch; commands that load runs
+    take it from their manifests."""
+    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--net", default="mini", choices=("mini", "full"))
+    p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
 
 
 def _train_config(args) -> TrainConfig:
@@ -103,26 +110,24 @@ def _train_config(args) -> TrainConfig:
                           for f in fields(TrainConfig)})
 
 
-def _load_dataset(data_dir):
-    """(irrg, comp, labels) triples listed by dataset.txt, in file order."""
+def _load_dataset(data_dir, *streams):
+    """Per tile listed by dataset.txt, in file order, the bands of each
+    named stream, then the labels."""
     index = os.path.join(data_dir, DATASET_INDEX)
     if not os.path.exists(index):
         raise ConfigError(f"no {DATASET_INDEX} in {data_dir}")
-    triples = []
-    with open(index) as fh:
-        stems = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(index, encoding="utf-8") as fh:
+            stems = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{index}: not UTF-8: {exc}") from None
+    samples = []
     for stem in stems:
         base = os.path.join(data_dir, stem)
-        triples.append((tenio.read_ten(base + ".irrg.ten"),
-                        tenio.read_ten(base + ".comp.ten"),
-                        read_pgm(base + ".labels.pgm")))
-    return triples
-
-
-def _stream_samples(triples, *streams):
-    """Per tile, the bands of each named stream, then the labels."""
-    idx = [STREAMS.index(s) for s in streams]
-    return [tuple(t[i] for i in idx) + (t[2],) for t in triples]
+        samples.append(tuple(tenio.read_ten(f"{base}.{s}.ten")
+                             for s in streams)
+                       + (read_pgm(base + ".labels.pgm"),))
+    return samples
 
 
 def _load_run(run_dir):
@@ -141,8 +146,8 @@ def _run_relative(path, out_dir):
     return os.path.relpath(os.path.realpath(path), os.path.realpath(out_dir))
 
 
-def _extra(args, variant, n_tiles):
-    return {"variant": variant, "stream": args.stream,
+def _extra(args, stream, variant, n_tiles):
+    return {"variant": variant, "stream": stream,
             "data": _run_relative(args.data, args.out), "n_tiles": n_tiles,
             "init_seed": args.init_seed}
 
@@ -170,13 +175,13 @@ def cmd_synth(args):
 
 
 def _run_train(args, head_scales):
-    dataset = _stream_samples(_load_dataset(args.data), args.stream)
+    dataset = _load_dataset(args.data, args.stream)
     spec = build_segnet(k=args.classes, scale=args.net, in_channels=3,
                         head_scales=head_scales)
     init_he(spec, seed=args.init_seed)
     variant = "plain" if head_scales == (3,) else "multikernel"
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
-                            manifest_extra=_extra(args, variant,
+                            manifest_extra=_extra(args, args.stream, variant,
                                                   len(dataset)))
     last = manifest["epochs"][-1]
     print(f"trained {manifest['epochs'][-1]['epoch'] + 1} epochs, "
@@ -200,8 +205,8 @@ def cmd_train_mk(args):
 
 def cmd_extend_scale(args):
     spec, run_manifest = _load_run(args.run)
-    args.stream = run_manifest["stream"]
-    dataset = _stream_samples(_load_dataset(args.data), args.stream)
+    stream = run_manifest["stream"]
+    dataset = _load_dataset(args.data, stream)
 
     old_ids = {id(t) for _, t, g in named_parameters(spec) if g == "head"}
     rng = np.random.default_rng(args.init_seed)
@@ -216,7 +221,7 @@ def cmd_extend_scale(args):
         groups = [ParamGroup("frozen", 0.0, frozen),
                   ParamGroup("new_branch", 1.0, fresh)]
 
-    extra = _extra(args, "extended", len(dataset))
+    extra = _extra(args, stream, "extended", len(dataset))
     extra["extended_from"] = _run_relative(args.run, args.out)
     extra["new_scale"] = args.new_scale
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
@@ -229,8 +234,7 @@ def cmd_extend_scale(args):
 def cmd_train_fusion(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
-                              man_b["stream"])
+    dataset = _load_dataset(args.data, man_a["stream"], man_b["stream"])
     corr = make_corrector(
         in_channels=spec_a.head.in_channels + spec_b.head.in_channels,
         k=spec_a.k, hidden=args.hidden)
@@ -250,11 +254,15 @@ def cmd_train_fusion(args):
 
 
 def cmd_predict(args):
-    if args.run_a and args.run_b:
-        runs = [_load_run(args.run_a), _load_run(args.run_b)]
-        corr = load_fusion_run(args.fusion_run) if args.fusion_run else None
-    elif args.run:
+    if args.run and (args.run_a or args.run_b or args.fusion_run):
+        raise ConfigError("predict takes --run alone, or --run-a and --run-b "
+                          "with an optional --fusion-run")
+    if args.run:
         runs, corr = [_load_run(args.run)], None
+    elif args.run_a and args.run_b:
+        runs = [_load_run(args.run_a), _load_run(args.run_b)]
+        corr = (load_fusion_run(args.fusion_run, *(s for s, _ in runs))
+                if args.fusion_run else None)
     else:
         raise ConfigError("predict needs --run, or --run-a and --run-b")
     specs = [spec for spec, _ in runs]
@@ -290,9 +298,8 @@ def cmd_evaluate(args):
 def cmd_fusion_stats(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    corr = load_fusion_run(args.fusion_run)
-    dataset = _stream_samples(_load_dataset(args.data), man_a["stream"],
-                              man_b["stream"])
+    corr = load_fusion_run(args.fusion_run, spec_a, spec_b)
+    dataset = _load_dataset(args.data, man_a["stream"], man_b["stream"])
     stats, corr_mag, avg_mag = measure_fusion_stats(spec_a, spec_b, corr,
                                                     dataset)
     for key in ("m_avg", "s_avg", "m_corr", "s_corr"):
@@ -328,9 +335,11 @@ def build_parser():
 
     p = sub("train", cmd_train, "train a single-stream network")
     _add_train_flags(p)
+    _add_network_flags(p)
 
     p = sub("train-mk", cmd_train_mk, "train with a multi-kernel head")
     _add_train_flags(p)
+    _add_network_flags(p)
     p.add_argument("--scales", default="3,5,7",
                    help="comma-separated odd kernel sizes")
 

@@ -315,6 +315,8 @@ def _read_netpbm_header(buf: bytes, magic: bytes):
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise FormatError(f"non-numeric header tokens {tokens}") from None
+    if w < 1 or h < 1:
+        raise FormatError(f"image extents must be positive, got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
     return w, h, pos

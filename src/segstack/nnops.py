@@ -24,6 +24,9 @@ from .tensor import Tensor, _record, permute, recording
 
 #: Label value excluded from losses and metrics.
 IGNORE_LABEL = 255
+#: Batch-norm running-statistics momentum and variance epsilon.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +63,13 @@ class ConvParams:
 
     @classmethod
     def zeros(cls, in_ch: int, out_ch: int, ksize: int, bias: bool = True,
-              dtype=np.float32, stride: int = 1,
-              padding: str | tuple[int, int] = "same") -> "ConvParams":
-        if padding == "same":
-            p = same_padding(ksize)
-            padding = (p, p)
+              dtype=np.float32) -> "ConvParams":
+        """Zero stride-1 convolution with same padding."""
+        p = same_padding(ksize)
         w = Tensor(np.zeros((out_ch, in_ch, ksize, ksize), dtype=dtype),
                    requires_grad=True)
         b = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True) if bias else None
-        return cls(w, b, padding, stride)
+        return cls(w, b, (p, p))
 
     @property
     def in_channels(self) -> int:
@@ -130,8 +131,6 @@ class BNState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
     initialized: np.ndarray = field(default_factory=lambda: np.zeros(()))
 
     @classmethod
@@ -269,14 +268,14 @@ def _check_bn(state: BNState, channels: int, mode: str) -> None:
             "or load them from a checkpoint before eval mode")
 
 
-def _inv_std(var, state: BNState) -> np.ndarray:
-    return 1.0 / np.sqrt(var + state.eps)
+def _inv_std(var) -> np.ndarray:
+    return 1.0 / np.sqrt(var + BN_EPS)
 
 
 def _eval_affine(state: BNState, bias, dtype):
     """Per-channel (scale, shift) taking a conv output that lacks ``bias``
     to the eval-mode batch norm of the conv output plus ``bias``."""
-    scale = state.gamma.data * _inv_std(state.running_var, state)
+    scale = state.gamma.data * _inv_std(state.running_var)
     mean = state.running_mean if bias is None else state.running_mean - bias
     return scale.astype(dtype), (state.beta.data - mean * scale).astype(dtype)
 
@@ -302,7 +301,7 @@ def _normalize(rows: np.ndarray, state: BNState, mode: str,
             var = np.square(rows, dtype=np.float64).mean(axis=0)
         if bias is not None:
             mean += bias
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean *= (1.0 - m)
         state.running_mean += m * mean
         state.running_var *= (1.0 - m)
@@ -312,7 +311,7 @@ def _normalize(rows: np.ndarray, state: BNState, mode: str,
         offset = state.running_mean - (0.0 if bias is None else bias)
         rows -= offset.astype(dt)
         var = state.running_var
-    inv = _inv_std(var, state).astype(dt)
+    inv = _inv_std(var).astype(dt)
     rows *= inv
     return inv
 

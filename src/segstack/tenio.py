@@ -9,6 +9,7 @@ parameter plus an ``index.txt`` mapping stable parameter names (such as
 ``enc.b1.c0.weight``) to file, shape, and learning-rate group.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -62,11 +63,14 @@ def read_ten(path) -> np.ndarray:
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code}")
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # exact: u32 extents can overflow int64
     payload, off = _take(buf, off, count * dtype.itemsize, "payload")
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes after payload")
-    out = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    try:
+        out = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    except ValueError:  # an empty shape such as (0, 2**32-1, 2**32-1)
+        raise FormatError(f"extents {shape} are too large") from None
     # native-order writable copy
     return out.astype(dtype.newbyteorder("="), copy=True)
 
@@ -85,7 +89,10 @@ def _shape_token(shape) -> str:
 def _parse_shape(token: str):
     if token == "scalar":
         return ()
-    return tuple(int(p) for p in token.split("x"))
+    try:
+        return tuple(int(p) for p in token.split("x"))
+    except ValueError:
+        raise CheckpointError(f"bad shape token {token!r}") from None
 
 
 def save_bundle(dirpath, entries) -> None:
@@ -106,30 +113,34 @@ def load_bundle(dirpath) -> "dict[str, BundleEntry]":
     index_path = os.path.join(dirpath, INDEX_NAME)
     if not os.path.exists(index_path):
         raise CheckpointError(f"no {INDEX_NAME} in {dirpath}")
+    try:
+        with open(index_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{index_path}: not UTF-8: {exc}") from None
     out: "dict[str, BundleEntry]" = {}
-    with open(index_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CheckpointError(
-                    f"{INDEX_NAME}:{lineno}: expected 4 tab-separated fields")
-            name, fname, shape_tok, group = parts
-            if name in out:
-                raise CheckpointError(f"duplicate parameter name {name!r}")
-            if fname in ("", ".", "..") or os.path.basename(fname) != fname:
-                raise CheckpointError(f"{INDEX_NAME}:{lineno}: payload "
-                                      f"{fname!r} is not a file name in the "
-                                      "bundle directory")
-            fpath = os.path.join(dirpath, fname)
-            if not os.path.exists(fpath):
-                raise CheckpointError(f"missing payload {fname} for {name}")
-            arr = read_ten(fpath)
-            expect = _parse_shape(shape_tok)
-            if arr.shape != expect:
-                raise CheckpointError(
-                    f"{name}: index says shape {expect}, payload has {arr.shape}")
-            out[name] = BundleEntry(name, arr, group)
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CheckpointError(
+                f"{INDEX_NAME}:{lineno}: expected 4 tab-separated fields")
+        name, fname, shape_tok, group = parts
+        if name in out:
+            raise CheckpointError(f"duplicate parameter name {name!r}")
+        if fname in ("", ".", "..") or os.path.basename(fname) != fname:
+            raise CheckpointError(f"{INDEX_NAME}:{lineno}: payload "
+                                  f"{fname!r} is not a file name in the "
+                                  "bundle directory")
+        fpath = os.path.join(dirpath, fname)
+        if not os.path.exists(fpath):
+            raise CheckpointError(f"missing payload {fname} for {name}")
+        arr = read_ten(fpath)
+        expect = _parse_shape(shape_tok)
+        if arr.shape != expect:
+            raise CheckpointError(
+                f"{name}: index says shape {expect}, payload has {arr.shape}")
+        out[name] = BundleEntry(name, arr, group)
     return out

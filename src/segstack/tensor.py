@@ -48,8 +48,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
                  "_consumed", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr

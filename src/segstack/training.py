@@ -38,6 +38,8 @@ from .tensor import Tensor, backward, no_grad
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_DIR = "checkpoint"
+# where a fusion run that fine-tunes its streams saves them
+STREAM_DIRS = ("stream_a", "stream_b")
 EVAL_BATCH = 8  # samples per forward in the whole-dataset measurements
 
 
@@ -278,7 +280,7 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     """
     specs = (spec_a, spec_b)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
-    stream_dirs = [os.path.join(out_dir, f"stream_{tag}") for tag in "ab"]
+    stream_dirs = [os.path.join(out_dir, d) for d in STREAM_DIRS]
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
     rows = corrector_entries(corr)
     if unfreeze_streams:
@@ -331,6 +333,7 @@ _STR = (lambda v: isinstance(v, str), "a string")
 _MANIFEST_TYPES = {
     "k": _INT, "in_channels": _INT, "corrector_in": _INT, "hidden": _INT,
     "scale": _STR, "checkpoint": _STR,
+    "unfreeze_streams": (lambda v: type(v) is bool, "a boolean"),
     "head_scales": (lambda v: isinstance(v, list)
                     and all(map(_positive_int, v)),
                     "a list of positive integers"),
@@ -339,22 +342,23 @@ _MANIFEST_TYPES = {
 
 def _read_manifest(run_dir, keys) -> "tuple[dict, str]":
     """A run's manifest and its checkpoint path. A missing manifest is a
-    ConfigError; bad JSON, a missing or mistyped key or a checkpoint path
-    outside the run directory is a FormatError."""
+    ConfigError; bad JSON, a missing one of ``keys``, a mistyped key of
+    ``_MANIFEST_TYPES`` or a checkpoint path outside the run directory is
+    a FormatError."""
     path = os.path.join(run_dir, MANIFEST_NAME)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read run manifest: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON, nesting
         raise FormatError(f"{path}: not a JSON manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
     missing = [k for k in keys if k not in manifest]
     if missing:
         raise FormatError(f"{path}: manifest is missing {missing}")
-    for key in keys:
+    for key in (k for k in _MANIFEST_TYPES if k in manifest):
         check, want = _MANIFEST_TYPES[key]
         if not check(manifest[key]):
             raise FormatError(f"{path}: {key} must be {want}, got "
@@ -378,13 +382,20 @@ def load_run(run_dir) -> "tuple[NetworkSpec, dict]":
     return spec, manifest
 
 
-def load_fusion_run(run_dir) -> CorrectorSpec:
-    """Rebuild the corrector a ``train_fusion`` run trained."""
+def load_fusion_run(run_dir, spec_a: NetworkSpec,
+                    spec_b: NetworkSpec) -> CorrectorSpec:
+    """Rebuild the corrector a ``train_fusion`` run trained over the
+    networks ``spec_a`` and ``spec_b``. If the run fine-tuned its streams
+    (``unfreeze_streams``, false when absent), their trained states are
+    loaded into ``spec_a`` and ``spec_b``."""
     manifest, ckpt = _read_manifest(run_dir, ("corrector_in", "k", "hidden",
                                               "checkpoint"))
     corr = make_corrector(in_channels=manifest["corrector_in"],
                           k=manifest["k"], hidden=manifest["hidden"])
     load_corrector(corr, ckpt)
+    if manifest.get("unfreeze_streams", False):
+        for spec, name in zip((spec_a, spec_b), STREAM_DIRS):
+            load_checkpoint(spec, os.path.join(run_dir, name))
     return corr
 
 

@@ -93,7 +93,9 @@ def test_criterion_01_gradient_suite():
                                     [x, w, b])
     w5 = t64(rng, 2, 3, 5, 5)
     wide = ConvParams(w5, None, (2, 2))
-    worst["conv_im2col"] = fd_check(rng, lambda: conv2d(x, wide), [x, w5])
+    # 2*10*10 output rows, not below 16*3: select_route picks direct
+    worst["conv_direct_5x5"] = fd_check(rng, lambda: conv2d(x, wide),
+                                        [x, w5])
 
     perm = rng.permutation(2 * 4 * 8 * 8).reshape(2, 4, 8, 8).astype(float)
     xp = Tensor(perm + rng.uniform(0, 0.25, perm.shape), requires_grad=True)
@@ -150,6 +152,16 @@ def test_criterion_01_gradient_suite():
 
     worst["composed_net"] = check_gradients(net_loss, picks, rng,
                                             n_coords=20)
+
+    # drawn after every other case, so those see the same values
+    from segstack import convkernels as ck
+    xi = t64(rng, 1, 8, 4, 4)
+    wi = t64(rng, 2, 8, 5, 5)
+    bi = t64(rng, 2)
+    assert ck.select_route(1 * 4 * 4, 8) == "im2col"  # 16 rows < 16*8
+    narrow = ConvParams(wi, bi, (2, 2))
+    worst["conv_im2col"] = fd_check(rng, lambda: conv2d(xi, narrow),
+                                    [xi, wi, bi])
 
     elapsed = time.monotonic() - started
     bad = {k: v for k, v in worst.items() if not v < GRAD_TOL}

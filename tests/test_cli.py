@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from segstack.cli import build_parser, main
-from segstack.datapipe import read_pgm, read_ppm
+from segstack.datapipe import TileGeometry, read_pgm, read_ppm
 from segstack.fusion import init_corrector, make_corrector
-from segstack.segnet import build_segnet, init_he
+from segstack.inference import predict_probs_fused
+from segstack.segnet import build_segnet, init_he, load_checkpoint
 from segstack.tenio import read_ten, write_ten
-from segstack.training import (TrainConfig, load_run, train_fusion,
+from segstack.training import (TrainConfig, load_corrector, load_run,
+                               measure_fusion_stats, train_fusion,
                                train_segnet)
 
 
@@ -203,6 +205,24 @@ class TestExtendScale:
         assert "unfreeze-all: expected a boolean" in capsys.readouterr().err
         assert not (tmp_path / "ext").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--classes", "3"), ("--net", "full"), ("--stream", "comp")])
+    def test_network_flags_are_usage_errors(self, workspace, tmp_path,
+                                            flag, value):
+        """The network comes from the loaded run, so these flags are not
+        taken."""
+        assert self.extend(workspace, tmp_path / "ext", flag, value) == 1
+        assert not (tmp_path / "ext").exists()
+
+    def test_network_config_key_is_unknown(self, workspace, tmp_path,
+                                           capsys):
+        cfg = tmp_path / "ext.cfg"
+        cfg.write_text("classes=3\n")
+        capsys.readouterr()
+        assert self.extend(workspace, tmp_path / "ext", "--config",
+                           str(cfg)) == 1
+        assert "unknown config key 'classes'" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_outputs(self, workspace, tmp_path):
@@ -283,6 +303,24 @@ class TestPredict:
                      str(workspace / "data" / "tile-000"),
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("extra", [
+        ["--fusion-run", "run-b"], ["--run-a", "run-b"],
+        ["--run-a", "run-a", "--run-b", "run-b"]],
+        ids=["fusion_run", "run_a", "run_a_and_b"])
+    def test_run_with_dual_stream_flags_is_usage_error(self, workspace,
+                                                       tmp_path, capsys,
+                                                       extra):
+        """--run would be used and the other flags silently dropped."""
+        extra = [str(workspace / e) if e.startswith("run") else e
+                 for e in extra]
+        capsys.readouterr()
+        assert main(["predict", "--run", str(workspace / "run-a"), *extra,
+                     "--scene", str(workspace / "data" / "tile-000"),
+                     "--out", str(tmp_path / "x"), "--patch", "32",
+                     "--stride", "32"]) == 1
+        assert "--run alone" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestFusionCommands:
     def test_train_fusion_and_stats(self, workspace, tmp_path, capsys):
@@ -317,6 +355,75 @@ class TestFusionCommands:
                      str(workspace / "data" / "tile-003"), "--out",
                      str(out), "--patch", "32", "--stride", "32"]) == 0
         assert read_ten(out / "probs.ten").shape == (5, 32, 32)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--classes", "3"), ("--net", "full"), ("--stream", "comp")])
+    def test_network_flags_are_usage_errors(self, workspace, tmp_path,
+                                            flag, value):
+        assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--data",
+                     str(workspace / "data"), "--out", str(tmp_path / "f"),
+                     "--epochs", "1", flag, value]) == 1
+        assert not (tmp_path / "f").exists()
+
+
+@pytest.fixture(scope="module")
+def tuned_fusion(workspace):
+    """A fusion run that fine-tuned copies of run-a and run-b."""
+    out = workspace / "tuned-fusion"
+    assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
+                 "--run-b", str(workspace / "run-b"), "--data",
+                 str(workspace / "data"), "--out", str(out), "--epochs", "2",
+                 "--batch-size", "3", "--patch", "32", "--base-lr", "0.05",
+                 "--hidden", "8", "--unfreeze-streams"]) == 0
+    return out
+
+
+class TestFineTunedFusion:
+    """A run trained with --unfreeze-streams is read with the streams it
+    trained, not the ones in --run-a/--run-b."""
+
+    def streams(self, workspace, tuned_fusion):
+        """(original, fine-tuned) stream pairs and the corrector, loaded
+        from the run files directly."""
+        original = [load_run(workspace / r)[0] for r in ("run-a", "run-b")]
+        tuned = [load_run(workspace / r)[0] for r in ("run-a", "run-b")]
+        for spec, tag in zip(tuned, "ab"):
+            load_checkpoint(spec, tuned_fusion / f"stream_{tag}")
+        corr = make_corrector(in_channels=32, k=5, hidden=8)
+        load_corrector(corr, tuned_fusion / "checkpoint")
+        return original, tuned, corr
+
+    def test_predict(self, workspace, tuned_fusion, tmp_path):
+        out = tmp_path / "pred"
+        scene = workspace / "data" / "tile-003"
+        assert main(["predict", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--fusion-run",
+                     str(tuned_fusion), "--scene", str(scene), "--out",
+                     str(out), "--patch", "32", "--stride", "32"]) == 0
+        original, tuned, corr = self.streams(workspace, tuned_fusion)
+        bands = [read_ten(f"{scene}.{s}.ten") for s in ("irrg", "comp")]
+        geom = TileGeometry(32, 32)
+        want = predict_probs_fused(*tuned, corr, *bands, geom)
+        stale = predict_probs_fused(*original, corr, *bands, geom)
+        assert not np.array_equal(want, stale)
+        np.testing.assert_array_equal(read_ten(out / "probs.ten"), want)
+
+    def test_fusion_stats(self, workspace, tuned_fusion, capsys):
+        capsys.readouterr()
+        assert main(["fusion-stats", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--fusion-run",
+                     str(tuned_fusion), "--data",
+                     str(workspace / "data")]) == 0
+        stdout = capsys.readouterr().out
+        _, tuned, corr = self.streams(workspace, tuned_fusion)
+        dataset = [(read_ten(workspace / "data" / f"tile-00{i}.irrg.ten"),
+                    read_ten(workspace / "data" / f"tile-00{i}.comp.ten"),
+                    read_pgm(workspace / "data" / f"tile-00{i}.labels.pgm"))
+                   for i in range(6)]
+        stats, corr_mag, _ = measure_fusion_stats(*tuned, corr, dataset)
+        assert f"m_corr={stats.m_corr:.6f}\n" in stdout
+        assert f"mean_correction_magnitude={corr_mag:.6f}\n" in stdout
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +587,57 @@ class TestRunManifest:
                      str(tmp_path / "pred"), *self.scene(workspace)]) == 1
 
 
+class TestHostileFiles:
+    """Malformed inputs end in their documented exit code, not a
+    traceback."""
+
+    def run_main(self, capsys, argv):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("segstack: error:")
+        return code
+
+    def test_negative_pgm_extents(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
+        assert self.run_main(capsys, [
+            "evaluate", "--pred", str(bad), "--gt",
+            str(workspace / "data" / "tile-000.labels.pgm")]) == 2
+
+    def test_non_utf8_config_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=1\n\xff\xfe=2\n")
+        assert self.run_main(capsys, [
+            "train", "--config", str(cfg), "--data", str(workspace / "data"),
+            "--out", str(tmp_path / "x")]) == 1
+
+    def test_non_utf8_dataset_index(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "dataset.txt").write_bytes(b"tile-\xff\n")
+        assert self.run_main(capsys, [
+            "train", "--data", str(data), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.encode() + b"\xff\n",
+        lambda text: text.replace("\t16x3x3x3\t", "\t16xAx3x3\t",
+                                  1).encode(),
+    ], ids=["non_utf8", "bad_shape_token"])
+    def test_broken_bundle_index(self, workspace, tmp_path, capsys, corrupt):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run-a", run)
+        index = run / "checkpoint" / "index.txt"
+        text = index.read_text()
+        assert "\t16x3x3x3\t" in text
+        index.write_bytes(corrupt(text))
+        assert self.run_main(capsys, [
+            "predict", "--run", str(run), "--scene",
+            str(workspace / "data" / "tile-000"), "--out",
+            str(tmp_path / "pred"), "--patch", "32", "--stride", "32"]) == 2
+
+
 class TestEvaluate:
     def test_perfect_prediction(self, workspace, capsys):
         gt = str(workspace / "data" / "tile-000.labels.pgm")
@@ -502,6 +660,15 @@ class TestEvaluate:
 
 
 class TestUsage:
+    def test_network_flags_only_where_a_network_is_built(self):
+        _, registry = build_parser()
+        for command, takes in (("train", True), ("train-mk", True),
+                               ("extend-scale", False),
+                               ("train-fusion", False)):
+            dests = {a.dest for a in registry[command]._actions}
+            for dest in ("classes", "net", "stream"):
+                assert (dest in dests) == takes, (command, dest)
+
     def test_train_flags_mirror_train_config(self):
         """Every TrainConfig field has a flag on each training command,
         with the field's default."""

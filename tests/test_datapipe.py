@@ -263,6 +263,13 @@ class TestNetpbm:
         with pytest.raises(FormatError, match="truncated"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("extents", [b"-2 -3", b"0 4", b"3 -1"])
+    def test_non_positive_extents(self, tmp_path, extents):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\n" + extents + b"\n255\n" + bytes(6))
+        with pytest.raises(FormatError, match="must be positive"):
+            read_pgm(path)
+
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

@@ -173,7 +173,8 @@ class TestValidation:
             MultiKernelHead([a, b])
 
     def test_non_same_padding_rejected(self):
-        bad = ConvParams.zeros(2, 3, 5, padding=(1, 1), dtype=np.float64)
+        bad = ConvParams(Tensor(np.zeros((3, 2, 5, 5))),
+                         Tensor(np.zeros(3)), (1, 1))
         with pytest.raises(SpecError, match="same-padding"):
             MultiKernelHead([bad])
 

@@ -86,6 +86,25 @@ def test_unknown_dtype_code(tmp_path):
         read_ten(path)
 
 
+def test_extent_product_past_int64_is_truncation(tmp_path):
+    # 65536**4 = 2**64 wraps to 0 in int64, which would accept an empty
+    # payload and then fail to reshape it
+    path = tmp_path / "o.ten"
+    path.write_bytes(b"TEN1" + struct.pack("<5I", 4, *(65536,) * 4)
+                     + bytes([0]))
+    with pytest.raises(FormatError, match="truncated"):
+        read_ten(path)
+
+
+def test_empty_array_with_huge_extents(tmp_path):
+    # no payload is needed, but numpy cannot index the other extents
+    path = tmp_path / "z.ten"
+    path.write_bytes(b"TEN1" + struct.pack("<4I", 3, 0, 2 ** 32 - 1,
+                                           2 ** 32 - 1) + bytes([0]))
+    with pytest.raises(FormatError, match="too large"):
+        read_ten(path)
+
+
 def test_result_is_writable(tmp_path):
     path = tmp_path / "w.ten"
     write_ten(path, np.ones(3, dtype=np.float32))
@@ -141,6 +160,20 @@ class TestBundle:
         index = tmp_path / "c" / "index.txt"
         index.write_text(index.read_text() + line)
         with pytest.raises(CheckpointError, match="index.txt:2: expected 4"):
+            load_bundle(tmp_path / "c")
+
+    def test_non_integer_shape_token(self, tmp_path):
+        save_bundle(tmp_path / "c", self.entries())
+        index = tmp_path / "c" / "index.txt"
+        index.write_text(index.read_text().replace("4x3x3x3", "4xAx3x3"))
+        with pytest.raises(CheckpointError, match="bad shape token"):
+            load_bundle(tmp_path / "c")
+
+    def test_non_utf8_index(self, tmp_path):
+        save_bundle(tmp_path / "c", self.entries())
+        index = tmp_path / "c" / "index.txt"
+        index.write_bytes(index.read_bytes() + b"\xff\tx\t4\tg\n")
+        with pytest.raises(CheckpointError, match="not UTF-8"):
             load_bundle(tmp_path / "c")
 
     def test_index_shape_mismatch(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from segstack import training
 from segstack.datapipe import synth_dataset
 from segstack.errors import (CheckpointError, ConfigError, DivergenceError,
-                             TrainingError)
+                             FormatError, TrainingError)
 from segstack.fusion import make_corrector, init_corrector
 from segstack.multikernel import branch_outputs, multikernel_loss
 from segstack.nnops import cross_entropy_loss
@@ -572,11 +572,44 @@ class TestRunLoaders:
         init_corrector(corr, seed=13)
         cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
         train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path)
-        loaded = load_fusion_run(tmp_path)
+        fresh_a, fresh_b, _ = TestTrainFusion().make_streams()
+        loaded = load_fusion_run(tmp_path, fresh_a, fresh_b)
         assert (loaded.in_channels, loaded.convs[0].out_channels,
                 loaded.out_channels) == (32, 8, 5)
         for (name, want), (_, got) in zip(corr.tensors(), loaded.tensors()):
             np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+        # frozen streams: the networks passed in are left as they were
+        for spec, trained in ((fresh_a, a), (fresh_b, b)):
+            for (name, want, _), (_, got, _) in zip(state_entries(trained),
+                                                    state_entries(spec)):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_load_fusion_run_loads_fine_tuned_streams(self, tmp_path):
+        a, b, corr = TestTrainFusion().make_streams()
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
+        train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path,
+                     unfreeze_streams=True)
+        fresh_a, fresh_b, _ = TestTrainFusion().make_streams()
+        moved = [n for n, t, _ in named_parameters(fresh_a)
+                 if not np.array_equal(t.data, snapshot(a)[n])]
+        assert moved  # the fresh stream is not already the trained one
+        load_fusion_run(tmp_path, fresh_a, fresh_b)
+        for spec, trained in ((fresh_a, a), (fresh_b, b)):
+            for (name, want, _), (_, got, _) in zip(state_entries(trained),
+                                                    state_entries(spec)):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("value", [1, "true", None])
+    def test_mistyped_unfreeze_streams_is_format_error(self, tmp_path,
+                                                       value):
+        a, b, corr = TestTrainFusion().make_streams()
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=2, patch=32)
+        train_fusion(a, b, corr, triple_dataset(n=2), cfg, tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "unfreeze_streams": value}))
+        with pytest.raises(FormatError, match="unfreeze_streams must be"):
+            load_fusion_run(tmp_path, a, b)
 
 
 class TestAccuracyHelpers:

@@ -2,10 +2,14 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segstack
 from segstack.cli import build_parser, main
 from segstack.datapipe import TileGeometry, read_pgm, read_ppm
 from segstack.fusion import init_corrector, make_corrector
@@ -247,6 +251,29 @@ class TestPredict:
         assert main([*args, "--out", str(tmp_path / "p2")]) == 0
         assert (tmp_path / "p1" / "probs.ten").read_bytes() == \
             (tmp_path / "p2" / "probs.ten").read_bytes()
+
+    def test_two_workers_print_once_and_write_the_same_bytes(
+            self, workspace, tmp_path):
+        """The forked tile worker ends inside the prediction call: with
+        stdout a pipe, the closing line is printed once, and the files
+        match those of one worker."""
+        args = ["predict", "--run", str(workspace / "run-a"), "--scene",
+                str(workspace / "data" / "tile-001"), "--patch", "16",
+                "--stride", "16"]
+        assert main([*args, "--out", str(tmp_path / "one")]) == 0
+        src = Path(segstack.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "segstack.cli", *args, "--out",
+             str(tmp_path / "two"), "--threads", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("prediction written") == 1, done.stdout
+        for name in ("probs.ten", "labels.pgm", "render.ppm"):
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes()
 
     def test_stride_changes_blend_not_shape(self, workspace, tmp_path):
         outs = []

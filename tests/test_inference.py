@@ -1,5 +1,12 @@
 import importlib.util
 import inspect
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +17,7 @@ from segstack.cli import build_parser
 from segstack.datapipe import TileGeometry, synth_dataset
 from segstack.errors import ConfigError, DataError, ShapeError
 from segstack.fusion import make_corrector, init_corrector
+from segstack import inference
 from segstack.inference import (labels_from_probs, predict_probs,
                                 predict_probs_fused)
 from segstack.segnet import build_segnet, forward_parts, init_he
@@ -154,6 +162,152 @@ class TestThreadBudget:
         with pytest.raises(ConfigError, match=">= 1"):
             predict_probs_fused(*nets, None, scene[0], scene[1],
                                 TileGeometry(32, 32), threads=0)
+
+
+class WindowFailed(Exception):
+    pass
+
+
+class TestForkedWorkers:
+    """threads=2 forks one child per call; the caller maps even windows,
+    the child odd ones. On the 96x96 scene at patch and stride 32 the
+    plan is 3x3, and window 1 (top 0, left 32) is the child's."""
+
+    GEOM = TileGeometry(32, 32)
+
+    @staticmethod
+    def failing_on_window_1(scene, action):
+        """``window_map`` that calls ``action()`` when given window 1."""
+        crop = scene[0][:, :32, 32:64]
+        real = inference.window_map
+
+        def patched(specs, corr, xs):
+            if np.array_equal(xs[0].data[0], crop):
+                action()
+            return real(specs, corr, xs)
+        return patched
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fused_with_corrector_is_bitwise_one_worker(self, nets, scene):
+        corr = make_corrector(in_channels=32, k=5, hidden=8)
+        init_corrector(corr, seed=4)
+        w = corr.convs[2].weight.data
+        w[...] = np.random.default_rng(4).normal(0, 0.1, w.shape)
+        args = scene[0], scene[1], self.GEOM
+        one = predict_probs_fused(*nets, corr, *args, 1)
+        two = predict_probs_fused(*nets, corr, *args, 2)
+        np.testing.assert_array_equal(one, two)
+        plain = predict_probs_fused(*nets, None, *args, 1)
+        assert not np.array_equal(one, plain)
+
+    def test_odd_window_count_is_bitwise_one_worker(self, net, scene):
+        one = predict_probs(net, scene[0], self.GEOM, threads=1)
+        two = predict_probs(net, scene[0], self.GEOM, threads=2)
+        np.testing.assert_array_equal(one, two)
+
+    def test_more_workers_than_windows_forks_nothing(self, net, scene,
+                                                     monkeypatch):
+        bands = scene[0][:, :32, :32]
+        one = predict_probs(net, bands, self.GEOM, threads=1)
+
+        def no_fork():
+            raise AssertionError("forked for a single window")
+        monkeypatch.setattr(os, "fork", no_fork)
+        two = predict_probs(net, bands, self.GEOM, threads=2)
+        np.testing.assert_array_equal(one, two)
+
+    def test_child_error_reaches_caller(self, net, scene, monkeypatch):
+        def fail():
+            raise WindowFailed("window 1 failed")
+        monkeypatch.setattr(inference, "window_map",
+                            self.failing_on_window_1(scene, fail))
+        with pytest.raises(WindowFailed, match="window 1 failed"):
+            predict_probs(net, scene[0], self.GEOM, threads=2)
+        self.assert_no_children()
+
+    def test_child_warning_is_raised_once_by_caller(self, net, scene,
+                                                    monkeypatch):
+        expected = predict_probs(net, scene[0], self.GEOM, threads=1)
+        monkeypatch.setattr(inference, "window_map", self.failing_on_window_1(
+            scene, lambda: warnings.warn("window 1 is odd")))
+        with pytest.warns(UserWarning, match="window 1 is odd") as seen:
+            probs = predict_probs(net, scene[0], self.GEOM, threads=2)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(probs, expected)
+        self.assert_no_children()
+
+    def test_killed_child_costs_time_not_result(self, net, scene,
+                                                monkeypatch):
+        expected = predict_probs(net, scene[0], self.GEOM, threads=1)
+        caller = os.getpid()
+
+        def kill_child():
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(inference, "window_map",
+                            self.failing_on_window_1(scene, kill_child))
+        probs = predict_probs(net, scene[0], self.GEOM, threads=2)
+        np.testing.assert_array_equal(probs, expected)
+        self.assert_no_children()
+
+    def test_caller_error_kills_children(self, net, scene, monkeypatch):
+        caller = os.getpid()
+        real = inference.window_map
+
+        def patched(specs, corr, xs):
+            if os.getpid() == caller:
+                raise WindowFailed("caller failed")
+            time.sleep(60)
+            return real(specs, corr, xs)
+        monkeypatch.setattr(inference, "window_map", patched)
+        t0 = time.perf_counter()
+        with pytest.raises(WindowFailed, match="caller failed"):
+            predict_probs(net, scene[0], self.GEOM, threads=2)
+        assert time.perf_counter() - t0 < 30
+        self.assert_no_children()
+
+    def test_no_fork_is_config_error(self, net, scene, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ConfigError, match="os.fork"):
+            predict_probs(net, scene[0], self.GEOM, threads=2)
+        np.testing.assert_array_equal(
+            predict_probs(net, scene[0], self.GEOM, threads=1),
+            predict_probs(net, scene[0], self.GEOM))
+
+    def test_buffered_stdout_is_written_once(self):
+        """Children leave through os._exit, so the caller's unflushed
+        stdout buffer is not flushed by them as well."""
+        src = Path(segstack.__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from segstack.datapipe import TileGeometry, synth_dataset
+            from segstack.inference import predict_probs
+            from segstack.segnet import build_segnet, forward_parts, init_he
+            from segstack.tensor import Tensor, no_grad
+
+            net = build_segnet(k=5, scale="mini")
+            init_he(net, seed=1)
+            irrg = synth_dataset(seed=2, n_tiles=1, size=64)[0][0].data
+            with no_grad():
+                forward_parts(net, Tensor(irrg[None]), mode="train")
+            sys.stdout.write("before predict\\n")
+            probs = predict_probs(net, irrg, TileGeometry(32, 32), threads=2)
+            print("after predict", probs.shape)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("before predict\n"
+                               "after predict (5, 64, 64)\n")
+        assert done.stderr == ""
 
 
 class TestBenchmarkTracing:

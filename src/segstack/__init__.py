@@ -43,7 +43,7 @@ from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward,
                      save_checkpoint)
 from .tenio import load_bundle, read_ten, save_bundle, write_ten
 from .tensor import (Tensor, add, add_n, backward, concat_channels, mean_n,
-                     no_grad, relu, scale, sum_all)
+                     no_grad, relu, scale)
 from .training import (SGD, TrainConfig, fusion_pixel_accuracy,
                        load_corrector, load_fusion_run, load_run,
                        measure_fusion_stats, pixel_accuracy, save_corrector,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "no_grad", "backward",
-    "add", "add_n", "scale", "mean_n", "relu", "concat_channels", "sum_all",
+    "add", "add_n", "scale", "mean_n", "relu", "concat_channels",
     "conv2d", "maxpool2", "unpool2", "batchnorm", "softmax_channels",
     "cross_entropy_loss",
     "ConvParams", "PoolMask", "BNState", "IGNORE_LABEL",

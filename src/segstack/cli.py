@@ -123,6 +123,10 @@ def _load_dataset(data_dir, *streams):
         raise FormatError(f"{index}: not UTF-8: {exc}") from None
     samples = []
     for stem in stems:
+        if (stem in ("", ".", "..") or os.path.basename(stem) != stem
+                or "\0" in stem):
+            raise FormatError(f"{index}: sample {stem!r} is not a file name "
+                              "in the data directory")
         base = os.path.join(data_dir, stem)
         samples.append(tuple(tenio.read_ten(f"{base}.{s}.ten")
                              for s in streams)

@@ -19,9 +19,9 @@ Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
 of a window is its row-major offset (k // 2, k % 2), and the argmax is the
 uint8 slot of the first maximum.
 
-Weights are (oc, c, kh, kw) throughout.  ``conv2d_*``, ``maxpool2_*`` and
-``unpool2_*`` take and return (n, c, h, w) arrays, the layout of the naive
-oracles; each transposes around the channels-last kernel.
+Weights are (oc, c, kh, kw) throughout.  The (n, c, h, w) section at the
+end (``nhwc``, ``nchw``, ``conv2d_*``, ``maxpool2_*``, ``unpool2_*``) has no
+caller in the package; ``nnops`` calls only the channels-last kernels.
 
 Everything here is pure ndarray-in/ndarray-out; autodiff wiring lives
 in ``nnops``.
@@ -242,6 +242,8 @@ def gather2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # (n, c, h, w) adapters
+# perfbench/tracing.py wraps these names; they go once perfbench reads its
+# per-layer times from an in-tape profiler instead (see ROADMAP.md).
 
 
 def nhwc(x: np.ndarray) -> np.ndarray:

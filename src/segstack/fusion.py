@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError
-from .nnops import ConvParams, conv2d, he_fill
+from .nnops import ConvParams, conv_unit, he_fill
 from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
 
 
@@ -74,6 +74,9 @@ def make_corrector(in_channels: int, k: int, hidden: int = 64,
                    dtype=np.float32) -> CorrectorSpec:
     """All-zero parameters; init_corrector fills the hidden layers and
     leaves the final layer at zero (the residual identity)."""
+    if hidden < 1:
+        raise SpecError(f"corrector needs at least 1 hidden channel, got "
+                        f"{hidden}")
     return CorrectorSpec([
         ConvParams.zeros(in_channels, hidden, 3, dtype=dtype),
         ConvParams.zeros(hidden, hidden, 3, dtype=dtype),
@@ -94,9 +97,8 @@ def forward_corrector(corr: CorrectorSpec, z: Tensor) -> Tensor:
     """The corrector on (n,c,h,w) ``z``, run channels-last."""
     h = permute(z, (0, 2, 3, 1))
     for conv in corr.convs[:-1]:
-        h = relu(conv2d(h, conv, channels_last=True))
-    return permute(conv2d(h, corr.convs[-1], channels_last=True),
-                   (0, 3, 1, 2))
+        h = relu(conv_unit(h, conv, None, "train"))
+    return permute(conv_unit(h, corr.convs[-1], None, "train"), (0, 3, 1, 2))
 
 
 def _check_streams(streams):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, SpecError
 from .nnops import IGNORE_LABEL
 
 
@@ -56,6 +56,8 @@ class ConfusionMatrix:
     counts: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if self.k < 1:
+            raise SpecError(f"need at least 1 class, got {self.k}")
         if self.counts is None:
             self.counts = np.zeros((self.k, self.k), dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)

@@ -7,8 +7,9 @@ single-conv head is just the S = 1 case.
 
 By linearity the average of same-padded branches is one same-padded conv
 whose kernel is the mean of the branch kernels, each zero-padded to the
-largest size, and whose bias is the mean bias.  ``forward_multikernel``
-runs that folded conv; each branch kernel's gradient is the centre crop
+largest size, and whose bias is the mean bias.  ``fold_head`` builds
+that conv, which the network runs channels-last and ``forward_multikernel``
+runs on (n,c,h,w) input; each branch kernel's gradient is the centre crop
 of the folded kernel's gradient times 1/S.  ``branch_outputs`` is the
 per-branch reference path.
 """
@@ -104,11 +105,10 @@ def fold_head(head: MultiKernelHead) -> ConvParams:
     return ConvParams(weight, bias, (same_padding(size),) * 2)
 
 
-def forward_multikernel(head: MultiKernelHead, x: Tensor,
-                        channels_last: bool = False) -> Tensor:
-    """(1/S) sum of branch convolutions, run as the folded conv, of
-    (n,c,h,w) ``x`` or with ``channels_last`` (n,h,w,c) ``x``."""
-    return conv2d(x, fold_head(head), channels_last=channels_last)
+def forward_multikernel(head: MultiKernelHead, x: Tensor) -> Tensor:
+    """(1/S) sum of branch convolutions of (n,c,h,w) ``x``, run as the
+    folded conv."""
+    return conv2d(x, fold_head(head))
 
 
 def multikernel_loss(branch_logits, labels) -> Tensor:

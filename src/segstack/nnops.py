@@ -5,10 +5,11 @@ These wrap the raw kernels from ``convkernels`` with tape recording and
 carry the parameter containers (``ConvParams``, ``BNState``) and the
 pooling argmax record (``PoolMask``).
 
-The network runs on channels-last (n, h, w, c) activations:
-``conv_bn_relu`` is one unit as one tape node, and ``conv2d``,
-``maxpool2`` and ``unpool2`` take either layout. ``batchnorm`` and the
-loss work on (n, c, h, w).
+The network runs on channels-last (n, h, w, c) activations through
+``conv_unit`` (a conv, or a conv -> batch norm -> ReLU unit, as one tape
+node), ``pool`` and ``unpool``. The public (n, c, h, w) ops ``conv2d``,
+``maxpool2``, ``unpool2`` and ``batchnorm`` run the same channels-last
+code between two ``permute``s. Softmax and the loss work on (n, c, h, w).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ BN_EPS = 1e-5
 
 def same_padding(ksize: int) -> int:
     """Per-side zero padding that preserves spatial extent (odd kernels)."""
-    if ksize % 2 == 0:
-        raise SpecError(f"'same' padding requires an odd kernel size, got {ksize}")
+    if ksize < 1 or ksize % 2 == 0:
+        raise SpecError(f"'same' padding requires a positive odd kernel size, "
+                        f"got {ksize}")
     return (ksize - 1) // 2
 
 
@@ -104,14 +106,13 @@ def he_fill(params: ConvParams, rng: np.random.Generator) -> None:
 class PoolMask:
     """Per-window argmax record of a 2x2 pooling pass.
 
-    ``indices`` has the pooled map's shape and layout, (n,c,i,j) or with
-    ``channels_last`` (n,i,j,c); each entry is the flat row-major offset
-    (0..3) of the max within the window that produced pooled cell (i, j).
+    ``indices`` is channels-last (n,i,j,c), the pooled map's shape; each
+    entry is the flat row-major offset (0..3) of the max within the window
+    that produced pooled cell (i, j).
     """
 
     shape: tuple[int, int, int, int]
     indices: np.ndarray
-    channels_last: bool = False
 
     def __post_init__(self):
         if tuple(self.indices.shape) != tuple(self.shape):
@@ -154,28 +155,24 @@ class BNState:
 # Operators
 
 
-def conv2d(x: Tensor, params: ConvParams,
-           channels_last: bool = False) -> Tensor:
-    """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
-    ``x``, or of (n,h,w,c) ``x`` with ``channels_last``."""
-    if channels_last:
-        return _conv_unit(x, params, None, "train")
+def _to_nhwc(x: Tensor, op: str) -> Tensor:
     if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-D, got {x.ndim}-D")
-    return permute(_conv_unit(permute(x, (0, 2, 3, 1)), params, None,
-                              "train"), (0, 3, 1, 2))
+        raise ShapeError(f"{op}: input must be 4-D, got shape {x.shape}")
+    return permute(x, (0, 2, 3, 1))
 
 
-def conv_bn_relu(h: Tensor, unit, mode: str = "train") -> Tensor:
-    """relu(batchnorm(conv2d(h))) of channels-last (n,h,w,c) ``h`` as one
-    tape node; ``unit`` carries the ``params`` (ConvParams) and ``bn``
-    (BNState) of the conv and its batch norm, and ``mode`` is the batch
-    norm's."""
-    return _conv_unit(h, unit.params, unit.bn, mode)
+def _to_nchw(h: Tensor) -> Tensor:
+    return permute(h, (0, 3, 1, 2))
 
 
-def _conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
-               mode: str) -> Tensor:
+def conv2d(x: Tensor, params: ConvParams) -> Tensor:
+    """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
+    ``x``: ``conv_unit`` without batch norm between two permutes."""
+    return _to_nchw(conv_unit(_to_nhwc(x, "conv2d"), params, None, "train"))
+
+
+def conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
+              mode: str) -> Tensor:
     """Channels-last conv plus bias, or with ``bn`` conv -> batch norm ->
     ReLU, on the route ``ck.select_route`` picks.
 
@@ -223,36 +220,38 @@ def _conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
         grads = (gx, gw) + (() if b is None else (gb,))
         return grads if bn is None else grads + (dgamma, dbeta)
 
-    return _record(out, parents, fn,
-                   "conv2d" if bn is None else "conv_bn_relu")
+    return _record(out, parents, fn, "conv2d" if bn is None else "conv_unit")
 
 
-def maxpool2(x: Tensor, channels_last: bool = False
-             ) -> tuple[Tensor, PoolMask]:
-    """2x2 max pooling with stride 2 of (n,c,h,w) ``x``, or of (n,h,w,c)
-    ``x`` with ``channels_last``; ties go to the first window slot."""
-    if channels_last:
-        out_data, idx = ck.maxpool2(x.data)
-        bwd = ck.scatter2
-    else:
-        out_data, idx = ck.maxpool2_forward(x.data)
-        bwd = ck.maxpool2_backward
-    mask = PoolMask(out_data.shape, idx, channels_last)
-    out = Tensor(out_data)
-    fn = lambda g: (bwd(g, idx),)
-    return _record(out, (x,), fn, "maxpool2"), mask
+def pool(h: Tensor) -> tuple[Tensor, PoolMask]:
+    """2x2 max pooling with stride 2 of channels-last ``h``; ties go to the
+    first window slot."""
+    out_data, idx = ck.maxpool2(h.data)
+    fn = lambda g: (ck.scatter2(g, idx),)
+    return (_record(Tensor(out_data), (h,), fn, "maxpool2"),
+            PoolMask(out_data.shape, idx))
+
+
+def unpool(h: Tensor, mask: PoolMask) -> Tensor:
+    """Scatter channels-last pooled activations back to the mask's argmax
+    positions."""
+    if h.shape != tuple(mask.shape):
+        raise ShapeError(f"unpool: input shape {h.shape} does not match "
+                         f"mask shape {mask.shape}")
+    out = Tensor(ck.scatter2(h.data, mask.indices))
+    fn = lambda g: (ck.gather2(g, mask.indices),)
+    return _record(out, (h,), fn, "unpool2")
+
+
+def maxpool2(x: Tensor) -> tuple[Tensor, PoolMask]:
+    """``pool`` of (n,c,h,w) ``x``; the mask stays channels-last."""
+    out, mask = pool(_to_nhwc(x, "maxpool2"))
+    return _to_nchw(out), mask
 
 
 def unpool2(x: Tensor, mask: PoolMask) -> Tensor:
-    """Scatter pooled activations back to the mask's argmax positions; ``x``
-    has the mask's layout."""
-    if mask.channels_last:
-        fwd, bwd = ck.scatter2, ck.gather2
-    else:
-        fwd, bwd = ck.unpool2_forward, ck.unpool2_backward
-    out = Tensor(fwd(x.data, mask.indices))
-    fn = lambda g: (bwd(g, mask.indices),)
-    return _record(out, (x,), fn, "unpool2")
+    """``unpool`` of (n,c,h,w) ``x``."""
+    return _to_nchw(unpool(_to_nhwc(x, "unpool2"), mask))
 
 
 def _check_bn(state: BNState, channels: int, mode: str) -> None:
@@ -334,28 +333,26 @@ def _bn_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
 
 def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
     """Channel-wise batch normalization with affine parameters of
-    (n,c,h,w) ``x``.
+    (n,c,h,w) ``x``, run on its channels-last rows.
 
     Train mode normalizes by batch statistics and folds them into the
     running averages; eval mode normalizes by the running statistics and
     requires them to be initialized (a train step or a checkpoint load).
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm: input must be 4-D, got shape {x.shape}")
-    _check_bn(state, x.shape[1], mode)
+    h = _to_nhwc(x, "batchnorm")
+    c = h.shape[3]
+    _check_bn(state, c, mode)
     gamma, beta = state.gamma, state.beta
-    n, c, hh, ww = x.shape
-    xhat = np.copy(ck.nhwc(x.data), order="C").reshape(-1, c)
+    xhat = h.data.reshape(-1, c).copy()
     inv = _normalize(xhat, state, mode)
-    out = Tensor(ck.nchw((xhat * gamma.data + beta.data)
-                          .reshape(n, hh, ww, c)))
+    out = Tensor((xhat * gamma.data + beta.data).reshape(h.shape))
 
     def fn(g):
-        rows = np.copy(ck.nhwc(g), order="C").reshape(-1, c)
-        dx, dgamma, dbeta = _bn_backward(rows, xhat, gamma.data, inv, mode)
-        return ck.nchw(dx.reshape(n, hh, ww, c)), dgamma, dbeta
+        dx, dgamma, dbeta = _bn_backward(g.reshape(-1, c).copy(), xhat,
+                                         gamma.data, inv, mode)
+        return dx.reshape(h.shape), dgamma, dbeta
 
-    return _record(out, (x, gamma, beta), fn, "batchnorm")
+    return _to_nchw(_record(out, (h, gamma, beta), fn, "batchnorm"))
 
 
 def softmax_channels(x: Tensor) -> Tensor:

@@ -20,10 +20,10 @@ from . import tenio
 from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 # branch_outputs and batchnorm are unused here; perfbench/tracing.py wraps
 # them at these names
-from .multikernel import (MultiKernelHead, branch_outputs, forward_multikernel,  # noqa: F401
+from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F401
                           make_head)
-from .nnops import (BNState, ConvParams, batchnorm, conv_bn_relu,  # noqa: F401
-                    he_fill, maxpool2, unpool2)
+from .nnops import (BNState, ConvParams, batchnorm, conv_unit,  # noqa: F401
+                    he_fill, pool, unpool)
 from .tensor import Tensor, permute
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
@@ -132,14 +132,14 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     h = permute(x, (0, 2, 3, 1))
     for block in spec.enc_blocks:
         for u in block:
-            h = conv_bn_relu(h, u, mode)
-        h, m = maxpool2(h, channels_last=True)
+            h = conv_unit(h, u.params, u.bn, mode)
+        h, m = pool(h)
         masks.append(m)
     for block in spec.dec_blocks:
-        h = unpool2(h, masks.pop())
+        h = unpool(h, masks.pop())
         for u in block:
-            h = conv_bn_relu(h, u, mode)
-    logits = forward_multikernel(spec.head, h, channels_last=True)
+            h = conv_unit(h, u.params, u.bn, mode)
+    logits = conv_unit(h, fold_head(spec.head), None, mode)
     return permute(logits, (0, 3, 1, 2)), permute(h, (0, 3, 1, 2))
 
 
@@ -225,15 +225,20 @@ def restore_entries(bundle, entries, missing_label: str) -> None:
         cur[...] = arr
 
 
-def load_checkpoint(spec: NetworkSpec, dirpath) -> None:
-    """Full restore; a bad bundle leaves the network untouched."""
+def restore_bundle(dirpath, entries, label: str) -> None:
+    """``restore_entries`` from a bundle that must hold exactly the rows
+    ``entries`` names, no more and no fewer."""
     bundle = tenio.load_bundle(dirpath)
-    entries = state_entries(spec)
     known = {e[0] for e in entries}
     extra = [n for n in bundle if n not in known]
     if extra:
-        raise CheckpointError(f"checkpoint has unknown entries: {extra[:5]}")
-    restore_entries(bundle, entries, "checkpoint is missing entries")
+        raise CheckpointError(f"{label} has unknown entries: {extra[:5]}")
+    restore_entries(bundle, entries, f"{label} is missing entries")
+
+
+def load_checkpoint(spec: NetworkSpec, dirpath) -> None:
+    """Full restore; a bad bundle leaves the network untouched."""
+    restore_bundle(dirpath, state_entries(spec), "checkpoint")
 
 
 def load_encoder_checkpoint(spec: NetworkSpec, dirpath) -> None:

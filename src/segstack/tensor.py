@@ -231,10 +231,3 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 
     return _record(out, tensors, fn, "concat")
 
-
-def sum_all(a: Tensor) -> Tensor:
-    """Reduce to a scalar; accumulation runs in float64."""
-    total = a.data.sum(dtype=np.float64)
-    out = Tensor(np.asarray(total, dtype=a.dtype))
-    return _record(out, (a,),
-                   lambda g: (np.full_like(a.data, g.reshape(-1)[0]),), "sum")

@@ -32,7 +32,7 @@ from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
 from .inference import stream_outputs, window_map
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
 from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward_parts,
-                     load_checkpoint, param_groups, restore_entries,
+                     load_checkpoint, param_groups, restore_bundle,
                      save_checkpoint, state_entries)
 from .tensor import Tensor, backward, no_grad
 
@@ -262,8 +262,7 @@ def save_corrector(corr: CorrectorSpec, dirpath) -> None:
 
 
 def load_corrector(corr: CorrectorSpec, dirpath) -> None:
-    restore_entries(tenio.load_bundle(dirpath), corrector_entries(corr),
-                    "corrector checkpoint is missing entries")
+    restore_bundle(dirpath, corrector_entries(corr), "corrector checkpoint")
 
 
 def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from segstack.tensor import no_grad
+from segstack.tensor import Tensor, _record, no_grad
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -119,6 +119,14 @@ def cross_entropy_direct(z: np.ndarray, labels: np.ndarray,
                 total += -np.log(p[i, lab, y, x])
                 count += 1
     return total / count
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Reduce to a scalar tape node; accumulation runs in float64."""
+    total = a.data.sum(dtype=np.float64)
+    out = Tensor(np.asarray(total, dtype=a.dtype))
+    return _record(out, (a,),
+                   lambda g: (np.full_like(a.data, g.reshape(-1)[0]),), "sum")
 
 
 def numeric_gradient(build_loss, tensor, coords, eps: float = 1e-5) -> np.ndarray:

@@ -26,12 +26,12 @@ from segstack.nnops import (batchnorm, BNState, conv2d, ConvParams,
 from segstack.segnet import (build_segnet, forward_parts, init_he,
                              named_parameters, param_groups)
 from segstack.tensor import (Tensor, add, add_n, backward, concat_channels,
-                             mean_n, relu, scale, sum_all, _record)
+                             mean_n, relu, scale, _record)
 from segstack.training import (SGD, TrainConfig, fusion_pixel_accuracy,
                                measure_fusion_stats, pixel_accuracy,
                                train_fusion, train_segnet)
 from oracles import (check_gradients, erode_direct, f1_direct, naive_conv2d,
-                     scan_maxpool2, scatter_unpool2, stitch_direct)
+                     scan_maxpool2, scatter_unpool2, stitch_direct, sum_all)
 
 GRAD_TOL = 1e-4
 GRAD_COORDS = 100

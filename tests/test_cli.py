@@ -120,6 +120,14 @@ class TestTrain:
                      str(tmp_path / "mk"), "--scales", "3,x"]) == 1
         assert "segstack: error: --scales" in capsys.readouterr().err
 
+    def test_negative_scale_is_data_error(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+                     str(tmp_path / "mk"), "--scales", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segstack: error:") and "Traceback" not in err
+        assert not (tmp_path / "mk").exists()
+
     def test_divergence_exit_code(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(workspace / "data"), "--out",
@@ -382,6 +390,19 @@ class TestFusionCommands:
                      str(workspace / "data" / "tile-003"), "--out",
                      str(out), "--patch", "32", "--stride", "32"]) == 0
         assert read_ten(out / "probs.ten").shape == (5, 32, 32)
+
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_hidden_below_one_is_data_error(self, workspace, tmp_path,
+                                            capsys, hidden):
+        capsys.readouterr()
+        assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
+                     "--run-b", str(workspace / "run-b"), "--data",
+                     str(workspace / "data"), "--out", str(tmp_path / "f"),
+                     "--epochs", "1", "--hidden", hidden]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segstack: error:") and "Traceback" not in err
+        assert "hidden" in err
+        assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--classes", "3"), ("--net", "full"), ("--stream", "comp")])
@@ -647,6 +668,23 @@ class TestHostileFiles:
         assert self.run_main(capsys, [
             "train", "--data", str(data), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_dataset_index_outside_data_dir(self, workspace, tmp_path,
+                                            capsys, where):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        for f in (workspace / "data").glob("tile-000.*"):
+            shutil.copy(f, outside)
+        stem = ("../outside/tile-000" if where == "relative"
+                else str(outside / "tile-000"))
+        (data / "dataset.txt").write_text(f"tile-000\n{stem}\n")
+        assert self.run_main(capsys, [
+            "train", "--data", str(data), "--out", str(tmp_path / "x"),
+            "--epochs", "1", "--patch", "32"]) == 2
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.encode() + b"\xff\n",
         lambda text: text.replace("\t16x3x3x3\t", "\t16xAx3x3\t",
@@ -677,6 +715,14 @@ class TestEvaluate:
         assert main(["evaluate", "--pred", gt, "--gt", gt,
                      "--radius", "0"]) == 0
         assert "accuracy=1.000000" in capsys.readouterr().out
+
+    def test_negative_classes_is_data_error(self, workspace, capsys):
+        gt = str(workspace / "data" / "tile-000.labels.pgm")
+        capsys.readouterr()
+        assert main(["evaluate", "--pred", gt, "--gt", gt,
+                     "--classes", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segstack: error:") and "Traceback" not in err
 
     def test_mismatched_shapes_is_data_error(self, workspace, tmp_path):
         from segstack.datapipe import write_pgm

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from segstack import (ShapeError, SpecError, Tensor, backward,
-                      cross_entropy_loss, softmax_channels, sum_all)
+                      cross_entropy_loss, softmax_channels)
 from segstack.fusion import (CorrectorSpec, StreamOutput, forward_corrector,
                              fuse_average, fuse_residual,
                              fusion_stats, init_corrector, make_corrector)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segstack import cli, tenio, training
-from segstack.datapipe import read_pgm, read_ppm
+from segstack.datapipe import read_pgm, read_ppm, write_pgm
 from segstack.errors import SegstackError
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -134,3 +134,46 @@ def test_read_manifest(scratch, data):
         lambda _: training._read_manifest(
             run, ("k", "scale", "in_channels", "head_scales", "checkpoint")),
         run / training.MANIFEST_NAME, data)
+
+
+@pytest.fixture(scope="module")
+def data_dir(scratch):
+    """A data directory with one sample, ``tile``, of zero bands, and a
+    sibling directory ``outside`` holding a sample of bands 7."""
+    for name, value in (("data", 0), ("outside", 7)):
+        (scratch / name).mkdir()
+        tenio.write_ten(scratch / name / "tile.irrg.ten",
+                        np.full((3, 4, 4), value, np.float32))
+        write_pgm(scratch / name / "tile.labels.pgm", np.zeros((4, 4), np.uint8))
+    return scratch / "data"
+
+
+def _stem_list(data_dir):
+    outside = str(data_dir.parent / "outside" / "tile")
+    stem = st.one_of(st.sampled_from(["tile", "", ".", "..", "../outside/tile",
+                                      outside, "./tile", "tile/", "missing",
+                                      "ti\0le"]),
+                     st.text(max_size=8))
+    return st.lists(stem, max_size=4).map(
+        lambda stems: "\n".join(stems).encode("utf-8", "surrogatepass"))
+
+
+def _load_inside(data_dir):
+    """``cli._load_dataset``, which must read nothing from outside
+    ``data_dir``; a listed sample that does not exist is an OSError, which
+    ``cli.main`` also turns into exit 2."""
+    def read(_):
+        try:
+            samples = cli._load_dataset(data_dir, "irrg")
+        except FileNotFoundError:
+            return
+        assert not any(bands.any() for bands, _ in samples)
+    return read
+
+
+@FUZZ
+@given(st.data())
+def test_read_dataset_index(data_dir, data):
+    index = data.draw(st.one_of(st.binary(max_size=64), _stem_list(data_dir)))
+    loads_or_refuses(_load_inside(data_dir), data_dir / cli.DATASET_INDEX,
+                     index)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import sum_all
 from segstack import (BNState, ConvParams, Tensor, add, add_n, backward,
                       concat_channels, conv2d, cross_entropy_loss, maxpool2,
-                      mean_n, relu, scale, softmax_channels, sum_all, unpool2)
+                      mean_n, relu, scale, softmax_channels, unpool2)
 from segstack import convkernels as ck
-from segstack.nnops import PoolMask, batchnorm, conv_bn_relu
-from segstack.segnet import ConvUnit
+from segstack.nnops import PoolMask, batchnorm, conv_unit
 
 TOL = 1e-4
 
@@ -138,7 +138,7 @@ class TestPoolGrad:
         rng = np.random.default_rng(12)
         x = t64(rng.standard_normal((1, 2, 3, 3)))
         idx = rng.integers(0, 4, size=(1, 2, 3, 3)).astype(np.uint8)
-        mask = PoolMask((1, 2, 3, 3), idx)
+        mask = PoolMask((1, 3, 3, 2), idx.transpose(0, 2, 3, 1))
         w = project(rng, (1, 2, 6, 6))
         err = oracles.check_gradients(
             lambda: sum_all(_mul_const(unpool2(x, mask), w)), [x], rng)
@@ -200,14 +200,13 @@ class TestConvBnReluGrad:
             state.running_mean = rng.standard_normal(4)
             state.running_var = rng.random(4) + 0.5
             state.initialized = True
-        unit = ConvUnit("u", params, state, "encoder")
         w = project(rng, (2, 6, 5, 4))
         leaves = [x, params.weight, state.gamma, state.beta]
         if bias:
             leaves.append(params.bias)
 
         def loss():
-            return sum_all(_mul_const(conv_bn_relu(x, unit, mode), w))
+            return sum_all(_mul_const(conv_unit(x, params, state, mode), w))
 
         err = oracles.check_gradients(loss, leaves, rng)
         assert err < TOL

@@ -93,7 +93,7 @@ def test_branch_gradient_scales_as_one_over_s(rng):
         _record(out, (t,), lambda g: (g * w,), "mulc")
         return out
 
-    from segstack import sum_all
+    from oracles import sum_all
     backward(sum_all(weighted(forward_multikernel(head, Tensor(x_data)), w)))
     grads_ens = [b.weight.grad.copy() for b in head.branches]
 

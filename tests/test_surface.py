@@ -9,7 +9,7 @@ import pathlib
 import segstack
 from segstack.cli import build_parser
 
-SETTABLE_VALUES_CAP = 137
+SETTABLE_VALUES_CAP = 132
 
 SRC = pathlib.Path(segstack.__file__).parent
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import sum_all
 from segstack import (IGNORE_LABEL, ConvParams, ShapeError, StaleTapeError,
                       Tensor, backward, conv2d, cross_entropy_loss, maxpool2,
-                      relu, softmax_channels, sum_all, unpool2)
+                      relu, softmax_channels, unpool2)
 from segstack import convkernels as ck
-from segstack.convkernels import conv2d_backward, conv2d_forward
-from segstack.nnops import BNState, batchnorm, conv_bn_relu
+from segstack.nnops import (BNState, PoolMask, batchnorm, conv_unit, pool,
+                           unpool)
 from segstack.segnet import ConvUnit
 from segstack.tensor import no_grad
 
@@ -20,6 +21,11 @@ from segstack.tensor import no_grad
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def nhwc(a):
+    """Channels-last copy of an (n,c,h,w) array."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
 
 
 def make_conv(w, b=None, pad=(0, 0), stride=1):
@@ -63,8 +69,8 @@ class TestConv2d:
             pad = int(rng.integers(0, 3))
             x = rng.standard_normal((n, c, h, w))
             wt = rng.standard_normal((oc, c, k, k))
-            got = conv2d_forward(x, wt, None, (pad, pad), stride, route=route)
-            expect = oracles.naive_conv2d(x, wt, None, (pad, pad), stride)
+            got = ck.conv_forward(nhwc(x), wt, (pad, pad), stride, route)
+            expect = nhwc(oracles.naive_conv2d(x, wt, None, (pad, pad), stride))
             np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-9)
 
     def test_output_shape_formula(self, rng):
@@ -104,7 +110,7 @@ class TestMaxPoolUnpool:
         out, mask = maxpool2(Tensor(x))
         expect_v, expect_i = oracles.scan_maxpool2(x)
         np.testing.assert_array_equal(out.data, expect_v)
-        np.testing.assert_array_equal(mask.indices, expect_i)
+        np.testing.assert_array_equal(mask.indices, nhwc(expect_i))
 
     def test_odd_extent_rejected(self, rng):
         with pytest.raises(ShapeError, match="odd"):
@@ -133,15 +139,14 @@ class TestMaxPoolUnpool:
     def test_channels_last_matches_scan_with_ties(self, rng):
         # few distinct values, so most windows hold a tied maximum
         x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(np.float32)
-        out, mask = maxpool2(Tensor(x.transpose(0, 2, 3, 1).copy()),
-                             channels_last=True)
+        out, mask = pool(Tensor(nhwc(x)))
         expect_v, expect_i = oracles.scan_maxpool2(x)
         np.testing.assert_array_equal(out.data.transpose(0, 3, 1, 2),
                                       expect_v)
         assert mask.indices.dtype == np.uint8
         np.testing.assert_array_equal(mask.indices.transpose(0, 3, 1, 2),
                                       expect_i)
-        restored = unpool2(out, mask)
+        restored = unpool(out, mask)
         np.testing.assert_array_equal(
             restored.data.transpose(0, 3, 1, 2),
             oracles.scatter_unpool2(expect_v, expect_i))
@@ -149,17 +154,15 @@ class TestMaxPoolUnpool:
     def test_unpool_mass_conservation(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         idx = rng.integers(0, 4, size=(2, 3, 4, 4)).astype(np.uint8)
-        from segstack.nnops import PoolMask
-        out = unpool2(Tensor(x), PoolMask(x.shape, idx))
+        out = unpool2(Tensor(x), PoolMask((2, 4, 4, 3), nhwc(idx)))
         expect = oracles.scatter_unpool2(x, idx)
         np.testing.assert_array_equal(out.data, expect)
         assert out.data.sum() == pytest.approx(x.sum(), rel=1e-12)
 
     def test_unpool_shape_mismatch(self, rng):
-        from segstack.nnops import PoolMask
-        idx = np.zeros((1, 1, 2, 2), dtype=np.uint8)
+        idx = np.zeros((1, 2, 2, 1), dtype=np.uint8)
         with pytest.raises(ShapeError, match="mask"):
-            unpool2(Tensor(np.zeros((1, 1, 3, 2))), PoolMask((1, 1, 2, 2), idx))
+            unpool2(Tensor(np.zeros((1, 1, 3, 2))), PoolMask((1, 2, 2, 1), idx))
 
 
 def _unit(rng, oc=6, c=4, bias=True, dtype=np.float32):
@@ -185,8 +188,8 @@ class TestConvBnRelu:
         unit.bn.initialized[...] = 1
         x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) * 3
         with no_grad():
-            got = conv_bn_relu(Tensor(x.transpose(0, 2, 3, 1).copy()), unit,
-                               "eval").data
+            got = conv_unit(Tensor(nhwc(x)), unit.params, unit.bn,
+                            "eval").data
             want = relu(batchnorm(conv2d(Tensor(x), unit.params), unit.bn,
                                   "eval")).data
         assert got.dtype == np.float32
@@ -195,8 +198,8 @@ class TestConvBnRelu:
     def test_train_matches_composition_and_running_stats(self, rng):
         units = [_unit(np.random.default_rng(3)) for _ in range(2)]
         x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) + 1
-        got = conv_bn_relu(Tensor(x.transpose(0, 2, 3, 1).copy()), units[0],
-                           "train").data
+        got = conv_unit(Tensor(nhwc(x)), units[0].params, units[0].bn,
+                        "train").data
         want = relu(batchnorm(conv2d(Tensor(x), units[1].params),
                               units[1].bn, "train")).data
         assert _rel_err(got.transpose(0, 3, 1, 2), want) < 1e-6
@@ -207,9 +210,10 @@ class TestConvBnRelu:
 
     def test_uninitialized_eval_rejected(self, rng):
         from segstack import TrainingError
+        unit = _unit(rng)
         with pytest.raises(TrainingError, match="uninitialized"):
-            conv_bn_relu(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
-                         _unit(rng), "eval")
+            conv_unit(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
+                      unit.params, unit.bn, "eval")
 
 
 class TestSoftmax:
@@ -374,10 +378,11 @@ class TestConvBackward:
         _force_route(monkeypatch, route)
         x = rng.standard_normal((2, 3, 9, 8))
         w = rng.standard_normal((4, 3) + ksize)
-        g = rng.standard_normal(
-            conv2d_forward(x, w, None, pad, stride, route=route).shape)
-        got = conv2d_backward(x, w, g, pad, stride, route)
-        want = oracles.naive_conv2d_backward(x, w, g, pad, stride)
+        oh, ow = ck.check_conv_shapes(nhwc(x), w, pad, stride)
+        g = rng.standard_normal((2, 4, oh, ow))
+        got = ck.conv_backward(nhwc(x), w, nhwc(g), pad, stride, route)
+        gx, gw, gb = oracles.naive_conv2d_backward(x, w, g, pad, stride)
+        want = nhwc(gx), gw, gb
         for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9,
@@ -386,8 +391,8 @@ class TestConvBackward:
     def test_input_grad_skipped_on_request(self, rng):
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        gx, gw, _ = conv2d_backward(x, w, np.ones((1, 3, 3, 3)), (0, 0), 1,
-                                    "direct", need_input_grad=False)
+        gx, gw, _ = ck.conv_backward(nhwc(x), w, np.ones((1, 3, 3, 3)), (0, 0),
+                                     1, "direct", need_input_grad=False)
         assert gx is None and gw.shape == w.shape
 
     @pytest.mark.parametrize("xshape,wshape", [
@@ -396,16 +401,16 @@ class TestConvBackward:
     ], ids=["3x3-512ch-4px", "7x7-16to5-64px"])
     def test_routes_agree_on_router_shapes(self, rng, monkeypatch, xshape,
                                            wshape):
-        x = rng.standard_normal(xshape)
+        x = nhwc(rng.standard_normal(xshape))
         w = rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))
         pad = ((wshape[2] - 1) // 2,) * 2
-        g = rng.standard_normal(xshape[:1] + wshape[:1] + xshape[2:])
+        g = nhwc(rng.standard_normal(xshape[:1] + wshape[:1] + xshape[2:]))
         results = []
         for route in ("direct", "im2col"):
             _force_route(monkeypatch, route)
             results.append(
-                (conv2d_forward(x, w, None, pad, 1, route=route),)
-                + conv2d_backward(x, w, g, pad, 1, route))
+                (ck.conv_forward(x, w, pad, 1, route),)
+                + ck.conv_backward(x, w, g, pad, 1, route))
         for name, a, b in zip(("out", "grad_x", "grad_w", "grad_b"),
                               *results):
             assert _rel_err(a, b) < CONV_TOL, name

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from segstack import training
+from segstack import tenio, training
 from segstack.datapipe import synth_dataset
 from segstack.errors import (CheckpointError, ConfigError, DivergenceError,
                              FormatError, TrainingError)
@@ -470,6 +470,17 @@ class TestTrainFusion:
         (tmp_path / "corr" / "index.txt").write_text("\n".join(kept) + "\n")
         with pytest.raises(CheckpointError, match="corr.c1.bias"):
             load_corrector(make_corrector(32, 5), tmp_path / "corr")
+
+    def test_corrector_load_unknown_entry(self, tmp_path):
+        a, b, corr = self.make_streams()
+        rows = training.corrector_entries(corr)
+        rows.append(("enc.b1.c0.weight", np.zeros(2, np.float32), "x"))
+        tenio.save_bundle(tmp_path / "corr", rows)
+        fresh = make_corrector(32, 5)
+        with pytest.raises(CheckpointError, match="unknown.*enc.b1.c0.weight"):
+            load_corrector(fresh, tmp_path / "corr")
+        for name, t in fresh.tensors():
+            assert not t.data.any(), name
 
     def test_fusion_accuracy_and_stats_run(self, tmp_path):
         a, b, corr = self.make_streams()

@@ -318,14 +318,17 @@ def cmd_fusion_stats(args):
 
 
 def build_parser():
-    parser = _Parser(prog="segstack",
+    # allow_abbrev=False: a flag prefix such as --lr must not stand for
+    # --lr-ratio
+    parser = _Parser(prog="segstack", allow_abbrev=False,
                      description="encoder-decoder segmentation toolkit")
     subs = parser.add_subparsers(dest="command", metavar="command")
     subs.required = True
     registry = {}
 
     def sub(name, fn, help_text):
-        p = subs.add_parser(name, help=help_text, add_help=True)
+        p = subs.add_parser(name, help=help_text, add_help=True,
+                            allow_abbrev=False)
         p.add_argument("--config", help="flat key=value file; flags win")
         p.set_defaults(func=fn)
         registry[name] = p

@@ -248,6 +248,8 @@ def synth_dataset(seed: int, n_tiles: int, size: int, k: int = 5):
         raise DataError(f"the synthetic generator draws exactly 5 classes, got k={k}")
     if size < 32:
         raise DataError(f"tile size must be >= 32, got {size}")
+    if n_tiles < 1:
+        raise DataError(f"tile count must be positive, got {n_tiles}")
     rng = np.random.default_rng(seed)
     return [_synth_tile(rng, size) for _ in range(n_tiles)]
 

@@ -3,8 +3,10 @@
 A ``Tensor`` wraps a numpy float array.  Every operation that consumes
 tensors with ``requires_grad`` set (while gradients are enabled) records
 a backward closure on its output; ``backward(loss)`` walks that tape
-once, writes ``grad`` buffers on the leaves, and frees the tape. Calling
-``backward`` a second time on the same graph raises ``StaleTapeError``.
+once, writes ``grad`` buffers on the leaves (or, inside
+``leaf_grads_to``, hands them to a sink), and frees the tape as it goes.
+Calling ``backward`` a second time on the same graph raises
+``StaleTapeError``.
 
 Public 4-D activations are (batch, channels, height, width). Inside
 the network they are channels-last (batch, height, width, channels):
@@ -28,6 +30,7 @@ from .errors import ShapeError, StaleTapeError
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
+_leaf_sink: Optional[Callable[["Tensor", np.ndarray], None]] = None
 
 
 @contextmanager
@@ -40,6 +43,20 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def leaf_grads_to(sink: Callable[["Tensor", np.ndarray], None]
+                  ) -> Iterator[None]:
+    """Inside the block, ``backward`` calls ``sink(leaf, grad)`` with each
+    leaf's finished gradient instead of storing it on ``leaf.grad``."""
+    global _leaf_sink
+    prev = _leaf_sink
+    _leaf_sink = sink
+    try:
+        yield
+    finally:
+        _leaf_sink = prev
 
 
 class Tensor:
@@ -95,22 +112,12 @@ def _record(out: Tensor, parents: Sequence[Tensor], fn, op: str) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every leaf (a requires_grad tensor no op
-    produced) reachable from ``loss``; intermediate nodes keep ``grad``
-    None, so their gradients are freed as soon as they are consumed.
-
-    ``loss`` must hold a single element.  The tape is freed as it is
-    consumed, so a repeated call without a fresh forward pass fails.
-    """
-    if loss._consumed:
-        raise StaleTapeError(
-            "backward() called twice on the same graph; run a new forward pass")
-    if loss.data.size != 1:
-        raise ShapeError(
-            f"backward: loss must be a scalar node, got shape {loss.shape}")
-
-    # post-order over the recorded graph (iterative; graphs can be deep)
+def _post_order(loss: Tensor) -> list[Tensor]:
+    """Depth-first post-order of the recorded graph under ``loss``
+    (iterative; graphs can be deep), skipping tensors that take no
+    gradient. Parents are pushed last-first, so a node's first parent
+    (its activation) finishes its subtree before the node's leaves are
+    appended: read from the end, each leaf follows its last consumer."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -123,18 +130,48 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in reversed(node._parents):
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    return topo
 
+
+def backward(loss: Tensor) -> None:
+    """Hand every leaf (a requires_grad tensor no op produced) reachable
+    from ``loss`` its gradient: stored on ``leaf.grad``, or passed to the
+    sink of an enclosing ``leaf_grads_to``. Intermediate nodes keep
+    ``grad`` None.
+
+    The walk is a reverse topological order in which each leaf comes
+    right after the last node that consumes it, so a sink sees a weight's
+    gradient as soon as its layer's backward has run, before any earlier
+    layer's. Each node drops its closure and its parents once its
+    gradient is passed on, so activations are freed during the walk and
+    a repeated call without a fresh forward pass fails.
+
+    ``loss`` must hold a single element.
+    """
+    if loss._consumed:
+        raise StaleTapeError(
+            "backward() called twice on the same graph; run a new forward pass")
+    if loss.data.size != 1:
+        raise ShapeError(
+            f"backward: loss must be a scalar node, got shape {loss.shape}")
+
+    topo = _post_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._backward is None:
-            if node.requires_grad:
+            if not node.requires_grad:
+                continue
+            if _leaf_sink is None:
                 node.grad = g
+            else:
+                _leaf_sink(node, g)
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

@@ -34,7 +34,7 @@ from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
 from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward_parts,
                      load_checkpoint, param_groups, restore_bundle,
                      save_checkpoint, state_entries)
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward, leaf_grads_to, no_grad
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_DIR = "checkpoint"
@@ -76,35 +76,48 @@ class TrainConfig:
 class SGD:
     """v <- momentum*v + grad; p <- p - lr_group*v, lr_group = base_lr *
     group multiplier. Groups with multiplier 0 are skipped outright, so
-    frozen parameters stay bit-identical and carry no velocity."""
+    frozen parameters stay bit-identical and carry no velocity.
+
+    ``update`` applies one parameter's step and is the sink ``_train``
+    streams gradients into during backward (``leaf_grads_to``). ``step``
+    ends the step: it applies the stored ``grad`` of every trainable
+    parameter ``update`` has not seen since the last ``step``, and clears
+    the gradients of frozen ones."""
 
     def __init__(self, groups, base_lr: float, momentum: float):
         self.groups = groups
         self.base_lr = float(base_lr)
         self.momentum = float(momentum)
-        self._vel = {}
+        self._vel = {}  # id -> (velocity, group multiplier)
+        self._updated = set()
         for g in groups:
             if g.lr_multiplier == 0:
                 continue
             for name, t in g.params:
-                self._vel[id(t)] = np.zeros_like(t.data)
+                self._vel[id(t)] = (np.zeros_like(t.data), g.lr_multiplier)
+
+    def update(self, t, grad) -> None:
+        """Step trainable parameter ``t`` by ``grad``; any other tensor
+        keeps ``grad`` on ``t.grad``, as a plain ``backward`` leaves it."""
+        if id(t) not in self._vel:
+            t.grad = grad
+            return
+        v, multiplier = self._vel[id(t)]
+        v *= self.momentum
+        v += grad
+        t.data -= self.base_lr * multiplier * v
+        self._updated.add(id(t))
 
     def step(self) -> None:
         for g in self.groups:
-            if g.lr_multiplier == 0:
-                for _, t in g.params:
-                    t.grad = None
-                continue
-            lr = self.base_lr * g.lr_multiplier
             for name, t in g.params:
-                if t.grad is None:
-                    raise TrainingError(f"missing gradient on {name}; was "
-                                        "backward() run for this step?")
-                v = self._vel[id(t)]
-                v *= self.momentum
-                v += t.grad
-                t.data -= lr * v
+                if g.lr_multiplier != 0 and id(t) not in self._updated:
+                    if t.grad is None:
+                        raise TrainingError(f"missing gradient on {name}; was "
+                                            "backward() run for this step?")
+                    self.update(t, t.grad)
                 t.grad = None
+        self._updated.clear()
 
 
 class _LastGoodGuard:
@@ -204,8 +217,9 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
                     f"non-finite loss at epoch {epoch}; last good checkpoint "
                     f"kept at {os.path.join(out_dir, CHECKPOINT_DIR)}")
             guard.update()
-            backward(loss)
             opt.base_lr = lr
+            with leaf_grads_to(opt.update):
+                backward(loss)
             opt.step()
             c, p = _batch_accuracy(logits.data, labels)
             loss_sum += val

@@ -58,6 +58,16 @@ class TestSynth:
         original = (workspace / "data" / "tile-000.irrg.ten").read_bytes()
         assert fresh == original
 
+    @pytest.mark.parametrize("tiles", ["0", "-1"])
+    def test_tile_count_below_one_is_data_error(self, tmp_path, capsys,
+                                                tiles):
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "d"), "--tiles",
+                     tiles, "--size", "32"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segstack: error:") and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_run_layout(self, workspace):
@@ -119,6 +129,18 @@ class TestTrain:
         assert main(["train-mk", "--data", str(workspace / "data"), "--out",
                      str(tmp_path / "mk"), "--scales", "3,x"]) == 1
         assert "segstack: error: --scales" in capsys.readouterr().err
+
+    def test_flag_prefix_is_usage_error(self, workspace, tmp_path, capsys):
+        """--lr is a prefix of --lr-ratio only; it must not set it."""
+        capsys.readouterr()
+        assert main(["train", "--data", str(workspace / "data"), "--out",
+                     str(tmp_path / "x"), "--lr", "0.1"]) == 1
+        assert "unrecognized arguments: --lr" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        parser, _ = build_parser()
+        args = parser.parse_args(["train", "--data", "d", "--out", "o",
+                                  "--lr-ratio", "0.5"])
+        assert args.lr_ratio == 0.5 and args.base_lr == 0.01
 
     def test_negative_scale_is_data_error(self, workspace, tmp_path, capsys):
         capsys.readouterr()

@@ -189,8 +189,6 @@ def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 # 2x2 max pooling with argmax masks
 
 _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# slot number at each position of a ``_windows`` view
-_SLOT_IDS = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
 
 
 def _windows(x: np.ndarray) -> np.ndarray:
@@ -227,11 +225,15 @@ def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def scatter2(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Place ``values`` (n,oh,ow,c) at window slots ``idx`` of a zero
-    (n,2oh,2ow,c) map: unpooling, and the gradient of pooling."""
+    (n,2oh,2ow,c) map: unpooling, and the gradient of pooling. A slot is
+    the values' bits ANDed with all ones where ``idx`` picks it, else 0."""
     n, oh, ow, c = values.shape
-    out = np.where(idx[:, :, None, :, None] == _SLOT_IDS,
-                   values[:, :, None, :, None], values.dtype.type(0))
-    return out.reshape(n, 2 * oh, 2 * ow, c)
+    bits = values.view(f"u{values.itemsize}")
+    out = np.empty((n, oh, 2, ow, 2, c), bits.dtype)
+    for k, (i, j) in enumerate(_SLOTS):
+        keep = np.negative(np.equal(idx, k).astype(bits.dtype))
+        np.bitwise_and(bits, keep, out=out[:, :, i, :, j])
+    return out.view(values.dtype).reshape(n, 2 * oh, 2 * ow, c)
 
 
 def gather2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -6,10 +6,18 @@ carry the parameter containers (``ConvParams``, ``BNState``) and the
 pooling argmax record (``PoolMask``).
 
 The network runs on channels-last (n, h, w, c) activations through
-``conv_unit`` (a conv, or a conv -> batch norm -> ReLU unit, as one tape
-node), ``pool`` and ``unpool``. The public (n, c, h, w) ops ``conv2d``,
-``maxpool2``, ``unpool2`` and ``batchnorm`` run the same channels-last
-code between two ``permute``s. Softmax and the loss work on (n, c, h, w).
+``conv_norm``, ``pool`` and ``unpool``. A unit (conv -> batch norm ->
+ReLU) ends at its normalisation: ``conv_norm`` returns a *pending*
+tensor, whose data is the normalised conv output x̂ and which stands for
+y = max(gamma * x̂ + beta, 0). Whatever reads it (the next conv,
+``pool``, ``unpool``, the head, or ``activate``) computes y as a
+transient, and a conv computes it again in backward, so the tape keeps
+only x̂ of a unit's output. Its gradient is that of y, as for any
+tensor; its own backward recomputes the ReLU mask and runs batch norm's.
+``conv_unit``, a unit that returns y, is ``activate`` of ``conv_norm``.
+The public (n, c, h, w) ops ``conv2d``, ``maxpool2``, ``unpool2`` and
+``batchnorm`` run the same channels-last code between two ``permute``s.
+Softmax and the loss work on (n, c, h, w).
 """
 
 from __future__ import annotations
@@ -171,21 +179,59 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return _to_nchw(conv_unit(_to_nhwc(x, "conv2d"), params, None, "train"))
 
 
+class _Pending(Tensor):
+    """A unit output that stands for y = max(gamma * data + beta, 0) of
+    ``bn``: the value its readers see and its gradient is taken against."""
+
+    __slots__ = ("bn",)
+
+    def __init__(self, data: np.ndarray, bn: BNState):
+        super().__init__(data)
+        self.bn = bn
+
+
+def _activation(xhat: np.ndarray, bn: BNState) -> np.ndarray:
+    """max(gamma * xhat + beta, 0), fresh."""
+    y = xhat * bn.gamma.data
+    y += bn.beta.data
+    return np.maximum(y, 0, out=y)
+
+
+def _value(h: Tensor) -> np.ndarray:
+    """``h`` as its readers see it: its data, or a pending tensor's y."""
+    return _activation(h.data, h.bn) if isinstance(h, _Pending) else h.data
+
+
+def activate(h: Tensor) -> Tensor:
+    """A pending unit output as a tensor of its y; others as they are."""
+    if not isinstance(h, _Pending):
+        return h
+    return _record(Tensor(_value(h)), (h,), lambda g: (g,), "activate")
+
+
 def conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
               mode: str) -> Tensor:
     """Channels-last conv plus bias, or with ``bn`` conv -> batch norm ->
-    ReLU, on the route ``ck.select_route`` picks.
+    ReLU, on the route ``ck.select_route`` picks: ``activate`` of
+    ``conv_norm``."""
+    return activate(conv_norm(h, params, bn, mode))
 
-    Train mode keeps for backward only the conv input, the normalised
-    pre-ReLU activation and the ReLU mask; the conv bias cancels against
-    the batch mean, so it enters only the running mean. Eval mode applies
-    the running statistics as one per-channel scale and shift on the conv
-    output, in place, unless the tape needs the normalised activation."""
-    x, w, b = h.data, params.weight, params.bias
+
+def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
+              mode: str) -> Tensor:
+    """``conv_unit`` reading ``h`` as readers do; with ``bn`` its output is
+    normalised in place and returned pending. That takes two tape nodes
+    over one buffer: batch norm's backward runs in the pending node, so
+    the walk frees the gradient of y before the conv's backward runs. The
+    conv bias cancels against the batch mean in train mode, so it enters
+    only the running mean. Eval mode without a tape finishes the unit in
+    place, as one per-channel scale and shift."""
+    x, w, b = _value(h), params.weight, params.bias
     oh, ow = ck.check_conv_shapes(x, w.data, params.padding, params.stride)
     route = ck.select_route(len(x) * oh * ow, x.shape[3])
     rows = ck.conv_forward(x, w.data, params.padding, params.stride, route)
-    n, oc = len(x), rows.shape[-1]
+    del x  # a pending input's y is transient
+    n, oc = len(rows), rows.shape[-1]
     rows = rows.reshape(-1, oc)
     parents = (h, w) + (() if b is None else (b,))
     bias = None if b is None else b.data
@@ -194,39 +240,39 @@ def conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
             rows += bias.astype(rows.dtype, copy=False)
     else:
         _check_bn(bn, oc, mode)
-        parents += (bn.gamma, bn.beta)
-        gamma = bn.gamma.data
-        if mode == "eval" and not recording(parents):
+        if mode == "eval" and not recording(parents + (bn.gamma, bn.beta)):
             scale, shift = _eval_affine(bn, bias, rows.dtype)
             rows *= scale
             rows += shift
             np.maximum(rows, 0, out=rows)
             return Tensor(rows.reshape(n, oh, ow, oc))
         inv = _normalize(rows, bn, mode, bias)
-        xhat, rows = rows, rows * gamma
-        rows += bn.beta.data
-        mask = rows > 0
-        np.maximum(rows, 0, out=rows)
-    out = Tensor(rows.reshape(n, oh, ow, oc))
 
     def fn(g):
-        gy = g.reshape(-1, oc)
-        if bn is not None:
-            gy, dgamma, dbeta = _bn_backward(gy * mask, xhat, gamma, inv,
-                                             mode)
         gx, gw, gb = ck.conv_backward(
-            x, w.data, gy.reshape(n, oh, ow, oc), params.padding,
-            params.stride, route, need_input_grad=h.requires_grad)
-        grads = (gx, gw) + (() if b is None else (gb,))
-        return grads if bn is None else grads + (dgamma, dbeta)
+            _value(h), w.data, g, params.padding, params.stride, route,
+            need_input_grad=h.requires_grad)
+        return (gx, gw) + (() if b is None else (gb,))
 
-    return _record(out, parents, fn, "conv2d" if bn is None else "conv_unit")
+    out = _record(Tensor(rows.reshape(n, oh, ow, oc)), parents, fn, "conv2d")
+    if bn is None:
+        return out
+
+    def norm_fn(g):
+        t = _activation(rows, bn)
+        gx, dgamma, dbeta = _bn_backward(
+            np.multiply(g.reshape(-1, oc), t > 0, out=t), rows,
+            bn.gamma.data, inv, mode)
+        return gx.reshape(n, oh, ow, oc), dgamma, dbeta
+
+    return _record(_Pending(out.data, bn), (out, bn.gamma, bn.beta), norm_fn,
+                   "bn_relu")
 
 
 def pool(h: Tensor) -> tuple[Tensor, PoolMask]:
     """2x2 max pooling with stride 2 of channels-last ``h``; ties go to the
     first window slot."""
-    out_data, idx = ck.maxpool2(h.data)
+    out_data, idx = ck.maxpool2(_value(h))
     fn = lambda g: (ck.scatter2(g, idx),)
     return (_record(Tensor(out_data), (h,), fn, "maxpool2"),
             PoolMask(out_data.shape, idx))
@@ -238,7 +284,7 @@ def unpool(h: Tensor, mask: PoolMask) -> Tensor:
     if h.shape != tuple(mask.shape):
         raise ShapeError(f"unpool: input shape {h.shape} does not match "
                          f"mask shape {mask.shape}")
-    out = Tensor(ck.scatter2(h.data, mask.indices))
+    out = Tensor(ck.scatter2(_value(h), mask.indices))
     fn = lambda g: (ck.gather2(g, mask.indices),)
     return _record(out, (h,), fn, "unpool2")
 

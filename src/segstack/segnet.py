@@ -22,8 +22,8 @@ from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 # them at these names
 from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F401
                           make_head)
-from .nnops import (BNState, ConvParams, batchnorm, conv_unit,  # noqa: F401
-                    he_fill, pool, unpool)
+from .nnops import (BNState, ConvParams, activate, batchnorm,  # noqa: F401
+                    conv_norm, conv_unit, he_fill, pool, unpool)
 from .tensor import Tensor, permute
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
@@ -116,9 +116,11 @@ def init_he(spec: NetworkSpec, seed: int) -> None:
 
 def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     """Returns (logits, trunk features), both (n,c,h,w) like ``x``. In
-    between, activations are channels-last. The head runs folded into one
-    conv; ``branch_outputs(spec.head, features)`` gives the per-branch
-    logits it averages."""
+    between, activations are channels-last, and each unit hands its output
+    on pending (``conv_norm``): the conv, pool or unpool that reads it
+    applies the batch norm's affine and ReLU. The head runs folded into
+    one conv; ``branch_outputs(spec.head, features)`` gives the
+    per-branch logits it averages."""
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D, got shape {x.shape}")
     if x.shape[1] != spec.in_channels:
@@ -132,15 +134,15 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     h = permute(x, (0, 2, 3, 1))
     for block in spec.enc_blocks:
         for u in block:
-            h = conv_unit(h, u.params, u.bn, mode)
+            h = conv_norm(h, u.params, u.bn, mode)
         h, m = pool(h)
         masks.append(m)
     for block in spec.dec_blocks:
         h = unpool(h, masks.pop())
         for u in block:
-            h = conv_unit(h, u.params, u.bn, mode)
+            h = conv_norm(h, u.params, u.bn, mode)
     logits = conv_unit(h, fold_head(spec.head), None, mode)
-    return permute(logits, (0, 3, 1, 2)), permute(h, (0, 3, 1, 2))
+    return permute(logits, (0, 3, 1, 2)), permute(activate(h), (0, 3, 1, 2))
 
 
 def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:

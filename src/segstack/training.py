@@ -204,8 +204,10 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
         for i in range(0, len(order), config.batch_size):
             batch = [dataset[j] for j in order[i:i + config.batch_size]]
             xs, labels = _batch([_crop(rng, config.patch, s) for s in batch])
-            logits = forward(xs)
-            loss = cross_entropy_loss(logits, labels)
+            # overflow shows up as a non-finite loss, handled below
+            with np.errstate(all="ignore"):
+                logits = forward(xs)
+                loss = cross_entropy_loss(logits, labels)
             val = float(loss.item())
             if not np.isfinite(val):
                 # the failed forward may have written train-mode batch-norm
@@ -218,7 +220,7 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
                     f"kept at {os.path.join(out_dir, CHECKPOINT_DIR)}")
             guard.update()
             opt.base_lr = lr
-            with leaf_grads_to(opt.update):
+            with np.errstate(all="ignore"), leaf_grads_to(opt.update):
                 backward(loss)
             opt.step()
             c, p = _batch_accuracy(logits.data, labels)

@@ -98,6 +98,17 @@ def scatter_unpool2(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def scatter2_where(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Channels-last unpooling by one broadcast ``np.where`` over the
+    (n, oh, 2, ow, 2, c) windows: slot k of a window takes the value
+    where ``idx`` is k and zero elsewhere."""
+    n, oh, ow, c = values.shape
+    slots = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
+    out = np.where(idx[:, :, None, :, None] == slots,
+                   values[:, :, None, :, None], values.dtype.type(0))
+    return out.reshape(n, 2 * oh, 2 * ow, c)
+
+
 def softmax_direct(z: np.ndarray) -> np.ndarray:
     """Plain exp/sum softmax over axis 1 at float64, no max subtraction."""
     e = np.exp(z.astype(np.float64))

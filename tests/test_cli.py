@@ -161,6 +161,25 @@ class TestTrain:
                               .read_text())
         assert manifest["status"] == "diverged"
 
+    def test_diverged_run_writes_only_the_divergence_line(self, tmp_path):
+        """The overflow of a diverging step reaches stderr once, as the
+        loss check's error line, not as numpy warnings first."""
+        assert main(["synth", "--out", str(tmp_path / "d"), "--tiles", "8",
+                     "--size", "32"]) == 0
+        src = Path(segstack.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "segstack.cli", "train", "--data", "d",
+             "--out", "r", "--net", "mini", "--epochs", "2", "--patch", "32",
+             "--base-lr", "1e8"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == (
+            "segstack: divergence: non-finite loss at epoch 1; last good "
+            f"checkpoint kept at {os.path.join('r', 'checkpoint')}\n")
+
     def test_manifest_is_independent_of_working_directory(
             self, workspace, tmp_path, monkeypatch):
         """--data is recorded relative to the run directory, so an

@@ -159,6 +159,23 @@ class TestMaxPoolUnpool:
         np.testing.assert_array_equal(out.data, expect)
         assert out.data.sum() == pytest.approx(x.sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter2_bits_match_where_oracle(self, rng, dtype):
+        """The bit-select scatter moves every value bit for bit: NaN
+        payloads, infinities, -0.0 and subnormals included."""
+        uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        payload_nan = np.array(uint.type(np.iinfo(uint).max - 1)).view(dtype)
+        special = np.array([np.nan, -np.nan, payload_nan, np.inf, -np.inf,
+                            -0.0, 0.0, np.finfo(dtype).smallest_subnormal,
+                            -np.finfo(dtype).max], dtype)
+        values = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+        flat = values.reshape(-1)
+        flat[::2] = np.resize(special, flat[::2].size)
+        idx = rng.integers(0, 4, values.shape).astype(np.uint8)
+        got = ck.scatter2(values, idx)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == oracles.scatter2_where(values, idx).tobytes()
+
     def test_unpool_shape_mismatch(self, rng):
         idx = np.zeros((1, 2, 2, 1), dtype=np.uint8)
         with pytest.raises(ShapeError, match="mask"):

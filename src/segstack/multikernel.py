@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SpecError
 from .nnops import ConvParams, conv2d, cross_entropy_loss, he_fill, same_padding
-from .tensor import Tensor, _record, mean_n
+from .tensor import Tensor, _record, mean_n, value
 
 
 @dataclass
@@ -89,7 +89,7 @@ def branch_outputs(head: MultiKernelHead, x: Tensor) -> "list[Tensor]":
 def _centre_pad(kernel: Tensor, size: int) -> Tensor:
     """(oc,ic,k,k) kernel zero-padded to (oc,ic,size,size), centred."""
     o = (size - kernel.shape[2]) // 2
-    out = Tensor(np.pad(kernel.data, ((0, 0), (0, 0), (o, o), (o, o))))
+    out = Tensor(np.pad(value(kernel.data), ((0, 0), (0, 0), (o, o), (o, o))))
     return _record(out, (kernel,), lambda g: (g[:, :, o:size - o, o:size - o]
                                               .copy(),), "centre_pad")
 

@@ -14,6 +14,7 @@ y = max(gamma * x̂ + beta, 0). Whatever reads it (the next conv,
 transient, and a conv computes it again in backward, so the tape keeps
 only x̂ of a unit's output. Its gradient is that of y, as for any
 tensor; its own backward recomputes the ReLU mask and runs batch norm's.
+A conv reads its weight with any pending SGD step (``tensor.value``).
 ``conv_unit``, a unit that returns y, is ``activate`` of ``conv_norm``.
 The public (n, c, h, w) ops ``conv2d``, ``maxpool2``, ``unpool2`` and
 ``batchnorm`` run the same channels-last code between two ``permute``s.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import convkernels as ck
 from .errors import ShapeError, SpecError, TrainingError
-from .tensor import Tensor, _record, permute, recording
+from .tensor import Tensor, _record, permute, recording, value
 
 #: Label value excluded from losses and metrics.
 IGNORE_LABEL = 255
@@ -229,7 +230,8 @@ def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
     x, w, b = _value(h), params.weight, params.bias
     oh, ow = ck.check_conv_shapes(x, w.data, params.padding, params.stride)
     route = ck.select_route(len(x) * oh * ow, x.shape[3])
-    rows = ck.conv_forward(x, w.data, params.padding, params.stride, route)
+    rows = ck.conv_forward(x, value(w.data), params.padding, params.stride,
+                           route)
     del x  # a pending input's y is transient
     n, oc = len(rows), rows.shape[-1]
     rows = rows.reshape(-1, oc)

@@ -24,7 +24,7 @@ from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F
                           make_head)
 from .nnops import (BNState, ConvParams, activate, batchnorm,  # noqa: F401
                     conv_norm, conv_unit, he_fill, pool, unpool)
-from .tensor import Tensor, permute
+from .tensor import Tensor, permute, value
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
 FULL_CONV_COUNTS = (2, 2, 3, 3, 3)
@@ -193,7 +193,9 @@ def state_entries(spec: NetworkSpec) -> "list[tuple[str, np.ndarray, str]]":
     """(name, array, group) of every parameter (its Tensor's ``data``) and
     batch-norm buffer (``running_mean``, ``running_var``, ``initialized``),
     in checkpoint order. The arrays are the live state: writing into them
-    writes into the network."""
+    writes into the network. Inside training, from a backward to the next
+    finite loss, a conv weight's array lags its value by the pending SGD
+    step (``tensor.value``)."""
     out = [(name, t.data, group) for name, t, group in named_parameters(spec)]
     for u in _units(spec):
         for attr in ("running_mean", "running_var", "initialized"):
@@ -202,7 +204,8 @@ def state_entries(spec: NetworkSpec) -> "list[tuple[str, np.ndarray, str]]":
 
 
 def save_checkpoint(spec: NetworkSpec, dirpath) -> None:
-    tenio.save_bundle(dirpath, state_entries(spec))
+    tenio.save_bundle(dirpath, ((name, value(arr), group)
+                                for name, arr, group in state_entries(spec)))
 
 
 def restore_entries(bundle, entries, missing_label: str) -> None:

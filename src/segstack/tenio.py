@@ -36,7 +36,7 @@ def write_ten(path, array) -> None:
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         fh.write(struct.pack("B", code))
-        fh.write(np.ascontiguousarray(le).tobytes())
+        fh.write(np.ascontiguousarray(le).data)
 
 
 def _take(buf: bytes, offset: int, count: int, what: str):

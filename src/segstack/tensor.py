@@ -6,7 +6,7 @@ a backward closure on its output; ``backward(loss)`` walks that tape
 once, writes ``grad`` buffers on the leaves (or, inside
 ``leaf_grads_to``, hands them to a sink), and frees the tape as it goes.
 Calling ``backward`` a second time on the same graph raises
-``StaleTapeError``.
+``StaleTapeError``. ``pending_steps`` holds in-place updates back.
 
 Public 4-D activations are (batch, channels, height, width). Inside
 the network they are channels-last (batch, height, width, channels):
@@ -31,6 +31,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 _leaf_sink: Optional[Callable[["Tensor", np.ndarray], None]] = None
+_pending: Optional[dict] = None  # id(a) -> (a, s, v): a -= s * v held back
 
 
 @contextmanager
@@ -57,6 +58,45 @@ def leaf_grads_to(sink: Callable[["Tensor", np.ndarray], None]
         yield
     finally:
         _leaf_sink = prev
+
+
+@contextmanager
+def pending_steps(steps: dict) -> Iterator[None]:
+    """Inside the block ``hold_step`` holds updates back in ``steps``,
+    whose owner applies or drops them; the block's end applies the rest."""
+    global _pending
+    prev = _pending
+    _pending = steps
+    try:
+        yield
+    finally:
+        _pending = prev
+        apply_steps(steps)
+
+
+def apply_steps(steps: dict) -> None:
+    """Apply every held step in place, ``a -= s * v``, and forget it."""
+    for a, s, v in steps.values():
+        a -= s * v
+    steps.clear()
+
+
+def hold_step(a: np.ndarray, s: float, v: np.ndarray) -> bool:
+    """Inside ``pending_steps``, hold ``a -= s * v`` back (``v`` must not
+    change until then) and return True; elsewhere return False."""
+    if _pending is not None:
+        _pending[id(a)] = (a, s, v)
+    return _pending is not None
+
+
+def value(a: np.ndarray) -> np.ndarray:
+    """``a``, or a fresh ``a - s * v`` while ``a`` has a pending step: the
+    bits ``a`` will hold once the step is applied."""
+    step = None if _pending is None else _pending.get(id(a))
+    if step is None:
+        return a
+    out = np.multiply(step[2], step[1])  # s * v, then reused for the result
+    return np.subtract(a, out, out=out)
 
 
 class Tensor:

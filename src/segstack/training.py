@@ -7,7 +7,9 @@ samples. A trainer supplies its parameter groups, its (name, array,
 group) state rows, a ``forward(inputs) -> logits`` and a save function
 that writes those rows to the run directory; cropping, batching, the
 loss, SGD, the last-good guard, divergence handling and the manifest are
-the loop's.
+the loop's. In it SGD holds each conv weight's step pending
+(``tensor.pending_steps``) until the next loss is finite; forwards and
+saves read the weight as stepped (``tensor.value``).
 
 A run directory is this module's format: the trainers write every
 manifest key that ``load_run`` and ``load_fusion_run`` read back.
@@ -34,7 +36,8 @@ from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
 from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward_parts,
                      load_checkpoint, param_groups, restore_bundle,
                      save_checkpoint, state_entries)
-from .tensor import Tensor, backward, leaf_grads_to, no_grad
+from .tensor import (Tensor, apply_steps, backward, hold_step, leaf_grads_to,
+                     no_grad, pending_steps, value)
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_DIR = "checkpoint"
@@ -78,11 +81,11 @@ class SGD:
     group multiplier. Groups with multiplier 0 are skipped outright, so
     frozen parameters stay bit-identical and carry no velocity.
 
-    ``update`` applies one parameter's step and is the sink ``_train``
-    streams gradients into during backward (``leaf_grads_to``). ``step``
-    ends the step: it applies the stored ``grad`` of every trainable
-    parameter ``update`` has not seen since the last ``step``, and clears
-    the gradients of frozen ones."""
+    ``update`` applies one parameter's step (or holds a conv weight's, in
+    ``tensor.pending_steps``) and is the sink ``_train`` streams gradients
+    into during backward (``leaf_grads_to``). ``step`` ends the step: it
+    applies the stored ``grad`` of every trainable parameter ``update``
+    has not seen since the last ``step``, and clears frozen gradients."""
 
     def __init__(self, groups, base_lr: float, momentum: float):
         self.groups = groups
@@ -105,7 +108,10 @@ class SGD:
         v, multiplier = self._vel[id(t)]
         v *= self.momentum
         v += grad
-        t.data -= self.base_lr * multiplier * v
+        s = self.base_lr * multiplier
+        # conv weights, the only 4-D parameters, are read through value()
+        if t.ndim != 4 or not hold_step(t.data, s, v):
+            t.data -= s * v
         self._updated.add(id(t))
 
     def step(self) -> None:
@@ -121,25 +127,29 @@ class SGD:
 
 
 class _LastGoodGuard:
-    """In-memory copy of the state that produced the most recent finite
-    loss. Epoch checkpoints alone are not enough: an epoch can end with
-    finite losses while its final step already pushed the parameters
-    somewhere that only the next forward reveals as broken.
+    """Keeps the state that produced the most recent finite loss. Epoch
+    checkpoints alone are not enough: an epoch can end with finite losses
+    while its final step already pushed the parameters somewhere that
+    only the next forward reveals as broken.
 
     ``rows`` are (name, array, group) state rows whose arrays are the live
-    state. The guard snapshots them when it is constructed; ``update``
-    copies them into its buffers again and ``restore`` copies the buffers
-    back, so the guard's buffers never become live state."""
+    state. Conv weights (4-D) change only by the SGD steps held in
+    ``steps``; the guard copies the other rows. ``update`` commits the
+    steps and copies the rows; ``restore`` drops the steps and copies the
+    rows back, so the guard's buffers never become live state."""
 
     def __init__(self, rows):
-        self._arrays = [arr for _, arr, _ in rows]
+        self.steps = {}
+        self._arrays = [arr for _, arr, _ in rows if arr.ndim != 4]
         self._saved = [arr.copy() for arr in self._arrays]
 
     def update(self) -> None:
+        apply_steps(self.steps)
         for buf, arr in zip(self._saved, self._arrays):
             np.copyto(buf, arr)
 
     def restore(self) -> None:
+        self.steps.clear()
         for buf, arr in zip(self._saved, self._arrays):
             arr[...] = buf
 
@@ -194,53 +204,56 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
     rng = np.random.default_rng(config.seed)
     save()  # params at init are the first "last good" state
     guard = _LastGoodGuard(rows)
-    lr = config.base_lr
-    best = np.inf
-    stall = 0
-    log = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        loss_sum, n_batches, correct, pixels = 0.0, 0, 0, 0
-        for i in range(0, len(order), config.batch_size):
-            batch = [dataset[j] for j in order[i:i + config.batch_size]]
-            xs, labels = _batch([_crop(rng, config.patch, s) for s in batch])
-            # overflow shows up as a non-finite loss, handled below
-            with np.errstate(all="ignore"):
-                logits = forward(xs)
-                loss = cross_entropy_loss(logits, labels)
-            val = float(loss.item())
-            if not np.isfinite(val):
-                # the failed forward may have written train-mode batch-norm
-                # statistics into the live arrays
-                guard.restore()
-                save()
-                _finish(out_dir, manifest, log, "diverged")
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}; last good checkpoint "
-                    f"kept at {os.path.join(out_dir, CHECKPOINT_DIR)}")
-            guard.update()
-            opt.base_lr = lr
-            with np.errstate(all="ignore"), leaf_grads_to(opt.update):
-                backward(loss)
-            opt.step()
-            c, p = _batch_accuracy(logits.data, labels)
-            loss_sum += val
-            n_batches += 1
-            correct += c
-            pixels += p
-        mean_loss = loss_sum / n_batches
-        log.append({"epoch": epoch, "loss": mean_loss,
-                    "accuracy": correct / max(pixels, 1), "lr": lr})
-        if config.plateau_patience:
-            if mean_loss < best - 1e-9:
-                best, stall = mean_loss, 0
-            else:
-                stall += 1
-                if stall >= config.plateau_patience:
-                    lr *= config.decay_factor
-                    stall = 0
-        save()
-    return _finish(out_dir, manifest, log, "complete")
+    with pending_steps(guard.steps):
+        lr = config.base_lr
+        best = np.inf
+        stall = 0
+        log = []
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(dataset))
+            loss_sum, n_batches, correct, pixels = 0.0, 0, 0, 0
+            for i in range(0, len(order), config.batch_size):
+                batch = [dataset[j] for j in order[i:i + config.batch_size]]
+                xs, labels = _batch([_crop(rng, config.patch, s)
+                                     for s in batch])
+                # overflow shows up as a non-finite loss, handled below
+                with np.errstate(all="ignore"):
+                    logits = forward(xs)
+                    loss = cross_entropy_loss(logits, labels)
+                val = float(loss.item())
+                if not np.isfinite(val):
+                    # the failed forward may have written train-mode batch-norm
+                    # statistics into the live arrays
+                    guard.restore()
+                    save()
+                    _finish(out_dir, manifest, log, "diverged")
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}; last good "
+                        "checkpoint kept at "
+                        f"{os.path.join(out_dir, CHECKPOINT_DIR)}")
+                guard.update()
+                opt.base_lr = lr
+                with np.errstate(all="ignore"), leaf_grads_to(opt.update):
+                    backward(loss)
+                opt.step()
+                c, p = _batch_accuracy(logits.data, labels)
+                loss_sum += val
+                n_batches += 1
+                correct += c
+                pixels += p
+            mean_loss = loss_sum / n_batches
+            log.append({"epoch": epoch, "loss": mean_loss,
+                        "accuracy": correct / max(pixels, 1), "lr": lr})
+            if config.plateau_patience:
+                if mean_loss < best - 1e-9:
+                    best, stall = mean_loss, 0
+                else:
+                    stall += 1
+                    if stall >= config.plateau_patience:
+                        lr *= config.decay_factor
+                        stall = 0
+            save()
+        return _finish(out_dir, manifest, log, "complete")
 
 
 def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
@@ -274,7 +287,8 @@ def corrector_entries(corr: CorrectorSpec) -> "list[tuple]":
 
 
 def save_corrector(corr: CorrectorSpec, dirpath) -> None:
-    tenio.save_bundle(dirpath, corrector_entries(corr))
+    tenio.save_bundle(dirpath, ((name, value(arr), group) for name, arr, group
+                                in corrector_entries(corr)))
 
 
 def load_corrector(corr: CorrectorSpec, dirpath) -> None:

@@ -29,6 +29,23 @@ def test_golden_bytes_layout(tmp_path):
     assert raw == expect
 
 
+@pytest.mark.parametrize("dtype,code", [(np.float32, 0), (np.float64, 1)])
+@pytest.mark.parametrize("case", ["contiguous", "transposed", "0-d"])
+def test_payload_is_the_row_major_bytes(tmp_path, dtype, code, case):
+    """The payload is written from the array's buffer, not a bytes copy:
+    the file must still be the header plus ``tobytes()``, also for an
+    input that is not C-contiguous and for a 0-d array."""
+    rng = np.random.default_rng(5)
+    arr = {"contiguous": rng.standard_normal((2, 3, 4)),
+           "transposed": rng.standard_normal((3, 5)).T,
+           "0-d": np.array(-2.5)}[case].astype(dtype, copy=False)
+    path = tmp_path / "p.ten"
+    write_ten(path, arr)
+    header = (b"TEN1" + struct.pack("<I", arr.ndim)
+              + struct.pack(f"<{arr.ndim}I", *arr.shape) + bytes([code]))
+    assert path.read_bytes() == header + arr.tobytes()
+
+
 def test_f64_dtype_code(tmp_path):
     path = tmp_path / "d.ten"
     write_ten(path, np.zeros(3, dtype=np.float64))

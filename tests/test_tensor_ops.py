@@ -15,7 +15,8 @@ from segstack import convkernels as ck
 from segstack.nnops import (BNState, PoolMask, batchnorm, conv_unit, pool,
                            unpool)
 from segstack.segnet import ConvUnit
-from segstack.tensor import no_grad
+from segstack.tensor import (apply_steps, hold_step, no_grad, pending_steps,
+                             value)
 
 
 @pytest.fixture
@@ -358,6 +359,48 @@ class TestBackwardBasics:
         assert np.isfinite(loss.data).all()
         assert np.isfinite(x.grad).all()
         assert np.isfinite(params.weight.grad).all()
+
+
+class TestPendingSteps:
+    def step(self, rng):
+        a = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        return a, 0.37, rng.standard_normal(a.shape).astype(np.float32)
+
+    def test_outside_a_block_nothing_is_held(self, rng):
+        a, s, v = self.step(rng)
+        before = a.copy()
+        assert not hold_step(a, s, v)
+        assert value(a) is a
+        np.testing.assert_array_equal(a, before)
+
+    def test_held_step_reads_as_applied_and_ends_applied(self, rng):
+        """Inside the block the array keeps its bits and ``value`` has the
+        in-place update's; the block's end applies what is still held."""
+        a, s, v = self.step(rng)
+        before = a.copy()
+        want = a.copy()
+        want -= s * v
+        steps = {}
+        with pending_steps(steps):
+            assert hold_step(a, s, v)
+            assert value(a).tobytes() == want.tobytes()
+            assert a.tobytes() == before.tobytes()
+        assert not steps
+        assert a.tobytes() == want.tobytes()
+
+    def test_conv_reads_its_weight_with_the_pending_step(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        a, s, v = self.step(rng)
+        params = ConvParams(Tensor(a, requires_grad=True), None, (1, 1))
+        with no_grad():
+            steps = {}
+            with pending_steps(steps):
+                hold_step(a, s, v)
+                pending = conv2d(x, params).data
+                steps.clear()  # dropped, not applied
+            apply_steps({id(a): (a, s, v)})
+            applied = conv2d(x, params).data
+        assert pending.tobytes() == applied.tobytes()
 
 
 # the acceptance suite's conv oracle tolerance

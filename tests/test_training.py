@@ -4,17 +4,18 @@ import os
 import numpy as np
 import pytest
 
-from segstack import tenio, training
+from segstack import tenio, tensor, training
 from segstack.datapipe import synth_dataset
 from segstack.errors import (CheckpointError, ConfigError, DivergenceError,
                              FormatError, TrainingError)
 from segstack.fusion import make_corrector, init_corrector
 from segstack.multikernel import branch_outputs, multikernel_loss
 from segstack.nnops import cross_entropy_loss
-from segstack.segnet import (build_segnet, forward_parts, init_he,
-                             load_checkpoint, named_parameters, param_groups,
-                             state_entries)
-from segstack.tensor import Tensor, backward, no_grad
+from segstack.segnet import (ParamGroup, build_segnet, forward_parts,
+                             init_he, load_checkpoint, named_parameters,
+                             param_groups, state_entries)
+from segstack.tensor import (Tensor, backward, hold_step, leaf_grads_to,
+                             no_grad, pending_steps, value)
 from segstack.training import (SGD, TrainConfig, _LastGoodGuard,
                                corrector_entries, fusion_pixel_accuracy,
                                load_corrector, load_fusion_run, load_run,
@@ -327,6 +328,35 @@ class TestTrainSegnet:
             assert np.isfinite(arr).all(), name
             np.testing.assert_array_equal(arr, want, err_msg=name)
 
+    def test_divergence_at_an_epoch_start_keeps_last_good_state(
+            self, tmp_path, monkeypatch):
+        """One step per epoch, so the step that diverges is the first of
+        its epoch and follows an epoch-end save. The checkpoint and the
+        live state must both be the state the last backward started from,
+        not the state that epoch-end save wrote."""
+        spec = small_net(seed=8)
+        dataset = small_dataset()
+        last_good = []
+        real_backward = training.backward
+
+        def spy(loss):
+            last_good[:] = [arr.copy() for _, arr, _ in state_entries(spec)]
+            real_backward(loss)
+
+        monkeypatch.setattr(training, "backward", spy)
+        cfg = TrainConfig(base_lr=1e8, epochs=5, batch_size=len(dataset),
+                          seed=1, patch=32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError,
+                              match="non-finite loss at epoch [1-9]"):
+            train_segnet(spec, dataset, cfg, tmp_path)
+        assert last_good
+        restored = build_segnet(k=5, scale="mini", in_channels=3)
+        load_checkpoint(restored, tmp_path / "checkpoint")
+        for rows in (state_entries(restored), state_entries(spec)):
+            for (name, arr, _), want in zip(rows, last_good):
+                np.testing.assert_array_equal(arr, want, err_msg=name)
+
     def test_patch_sampling_crops_larger_tiles(self, tmp_path):
         spec = small_net()
         cfg = TrainConfig(epochs=1, batch_size=2, seed=3, patch=32)
@@ -364,29 +394,52 @@ class TestTrainSegnet:
         assert len({e["lr"] for e in manifest["epochs"]}) == 1
 
 
-class TestLastGoodGuard:
-    def test_restore_writes_last_snapshot_into_live_arrays(self):
-        spec = small_net()
-        rows = state_entries(spec)
+def conv_weights(spec):
+    return [t for _, t, _ in named_parameters(spec) if t.ndim == 4]
 
-        def mutate():  # parameters and every batch-norm buffer, in place
-            for _, arr, _ in rows:
+
+class TestLastGoodGuard:
+    @staticmethod
+    def mutate(spec, rows):
+        """What a training step does to the state: a pending SGD step on
+        every conv weight, in-place writes to every other row."""
+        for t in conv_weights(spec):
+            assert hold_step(t.data, 1.0, np.ones_like(t.data))
+        for _, arr, _ in rows:
+            if arr.ndim != 4:
                 arr += 1
 
-        def state():
-            return {name: arr.copy() for name, arr, _ in rows}
+    @staticmethod
+    def state(rows):
+        """Every row as the network reads it: conv weights with their
+        pending steps."""
+        return {name: value(arr).copy() for name, arr, _ in rows}
 
+    def test_restore_writes_last_snapshot_into_live_arrays(self):
+        """``update`` commits the pending steps and snapshots the other
+        rows; ``restore`` drops the steps taken since and copies the
+        snapshot back, as often as it is called."""
+        spec = small_net()
+        rows = state_entries(spec)
+        before = self.state(rows)
         guard = _LastGoodGuard(rows)
-        guard.update()
-        mutate()
-        guard.update()
-        want = state()
-        for _ in range(2):  # the guard's buffers must not become live state
-            mutate()
-            guard.restore()
-            got = state()
-            for name, value in want.items():
-                np.testing.assert_array_equal(got[name], value, err_msg=name)
+        with pending_steps(guard.steps):
+            guard.update()
+            self.mutate(spec, rows)
+            guard.update()
+            assert not guard.steps
+            want = self.state(rows)
+            for name in want:  # the committed steps moved every row
+                assert not np.array_equal(want[name], before[name]), name
+            for _ in range(2):  # the guard's buffers must not become live
+                self.mutate(spec, rows)
+                assert guard.steps
+                guard.restore()
+                assert not guard.steps
+                got = self.state(rows)
+                for name, arr in want.items():
+                    np.testing.assert_array_equal(got[name], arr,
+                                                  err_msg=name)
         for (name, live, _), (_, now, _) in zip(rows, state_entries(spec)):
             assert now is live, name
 
@@ -395,13 +448,112 @@ class TestLastGoodGuard:
         construction."""
         spec = small_net()
         rows = state_entries(spec)
-        before = {name: arr.copy() for name, arr, _ in rows}
+        before = self.state(rows)
         guard = _LastGoodGuard(rows)
-        for _, arr, _ in rows:
-            arr += 1
-        guard.restore()
-        for name, arr, _ in state_entries(spec):
-            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+        with pending_steps(guard.steps):
+            self.mutate(spec, rows)
+            guard.restore()
+            got = self.state(rows)
+        for name, want in before.items():
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+
+    def test_copies_no_conv_weight(self):
+        """On the full net the guard's buffers (biases, gamma, beta and
+        batch-norm buffers) hold under 1% of the conv weights' bytes."""
+        spec = build_segnet(k=5, scale="full", in_channels=3)
+        guard = _LastGoodGuard(state_entries(spec))
+        weight_bytes = sum(t.data.nbytes for t in conv_weights(spec))
+        assert sum(buf.nbytes for buf in guard._saved) < 0.01 * weight_bytes
+
+
+@pytest.fixture
+def guards(monkeypatch):
+    """The last-good guards that ``_train`` builds while the test runs."""
+    made = []
+
+    class Recording(_LastGoodGuard):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append(self)
+
+    monkeypatch.setattr(training, "_LastGoodGuard", Recording)
+    return made
+
+
+class TestPendingSteps:
+    """Inside ``_train`` a conv weight's SGD step stays pending until the
+    next loss is finite; none may remain once ``_train`` has returned or
+    raised."""
+
+    def assert_none_pending(self, guards):
+        assert len(guards) == 1
+        assert not guards[0].steps
+        assert tensor._pending is None
+
+    def test_guard_copies_only_rows_sgd_writes_in_place(self, tmp_path,
+                                                        guards):
+        spec = small_net(scales=(3, 5, 7))
+        cfg = TrainConfig(epochs=1, batch_size=3, seed=1, patch=32)
+        train_segnet(spec, small_dataset(), cfg, tmp_path)
+        rows = state_entries(spec)
+        small = sum(arr.nbytes for _, arr, _ in rows if arr.ndim != 4)
+        weight_bytes = sum(t.data.nbytes for t in conv_weights(spec))
+        held = sum(buf.nbytes for buf in guards[0]._saved)
+        assert held == small
+        assert held < 0.05 * weight_bytes  # 2.9% here, 0.19% on the full net
+
+    def test_complete_run_commits_every_step(self, tmp_path, guards):
+        """The checkpoint holds each weight's value; after the run the
+        live data must equal it."""
+        spec = small_net(scales=(3, 5, 7))
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1, patch=32)
+        train_segnet(spec, small_dataset(), cfg, tmp_path)
+        self.assert_none_pending(guards)
+        saved = build_segnet(k=5, scale="mini", in_channels=3,
+                             head_scales=(3, 5, 7))
+        load_checkpoint(saved, tmp_path / "checkpoint")
+        for (name, arr, _), (_, want, _) in zip(state_entries(spec),
+                                                state_entries(saved)):
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+
+    def test_divergence_drops_pending_steps(self, tmp_path, guards):
+        spec = small_net(seed=8)
+        cfg = TrainConfig(base_lr=1e8, epochs=5, batch_size=3, seed=1,
+                          patch=32)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            train_segnet(spec, small_dataset(), cfg, tmp_path)
+        self.assert_none_pending(guards)
+
+    def test_missing_gradient_applies_streamed_steps(self, tmp_path,
+                                                     guards):
+        """``opt.step`` raises after backward streamed every network
+        gradient into SGD: the live state must be that of a plain SGD
+        that applied those updates at once."""
+        def stray_groups(spec):
+            stray = Tensor(np.zeros(3, np.float32), requires_grad=True)
+            return param_groups(spec) + [
+                ParamGroup("stray", 1.0, [("stray.weight", stray)])]
+
+        data = small_dataset(n=2)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=1, patch=32)
+        spec = small_net()
+        with pytest.raises(TrainingError,
+                           match="missing gradient on stray.weight"):
+            train_segnet(spec, data, cfg, tmp_path, groups=stray_groups(spec))
+        self.assert_none_pending(guards)
+
+        ref = small_net()
+        rng = np.random.default_rng(cfg.seed)
+        xs, labels = training._batch(
+            [data[j] for j in rng.permutation(len(data))])
+        loss = cross_entropy_loss(forward_parts(ref, xs[0], mode="train")[0],
+                                  labels)
+        opt = SGD(stray_groups(ref), cfg.base_lr, cfg.momentum)
+        with leaf_grads_to(opt.update):
+            backward(loss)
+        for (name, got, _), (_, want, _) in zip(state_entries(spec),
+                                                state_entries(ref)):
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestTrainFusion:

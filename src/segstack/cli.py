@@ -88,10 +88,17 @@ def _apply_config_file(parser, sub, args, argv):
     return parser.parse_args(argv if argv is not None else sys.argv[1:])
 
 
+def nonnegative(text) -> int:
+    """A seed flag's value; numpy's generators take no negative seed."""
+    if int(text) < 0:
+        raise ValueError(text)  # argparse and config files both report it
+    return int(text)
+
+
 def _add_train_flags(p):
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--init-seed", type=int, default=0)
+    p.add_argument("--init-seed", type=nonnegative, default=0)
     for f in fields(TrainConfig):  # --base-lr etc., with the config's defaults
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                        default=f.default)
@@ -336,7 +343,7 @@ def build_parser():
 
     p = sub("synth", cmd_synth, "write a synthetic labeled dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--tiles", type=int, default=32)
     p.add_argument("--size", type=int, default=64)
 

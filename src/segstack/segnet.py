@@ -177,8 +177,8 @@ class ParamGroup:
 def param_groups(spec: NetworkSpec, ratio: float = 1.0) -> "list[ParamGroup]":
     """Encoder multiplier = ratio, decoder and head = 1. Ratio 0 freezes
     the encoder exactly: frozen parameters are skipped, not scaled."""
-    if ratio < 0:
-        raise ConfigError(f"learning-rate ratio must be >= 0, got {ratio}")
+    if not 0 <= ratio < np.inf:
+        raise ConfigError(f"lr ratio must be finite and >= 0, got {ratio}")
     named = named_parameters(spec)
     groups = [ParamGroup("encoder", float(ratio)),
               ParamGroup("decoder", 1.0),

@@ -21,6 +21,7 @@ inputs, but no cross-thread guarantees are made for a graph in flight.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,48 +30,42 @@ from .errors import ShapeError, StaleTapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_grad_enabled = True
-_leaf_sink: Optional[Callable[["Tensor", np.ndarray], None]] = None
-_pending: Optional[dict] = None  # id(a) -> (a, s, v): a -= s * v held back
+# The tape's modes, each set for a block by ``_mode``: grad (ops record),
+# sink (``backward`` hands it leaf gradients) and pending (``hold_step``
+# holds steps ``a -= s * v`` back in it, keyed id(a) -> (a, s, v)).
+_modes = SimpleNamespace(grad=True, sink=None, pending=None)
 
 
 @contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable tape recording inside the block (used by inference paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def _mode(field: str, value) -> Iterator[None]:
+    """Set one field of ``_modes`` inside the block, and restore it after."""
+    prev = getattr(_modes, field)
+    setattr(_modes, field, value)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        setattr(_modes, field, prev)
 
 
-@contextmanager
-def leaf_grads_to(sink: Callable[["Tensor", np.ndarray], None]
-                  ) -> Iterator[None]:
+def no_grad():
+    """Disable tape recording inside the block (used by inference paths)."""
+    return _mode("grad", False)
+
+
+def leaf_grads_to(sink: Callable[["Tensor", np.ndarray], None]):
     """Inside the block, ``backward`` calls ``sink(leaf, grad)`` with each
     leaf's finished gradient instead of storing it on ``leaf.grad``."""
-    global _leaf_sink
-    prev = _leaf_sink
-    _leaf_sink = sink
-    try:
-        yield
-    finally:
-        _leaf_sink = prev
+    return _mode("sink", sink)
 
 
 @contextmanager
 def pending_steps(steps: dict) -> Iterator[None]:
     """Inside the block ``hold_step`` holds updates back in ``steps``,
     whose owner applies or drops them; the block's end applies the rest."""
-    global _pending
-    prev = _pending
-    _pending = steps
     try:
-        yield
+        with _mode("pending", steps):
+            yield
     finally:
-        _pending = prev
         apply_steps(steps)
 
 
@@ -84,15 +79,15 @@ def apply_steps(steps: dict) -> None:
 def hold_step(a: np.ndarray, s: float, v: np.ndarray) -> bool:
     """Inside ``pending_steps``, hold ``a -= s * v`` back (``v`` must not
     change until then) and return True; elsewhere return False."""
-    if _pending is not None:
-        _pending[id(a)] = (a, s, v)
-    return _pending is not None
+    if _modes.pending is not None:
+        _modes.pending[id(a)] = (a, s, v)
+    return _modes.pending is not None
 
 
 def value(a: np.ndarray) -> np.ndarray:
     """``a``, or a fresh ``a - s * v`` while ``a`` has a pending step: the
     bits ``a`` will hold once the step is applied."""
-    step = None if _pending is None else _pending.get(id(a))
+    step = None if _modes.pending is None else _modes.pending.get(id(a))
     if step is None:
         return a
     out = np.multiply(step[2], step[1])  # s * v, then reused for the result
@@ -139,7 +134,7 @@ class Tensor:
 
 def recording(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` records a backward closure."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _modes.grad and any(p.requires_grad for p in parents)
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], fn, op: str) -> Tensor:
@@ -198,6 +193,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(
             f"backward: loss must be a scalar node, got shape {loss.shape}")
 
+    sink = _modes.sink
     topo = _post_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     while topo:
@@ -208,10 +204,10 @@ def backward(loss: Tensor) -> None:
         if node._backward is None:
             if not node.requires_grad:
                 continue
-            if _leaf_sink is None:
+            if sink is None:
                 node.grad = g
             else:
-                _leaf_sink(node, g)
+                sink(node, g)
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

@@ -59,21 +59,19 @@ class TrainConfig:
     plateau_patience: int = 0  # 0 disables the plateau decay
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if self.lr_ratio < 0:
-            raise ConfigError(f"lr_ratio must be >= 0, got {self.lr_ratio}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("epochs", "batch_size", "patch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got "
+        for name, ok, bounds in (
+                ("base_lr", 0 < self.base_lr < np.inf, "finite and > 0"),
+                ("lr_ratio", 0 <= self.lr_ratio < np.inf, "finite and >= 0"),
+                ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                ("epochs", self.epochs >= 1, "positive"),
+                ("batch_size", self.batch_size >= 1, "positive"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("patch", self.patch >= 1, "positive"),
+                ("decay_factor", 0 < self.decay_factor <= 1, "in (0, 1]"),
+                ("plateau_patience", self.plateau_patience >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {bounds}, got "
                                   f"{getattr(self, name)}")
-        if not 0 < self.decay_factor <= 1:
-            raise ConfigError(f"decay_factor must be in (0, 1], got "
-                              f"{self.decay_factor}")
-        if self.plateau_patience < 0:
-            raise ConfigError("plateau_patience must be >= 0")
 
 
 class SGD:

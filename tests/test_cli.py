@@ -200,6 +200,75 @@ class TestTrain:
             os.path.realpath(workspace / "data")
 
 
+class TestBadSeedsAndRates:
+    """A negative seed or a non-finite learning rate, from a flag or a
+    config file, is a usage error: exit 1, one error line naming the value,
+    no traceback, and nothing written."""
+
+    def args(self, workspace, command):
+        data = str(workspace / "data")
+        runs = {"extend-scale": ["--run", str(workspace / "run-a"),
+                                 "--new-scale", "5"],
+                "train-fusion": ["--run-a", str(workspace / "run-a"),
+                                 "--run-b", str(workspace / "run-b")]}
+        return [command, "--data", data, *runs.get(command, []),
+                "--epochs", "1", "--batch-size", "3", "--patch", "32"]
+
+    def check(self, capsys, code, out, name):
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 1, err
+        assert len(errors) == 1 and name in errors[0], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("train", ["--seed", "-1"], "seed"),
+        ("train", ["--init-seed", "-1"], "--init-seed"),
+        ("train-mk", ["--init-seed", "-1"], "--init-seed"),
+        ("extend-scale", ["--init-seed", "-1"], "--init-seed"),
+        ("train-fusion", ["--init-seed", "-1"], "--init-seed"),
+        ("train", ["--base-lr", "nan"], "base_lr"),
+        ("train", ["--base-lr", "inf"], "base_lr"),
+        ("train", ["--lr-ratio", "nan"], "lr_ratio"),
+        ("train-mk", ["--lr-ratio", "inf"], "lr_ratio"),
+        ("extend-scale", ["--lr-ratio", "nan", "--unfreeze-all"], "ratio"),
+    ])
+    def test_flag(self, workspace, tmp_path, capsys, command, flags, name):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main([*self.args(workspace, command), "--out", str(out),
+                         *flags])
+        self.check(capsys, code, out, name)
+
+    def test_synth_seed_flag(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1",
+                     "--tiles", "1", "--size", "32"])
+        self.check(capsys, code, tmp_path / "d", "--seed")
+
+    @pytest.mark.parametrize("command, line, name", [
+        ("synth", "seed=-1", "seed"),
+        ("train", "seed=-1", "seed"),
+        ("train", "init-seed=-1", "init-seed"),
+        ("train-fusion", "init-seed=-1", "init-seed"),
+        ("train", "base-lr=nan", "base_lr"),
+        ("train", "lr-ratio=inf", "lr_ratio"),
+    ])
+    def test_config_file(self, workspace, tmp_path, capsys, command, line,
+                         name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        args = (["synth", "--tiles", "1", "--size", "32"]
+                if command == "synth" else self.args(workspace, command))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main([*args, "--out", str(out), "--config", str(cfg)])
+        self.check(capsys, code, out, name)
+
+
 class TestExtendScale:
     def test_freezes_old_parameters(self, workspace, tmp_path):
         out = tmp_path / "ext"

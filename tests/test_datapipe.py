@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from segstack import IGNORE_LABEL, ShapeError
+from segstack import IGNORE_LABEL
 from segstack.datapipe import (PALETTE, Raster, TileGeometry, Window,
                                build_composite, colorize_labels, ndvi,
                                plan_tiles, read_pgm, read_ppm, stitch_average,
                                synth_dataset, write_pgm, write_ppm)
-from segstack.errors import DataError, FormatError, TilingError
+from segstack.errors import DataError, FormatError, ShapeError, TilingError
 
 
 class TestNdvi:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from segstack import (ShapeError, SpecError, Tensor, backward,
-                      cross_entropy_loss, softmax_channels)
+from segstack import Tensor, backward, cross_entropy_loss
+from segstack.errors import ShapeError, SpecError
 from segstack.fusion import (CorrectorSpec, StreamOutput, forward_corrector,
                              fuse_average, fuse_residual,
                              fusion_stats, init_corrector, make_corrector)
-from segstack.nnops import ConvParams, he_fill
+from segstack.nnops import ConvParams, he_fill, softmax_channels
 
 
 def make_stream(rng, n=1, k=3, c=4, h=8, w=8, dtype=np.float64):

@@ -9,11 +9,11 @@ import pytest
 
 import oracles
 from oracles import sum_all
-from segstack import (BNState, ConvParams, Tensor, add, add_n, backward,
-                      concat_channels, conv2d, cross_entropy_loss, maxpool2,
-                      mean_n, relu, scale, softmax_channels, unpool2)
+from segstack import (BNState, ConvParams, Tensor, backward, conv2d,
+                      cross_entropy_loss, maxpool2, relu, unpool2)
 from segstack import convkernels as ck
-from segstack.nnops import PoolMask, batchnorm, conv_unit
+from segstack.nnops import PoolMask, batchnorm, conv_unit, softmax_channels
+from segstack.tensor import add, add_n, concat_channels, mean_n, scale
 
 TOL = 1e-4
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from segstack import IGNORE_LABEL, ShapeError
+from segstack import IGNORE_LABEL
+from segstack.errors import ShapeError
 from segstack.metrics import (ConfusionMatrix, erode_boundaries, f1_scores,
                               format_report)
 

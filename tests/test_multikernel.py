@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
-from segstack import SpecError, Tensor, backward, cross_entropy_loss, mean_n
+from segstack import Tensor, backward, cross_entropy_loss
+from segstack.errors import SpecError
 from segstack.multikernel import (MultiKernelHead, branch_outputs,
                                   extend_with_scale, forward_multikernel,
                                   make_head, multikernel_loss)
 from segstack.nnops import ConvParams, conv2d, he_fill
+from segstack.tensor import mean_n
 
 
 def filled_head(in_ch, k, scales, seed=0):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from segstack import (ConfigError, ShapeError, SpecError, Tensor,
-                      cross_entropy_loss)
-from segstack.errors import CheckpointError, FormatError
+from segstack import Tensor, cross_entropy_loss
+from segstack.errors import (CheckpointError, ConfigError, FormatError,
+                             ShapeError, SpecError)
 from segstack.segnet import (FULL_CONV_COUNTS, FULL_WIDTHS, build_segnet,
                              forward, forward_parts, init_he, load_checkpoint,
                              load_encoder_checkpoint, named_parameters,
@@ -140,6 +140,11 @@ class TestParamGroups:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError, match=">= 0"):
             param_groups(mini(), ratio=-0.1)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(ConfigError, match="finite"):
+            param_groups(mini(), ratio=ratio)
 
 
 class TestCheckpoint:

@@ -1,17 +1,29 @@
-"""Ratchet on the settable surface: defaulted parameters in the
-signatures of ``src/segstack``, defaulted dataclass fields there, and the
-command-line flags other than ``--config``. A change that adds a setting
-raises SETTABLE_VALUES_CAP in its own diff."""
+"""Ratchets on the surface and size of ``src/segstack``.
+
+* Settable values: defaulted parameters in its signatures, defaulted
+  dataclass fields there, and the command-line flags other than
+  ``--config``. A change that adds a setting raises SETTABLE_VALUES_CAP in
+  its own diff.
+* Lines: the ``wc -l`` total of ``src/segstack/*.py``. A change that adds
+  lines raises SRC_LINES_CAP in its own diff.
+* The package namespace holds exactly the names its callers use: the
+  README, the demos and ``perfbench``'s ``ss.<name>`` accesses. Every
+  other name imports from its own module.
+"""
 
 import ast
 import pathlib
+import re
 
 import segstack
 from segstack.cli import build_parser
 
 SETTABLE_VALUES_CAP = 132
+SRC_LINES_CAP = 3462
 
 SRC = pathlib.Path(segstack.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
+README = (REPO / "README.md").read_text()
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -51,3 +63,40 @@ def test_settable_values_do_not_grow():
         f"{total} settable values ({params} defaulted parameters, {fields} "
         f"defaulted dataclass fields, {flags} CLI flags), cap "
         f"{SETTABLE_VALUES_CAP}")
+
+
+def test_src_lines_do_not_grow():
+    lines = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    assert lines <= SRC_LINES_CAP, (
+        f"src/segstack has {lines} lines, cap {SRC_LINES_CAP}")
+
+
+def caller_names() -> "set[str]":
+    """Names that the README's code blocks and the demos import from
+    ``segstack``, and that ``perfbench/*.py`` reads as ``ss.<name>``."""
+    sources = re.findall(r"```python\n(.*?)```", README, re.S)
+    sources += [p.read_text() for p in sorted((REPO / "demos").glob("*.py"))]
+    names = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "segstack":
+                names.update(a.name for a in node.names)
+    for p in sorted((REPO / "perfbench").glob("*.py")):
+        names.update(re.findall(r"\bss\.(\w+)", p.read_text()))
+    return names
+
+
+def test_every_caller_name_resolves_on_the_package():
+    names = caller_names()
+    assert {"Tensor", "train_segnet", "synth_dataset", "training"} <= names
+    missing = sorted(n for n in names if not hasattr(segstack, n))
+    assert not missing, f"used by callers, missing from segstack: {missing}"
+
+
+def test_package_exports_only_names_its_callers_use():
+    used = caller_names()
+    unused = sorted(n for n in segstack.__all__ if n not in used and not
+                    re.search(rf"(?<![\w.]){n}\b", README))
+    assert not unused, (
+        f"exported, but no README text, demo or perfbench access uses "
+        f"them: {unused}")

@@ -1,6 +1,9 @@
 """Forward semantics of the tensor operator set and the conv kernels'
 gradients, pinned against the naive oracles."""
 
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +11,16 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import sum_all
-from segstack import (IGNORE_LABEL, ConvParams, ShapeError, StaleTapeError,
-                      Tensor, backward, conv2d, cross_entropy_loss, maxpool2,
-                      relu, softmax_channels, unpool2)
+from segstack import (IGNORE_LABEL, ConvParams, Tensor, backward, conv2d,
+                      cross_entropy_loss, maxpool2, relu, unpool2)
 from segstack import convkernels as ck
+from segstack import tensor
+from segstack.errors import ShapeError, StaleTapeError
 from segstack.nnops import (BNState, PoolMask, batchnorm, conv_unit, pool,
-                           unpool)
+                           softmax_channels, unpool)
 from segstack.segnet import ConvUnit
-from segstack.tensor import (apply_steps, hold_step, no_grad, pending_steps,
-                             value)
+from segstack.tensor import (apply_steps, hold_step, leaf_grads_to, no_grad,
+                             pending_steps, value)
 
 
 @pytest.fixture
@@ -227,7 +231,7 @@ class TestConvBnRelu:
                                        rtol=1e-6, atol=1e-7)
 
     def test_uninitialized_eval_rejected(self, rng):
-        from segstack import TrainingError
+        from segstack.errors import TrainingError
         unit = _unit(rng)
         with pytest.raises(TrainingError, match="uninitialized"):
             conv_unit(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
@@ -309,7 +313,7 @@ class TestBackwardBasics:
     def test_detached_tensor_receives_no_grad(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=False)
         y = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)
-        from segstack import add
+        from segstack.tensor import add
         backward(sum_all(add(x, y)))
         assert x.grad is None
         assert y.grad is not None
@@ -317,7 +321,7 @@ class TestBackwardBasics:
     def test_only_leaves_keep_gradients(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
         y = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-        from segstack import add
+        from segstack.tensor import add
         hidden = relu(add(x, y))
         loss = sum_all(hidden)
         backward(loss)
@@ -388,6 +392,19 @@ class TestPendingSteps:
         assert not steps
         assert a.tobytes() == want.tobytes()
 
+    def test_raising_block_ends_with_its_steps_applied(self, rng):
+        a, s, v = self.step(rng)
+        want = a.copy()
+        want -= s * v
+        steps = {}
+        with pytest.raises(Boom):
+            with pending_steps(steps):
+                assert hold_step(a, s, v)
+                raise Boom
+        assert not steps
+        assert a.tobytes() == want.tobytes()
+        assert tensor._modes.pending is None
+
     def test_conv_reads_its_weight_with_the_pending_step(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
         a, s, v = self.step(rng)
@@ -401,6 +418,65 @@ class TestPendingSteps:
             apply_steps({id(a): (a, s, v)})
             applied = conv2d(x, params).data
         assert pending.tobytes() == applied.tobytes()
+
+
+class Boom(Exception):
+    pass
+
+
+class TestTapeModes:
+    """``no_grad``, ``leaf_grads_to`` and ``pending_steps`` each set their
+    own field of the tape's modes and restore only that field, whether the
+    block ends or raises, nested in either order."""
+
+    MODES = ("no_grad", "leaf_grads_to", "pending_steps")
+
+    def state(self):
+        m = tensor._modes
+        return dict(zip(self.MODES, (m.grad, m.sink, m.pending)))
+
+    def block(self, mode):
+        if mode == "no_grad":
+            return no_grad()
+        if mode == "leaf_grads_to":
+            return leaf_grads_to(lambda leaf, grad: None)
+        return pending_steps({})
+
+    def changed(self, before):
+        after = self.state()
+        return {m for m in self.MODES if after[m] is not before[m]}
+
+    @pytest.mark.parametrize("raises", [False, True])
+    @pytest.mark.parametrize("outer, inner",
+                             list(itertools.permutations(MODES, 2)))
+    def test_nested_blocks_restore_only_their_own_mode(self, outer, inner,
+                                                       raises):
+        def ending():
+            return pytest.raises(Boom) if raises else contextlib.nullcontext()
+
+        base = self.state()
+        with ending():
+            with self.block(outer):
+                assert self.changed(base) == {outer}
+                mid = self.state()
+                with ending():
+                    with self.block(inner):
+                        assert self.changed(mid) == {inner}
+                        if raises:
+                            raise Boom
+                assert self.changed(mid) == set()
+                if raises:
+                    raise Boom
+        assert self.changed(base) == set()
+
+    def test_modes_are_set_as_the_ops_read_them(self, rng):
+        x = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+        sent = []
+        with no_grad():
+            assert not relu(x).requires_grad
+        with leaf_grads_to(lambda leaf, grad: sent.append(leaf)):
+            backward(sum_all(relu(x)))
+        assert sent == [x] and x.grad is None
 
 
 # the acceptance suite's conv oracle tolerance

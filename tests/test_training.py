@@ -160,6 +160,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"seed": -1}, "seed"),
+        ({"base_lr": float("nan")}, "base_lr"),
+        ({"base_lr": float("inf")}, "base_lr"),
+        ({"lr_ratio": float("nan")}, "lr_ratio"),
+        ({"lr_ratio": float("inf")}, "lr_ratio"),
+    ])
+    def test_rejects_negative_seed_and_non_finite_rates(self, kwargs, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            TrainConfig(**kwargs)
+
 
 class TestTrainSegnet:
     def test_manifest_and_checkpoint_layout(self, tmp_path):
@@ -488,7 +499,7 @@ class TestPendingSteps:
     def assert_none_pending(self, guards):
         assert len(guards) == 1
         assert not guards[0].steps
-        assert tensor._pending is None
+        assert tensor._modes.pending is None
 
     def test_guard_copies_only_rows_sgd_writes_in_place(self, tmp_path,
                                                         guards):

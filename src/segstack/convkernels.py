@@ -15,6 +15,13 @@ weight gradient reads the forward's windows on the forward's route.
 ``select_route`` goes by the GEMM's shape.  Both routes agree up to float
 reduction order; the tests pin each against naive nested-loop oracles.
 
+With BLAS pinned, a kernel whose GEMMs clear a size gate (``_parts``)
+runs as two fixed parts, set by the shapes alone: alternate row chunks
+(direct route), alternate taps, each summed over the chunks in order (its
+weight gradient), or two row blocks (im2col; column blocks for its weight
+gradient).  The caller runs part 0 and a helper thread part 1 (``_run``);
+without the helper the caller runs both, so the bits never depend on it.
+
 Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
 of a window is its row-major offset (k // 2, k % 2), and the argmax is the
 uint8 slot of the first maximum.
@@ -29,6 +36,12 @@ in ``nnops``.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -42,6 +55,55 @@ _IM2COL_ROWS_PER_CHANNEL = 16
 # The direct route walks rows in chunks of about this many bytes of input and
 # output rows, so a chunk stays in cache across all kernel offsets.
 _CHUNK_BYTES = 1 << 18
+# With BLAS pinned to one thread (README, "Determinism"), a kernel splits
+# when the op does at least _SPLIT_MACS multiply-adds and each of its matmul
+# calls at least _SPLIT_CALL_MACS; no mini-net op does. Unpinned, BLAS keeps
+# both cores busy already. pool: the helper, a one-thread pool once started
+# under lock (forked children drop both); inline: the caller runs both parts.
+_SPLIT_MACS, _SPLIT_CALL_MACS = 50_000_000, 1_000_000
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_split = SimpleNamespace(pool=None, lock=threading.Lock(), inline=False,
+                         pinned={os.environ.get(v) for v in _BLAS_VARS}
+                         - {None} == {"1"})
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: vars(_split).update(
+        pool=None, lock=threading.Lock()))
+
+
+def _parts(op_macs: int, call_macs: int) -> int:
+    return 2 if (_split.pinned and op_macs >= _SPLIT_MACS
+                 and call_macs >= _SPLIT_CALL_MACS) else 1
+
+
+def _run(job, parts: int) -> None:
+    """``job(p)`` for each part p: with two parts, part 1 on the helper if
+    the process may run on two CPUs."""
+    if parts == 2 and not _split.inline and (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) >= 2:
+        with _split.lock:
+            _split.pool = _split.pool or ThreadPoolExecutor(1)
+        second = _split.pool.submit(job, 1)
+        try:
+            job(0)
+        finally:
+            error = second.exception()  # waits for part 1
+        if error is not None:
+            raise error
+        return
+    for p in range(parts):
+        job(p)
+
+
+@contextlib.contextmanager
+def _inline_kernels():
+    """The caller runs both parts of every kernel for the block, also in
+    processes forked inside it."""
+    saved, _split.inline = _split.inline, True
+    try:
+        yield
+    finally:
+        _split.inline = saved
 
 
 def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
@@ -103,12 +165,17 @@ def _columns(xp: np.ndarray, kh: int, kw: int, stride: int,
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
                route: str) -> np.ndarray:
-    """``_pad`` map * ``w`` (oc,c,kh,kw) -> (n,oh,ow,oc)."""
+    """``_pad`` map * ``w`` (oc,c,kh,kw) -> (n,oh,ow,oc), maybe a strided
+    view of a larger buffer."""
     n, _, width, c = xp.shape
     oc, _, kh, kw = w.shape
+    macs = n * oh * ow * oc * c * kh * kw
     if route == "im2col":
-        out = (_columns(xp, kh, kw, stride, oh, ow)
-               @ w.transpose(0, 2, 3, 1).reshape(oc, -1).T)
+        cols = _columns(xp, kh, kw, stride, oh, ow)
+        wt = w.transpose(0, 2, 3, 1).reshape(oc, -1).T
+        out = np.empty((len(cols), oc), xp.dtype)
+        a, o = (np.array_split(m, _parts(macs, macs // 2)) for m in (cols, out))
+        _run(lambda p: np.matmul(a[p], wt, out=o[p]), len(a))
         return out.reshape(n, oh, ow, oc)
     if route != "direct":
         raise ValueError(f"unknown conv route {route!r}")
@@ -119,15 +186,19 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
     taps = [(ki * width + kj, np.ascontiguousarray(w[:, :, ki, kj].T))
             for ki in range(kh) for kj in range(kw)]
     chunks = _row_chunks(span, c, oc, xp.itemsize)
+    parts = _parts(macs, chunks[0][1] * c * oc)
     acc = np.zeros((len(flat), oc), dtype=xp.dtype)
-    part = np.empty((chunks[0][1], oc), dtype=xp.dtype)
-    for r0, r1 in chunks:
-        out, p = acc[r0:r1], part[:r1 - r0]
-        for shift, wk in taps:
-            out += np.matmul(flat[r0 + shift:r1 + shift], wk, out=p)
+    scratch = np.empty((parts, chunks[0][1], oc), dtype=xp.dtype)
+
+    def job(p):
+        for r0, r1 in chunks[p::parts]:
+            out, s = acc[r0:r1], scratch[p, :r1 - r0]
+            for shift, wk in taps:
+                out += np.matmul(flat[r0 + shift:r1 + shift], wk, out=s)
+
+    _run(job, parts)
     acc = acc.reshape(xp.shape[:3] + (oc,))
-    return np.ascontiguousarray(
-        acc[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride])
+    return acc[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride]
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
@@ -135,8 +206,14 @@ def conv_forward(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
     """Cross-correlation of ``x`` (n,h,w,c) with ``w`` (oc,c,kh,kw) ->
     (n,oh,ow,oc), bias not added."""
     oh, ow = check_conv_shapes(x, w, pad, stride)
+    w = w.astype(x.dtype, copy=False)
     xp = _pad(x, pad, (x.shape[1] + 2 * pad[0], x.shape[2] + 2 * pad[1]))
-    return _correlate(xp, w.astype(x.dtype, copy=False), stride, oh, ow, route)
+    # a transient x that the caller did not keep goes now, and the padded map
+    # before the copy out: two fewer activation-sized buffers at the peak
+    del x
+    out = _correlate(xp, w, stride, oh, ow, route)
+    del xp
+    return np.ascontiguousarray(out)
 
 
 def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
@@ -144,18 +221,32 @@ def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     """(oc,kh,kw,c) weight gradient, read from the forward's windows of xp."""
     _, hp1, width, c = xp.shape
     oh, ow, oc = g.shape[1:]
+    macs = g.size * c * kh * kw
     if route == "im2col":
         cols = _columns(xp, kh, kw, stride, oh, ow)
-        return (g.reshape(-1, oc).T @ cols).reshape(oc, kh, kw, c)
+        gt = g.reshape(-1, oc).T
+        gw = np.empty((oc, cols.shape[1]), np.result_type(g, xp))
+        b, o = (np.array_split(m, _parts(macs, macs // 2), axis=1)
+                for m in (cols, gw))
+        _run(lambda p: np.matmul(gt, b[p], out=o[p]), len(b))
+        return gw.reshape(oc, kh, kw, c)
     # g on the stride-1 output grid, laid out like xp, shifts like the forward
     gf = _pad(g, (0, 0), (hp1 - 1, width), stride).reshape(-1, oc)
     xf = xp.reshape(-1, c)
     shifts = [ki * width + kj for ki in range(kh) for kj in range(kw)]
+    chunks = _row_chunks(len(xf) - shifts[-1], c, oc, xp.itemsize)
+    parts = _parts(macs, chunks[0][1] * c * oc)
     gw = np.zeros((len(shifts), oc, c), dtype=xp.dtype)
-    for r0, r1 in _row_chunks(len(xf) - shifts[-1], c, oc, xp.itemsize):
-        gt = gf[r0:r1].T
-        for t, shift in enumerate(shifts):
-            gw[t] += gt @ xf[r0 + shift:r1 + shift]
+    scratch = np.empty((parts, oc, c), np.result_type(gf, xf))
+
+    def job(p):
+        for r0, r1 in chunks:
+            gt = gf[r0:r1].T
+            for t in range(p, len(shifts), parts):
+                gw[t] += np.matmul(gt, xf[r0 + shifts[t]:r1 + shifts[t]],
+                                   out=scratch[p])
+
+    _run(job, parts)
     return gw.reshape(kh, kw, oc, c).transpose(2, 0, 1, 3)
 
 
@@ -176,12 +267,15 @@ def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     grad_w = np.ascontiguousarray(_weight_grad(
         _pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw, stride,
         route).transpose(0, 3, 1, 2), dtype=w.dtype)
+    del x  # as in conv_forward
     grad_x = None
     if need_input_grad:
         gp = _pad(g, (kh - 1 - ph, kw - 1 - pw), (h + kh - 1, wd + kw - 1),
                   stride)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(g.dtype, copy=False)
         grad_x = _correlate(gp, w_t, 1, h, wd, select_route(n * h * wd, oc))
+        del gp  # as in conv_forward
+        grad_x = np.ascontiguousarray(grad_x)
     return grad_x, grad_w, g.sum(axis=(0, 1, 2))
 
 

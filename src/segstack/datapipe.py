@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, FormatError, ShapeError, TilingError
-from .nnops import IGNORE_LABEL
+from .nnops import IGNORE_LABEL, seeded_rng
 
 #: class id -> (name, display color). 0 roads (white), 1 buildings (blue),
 #: 2 low vegetation (cyan), 3 trees (green), 4 cars (yellow).
@@ -250,7 +250,7 @@ def synth_dataset(seed: int, n_tiles: int, size: int, k: int = 5):
         raise DataError(f"tile size must be >= 32, got {size}")
     if n_tiles < 1:
         raise DataError(f"tile count must be positive, got {n_tiles}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return [_synth_tile(rng, size) for _ in range(n_tiles)]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError
-from .nnops import ConvParams, conv_unit, he_fill
+from .nnops import ConvParams, conv_unit, he_fill, seeded_rng
 from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
 
 
@@ -85,7 +85,7 @@ def make_corrector(in_channels: int, k: int, hidden: int = 64,
 
 
 def init_corrector(corr: CorrectorSpec, seed: int) -> None:
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     he_fill(corr.convs[0], rng)
     he_fill(corr.convs[1], rng)
     corr.convs[2].weight.data[...] = 0

@@ -19,8 +19,10 @@ cores, two workers map a fused 512x512 scene at stride 64 1.8x as fast
 as one; the thread pool they replace reached 1.46x, because the many
 short numpy calls of a window hold the GIL.
 
-Forking copies only the calling thread: the caller must not run other
-threads that hold locks the windows need. Platforms without ``os.fork``
+Forking copies only the calling thread: other threads of the caller
+must not hold locks the windows need. While workers run, the caller and
+its children run every conv kernel inline (``convkernels``), so no helper
+thread competes for the cores they share. Platforms without ``os.fork``
 accept ``threads=1`` only.
 """
 
@@ -32,6 +34,7 @@ import warnings
 
 import numpy as np
 
+from .convkernels import _inline_kernels
 from .datapipe import TileGeometry, plan_tiles, stitch_average
 from .errors import ConfigError, DataError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
@@ -142,7 +145,8 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
         if workers == 1:
             maps = [worker(win) for win in windows]
         else:
-            maps = _map_forked(worker, windows, specs[0].k, workers)
+            with _inline_kernels():
+                maps = _map_forked(worker, windows, specs[0].k, workers)
     return stitch_average(windows, maps, h, w)
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import convkernels as ck
-from .errors import ShapeError, SpecError, TrainingError
+from .errors import ConfigError, ShapeError, SpecError, TrainingError
 from .tensor import Tensor, _record, permute, recording, value
 
 #: Label value excluded from losses and metrics.
@@ -99,6 +99,13 @@ class ConvParams:
         if self.bias is not None:
             out.append(("bias", self.bias))
         return out
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def he_fill(params: ConvParams, rng: np.random.Generator) -> None:
@@ -227,12 +234,12 @@ def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
     conv bias cancels against the batch mean in train mode, so it enters
     only the running mean. Eval mode without a tape finishes the unit in
     place, as one per-channel scale and shift."""
-    x, w, b = _value(h), params.weight, params.bias
-    oh, ow = ck.check_conv_shapes(x, w.data, params.padding, params.stride)
-    route = ck.select_route(len(x) * oh * ow, x.shape[3])
-    rows = ck.conv_forward(x, value(w.data), params.padding, params.stride,
-                           route)
-    del x  # a pending input's y is transient
+    w, b = params.weight, params.bias
+    oh, ow = ck.check_conv_shapes(h.data, w.data, params.padding, params.stride)
+    route = ck.select_route(h.shape[0] * oh * ow, h.shape[3])
+    # a pending input's y is transient: conv_forward drops it once padded
+    rows = ck.conv_forward(_value(h), value(w.data), params.padding,
+                           params.stride, route)
     n, oc = len(rows), rows.shape[-1]
     rows = rows.reshape(-1, oc)
     parents = (h, w) + (() if b is None else (b,))

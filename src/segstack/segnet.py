@@ -23,7 +23,7 @@ from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F401
                           make_head)
 from .nnops import (BNState, ConvParams, activate, batchnorm,  # noqa: F401
-                    conv_norm, conv_unit, he_fill, pool, unpool)
+                    conv_norm, conv_unit, he_fill, pool, seeded_rng, unpool)
 from .tensor import Tensor, permute, value
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
@@ -107,7 +107,7 @@ def _units(spec: NetworkSpec):
 
 def init_he(spec: NetworkSpec, seed: int) -> None:
     """He-normal conv weights, zero biases, deterministic under seed."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for u in _units(spec):
         he_fill(u.params, rng)
     for b in spec.head.branches:
@@ -121,6 +121,16 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     applies the batch norm's affine and ReLU. The head runs folded into
     one conv; ``branch_outputs(spec.head, features)`` gives the
     per-branch logits it averages."""
+    logits, h = _forward(spec, x, mode)
+    return logits, permute(activate(h), (0, 3, 1, 2))
+
+
+def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
+    """The logits of ``forward_parts``, without building the features."""
+    return _forward(spec, x, mode)[0]
+
+
+def _forward(spec: NetworkSpec, x: Tensor, mode: str):
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D, got shape {x.shape}")
     if x.shape[1] != spec.in_channels:
@@ -142,12 +152,7 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
         for u in block:
             h = conv_norm(h, u.params, u.bn, mode)
     logits = conv_unit(h, fold_head(spec.head), None, mode)
-    return permute(logits, (0, 3, 1, 2)), permute(activate(h), (0, 3, 1, 2))
-
-
-def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
-    logits, _ = forward_parts(spec, x, mode)
-    return logits
+    return permute(logits, (0, 3, 1, 2)), h
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
                      fuse_residual, fusion_stats, make_corrector)
 from .inference import stream_outputs, window_map
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
-from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward_parts,
-                     load_checkpoint, param_groups, restore_bundle,
-                     save_checkpoint, state_entries)
+from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward,
+                     forward_parts, load_checkpoint, param_groups,
+                     restore_bundle, save_checkpoint, state_entries)
 from .tensor import (Tensor, apply_steps, backward, hold_step, leaf_grads_to,
                      no_grad, pending_steps, value)
 
@@ -275,7 +275,7 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
     }
     return _train(config, dataset, out_dir, manifest, groups,
                   state_entries(spec),
-                  lambda xs: forward_parts(spec, xs[0], mode="train")[0],
+                  lambda xs: forward(spec, xs[0], mode="train"),
                   lambda: save_checkpoint(spec, ckpt_dir))
 
 

@@ -9,7 +9,8 @@ from segstack.datapipe import (PALETTE, Raster, TileGeometry, Window,
                                build_composite, colorize_labels, ndvi,
                                plan_tiles, read_pgm, read_ppm, stitch_average,
                                synth_dataset, write_pgm, write_ppm)
-from segstack.errors import DataError, FormatError, ShapeError, TilingError
+from segstack.errors import (ConfigError, DataError, FormatError, ShapeError,
+                             TilingError)
 
 
 class TestNdvi:
@@ -210,6 +211,10 @@ class TestSynth:
     def test_unsupported_k(self):
         with pytest.raises(DataError, match="5 classes"):
             synth_dataset(0, 1, 64, k=3)
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            synth_dataset(-1, 1, 64)
 
 
 class TestColor:

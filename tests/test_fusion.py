@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from segstack import Tensor, backward, cross_entropy_loss
-from segstack.errors import ShapeError, SpecError
+from segstack.errors import ConfigError, ShapeError, SpecError
 from segstack.fusion import (CorrectorSpec, StreamOutput, forward_corrector,
                              fuse_average, fuse_residual,
                              fusion_stats, init_corrector, make_corrector)
@@ -62,6 +62,11 @@ class TestResidual:
         corr = make_corrector(c_total, k, hidden=16, dtype=np.float64)
         init_corrector(corr, seed)
         return corr
+
+    def test_negative_seed_is_config_error(self):
+        corr = make_corrector(8, 3, hidden=16)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            init_corrector(corr, seed=-1)
 
     def test_zero_final_layer_is_identity(self, rng):
         streams = [make_stream(rng), make_stream(rng)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segstack import Tensor, cross_entropy_loss
+from segstack import Tensor, cross_entropy_loss, segnet
 from segstack.errors import (CheckpointError, ConfigError, FormatError,
                              ShapeError, SpecError)
 from segstack.segnet import (FULL_CONV_COUNTS, FULL_WIDTHS, build_segnet,
@@ -9,6 +9,7 @@ from segstack.segnet import (FULL_CONV_COUNTS, FULL_WIDTHS, build_segnet,
                              load_encoder_checkpoint, named_parameters,
                              param_groups, save_checkpoint)
 from segstack.tenio import load_bundle, save_bundle
+from segstack.training import TrainConfig, train_segnet
 
 
 def mini(k=5, seed=0, **kw):
@@ -92,6 +93,22 @@ class TestStructure:
         assert feats.shape == (2, 16, 32, 32)
         assert logits.shape == (2, 4, 32, 32)
 
+    def test_forward_and_training_build_no_features(self, monkeypatch,
+                                                     tmp_path):
+        spec = mini(k=5, seed=3)
+        x = np.random.default_rng(2).standard_normal(
+            (4, 3, 32, 32)).astype(np.float32)
+        want = forward_parts(spec, Tensor(x))[0].data
+
+        def no_features(h):
+            raise AssertionError("trunk features built")
+
+        monkeypatch.setattr(segnet, "activate", no_features)
+        np.testing.assert_array_equal(forward(spec, Tensor(x)).data, want)
+        labels = np.zeros((32, 32), np.uint8)
+        train_segnet(spec, [(xi, labels) for xi in x],
+                     TrainConfig(epochs=1, batch_size=4, patch=32), tmp_path)
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):
@@ -112,6 +129,11 @@ class TestInit:
         assert w.data.size >= 4096
         fan_in = 16 * 9
         assert w.data.std() == pytest.approx(np.sqrt(2 / fan_in), rel=0.1)
+
+    def test_negative_seed_is_config_error(self):
+        spec = build_segnet(k=5, scale="mini", in_channels=3)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            init_he(spec, seed=-1)
 
     def test_biases_zero(self):
         for _, t, _ in named_parameters(mini(seed=4)):

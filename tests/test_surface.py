@@ -19,7 +19,7 @@ import segstack
 from segstack.cli import build_parser
 
 SETTABLE_VALUES_CAP = 132
-SRC_LINES_CAP = 3462
+SRC_LINES_CAP = 3572
 
 SRC = pathlib.Path(segstack.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]

@@ -16,9 +16,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import tenio
-from .datapipe import (CLASS_NAMES, TileGeometry, colorize_labels, read_pgm,
-                       synth_dataset, write_pgm, write_ppm)
-from .errors import ConfigError, DivergenceError, FormatError, SegstackError
+from .datapipe import (CLASS_NAMES, TileGeometry, check_bands,
+                       colorize_labels, read_pgm, synth_dataset, write_pgm,
+                       write_ppm)
+from .errors import (ConfigError, DivergenceError, FormatError, SegstackError,
+                     ShapeError)
 from .fusion import init_corrector, make_corrector
 from .inference import labels_from_probs, predict_probs, predict_probs_fused
 from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
@@ -119,7 +121,8 @@ def _train_config(args) -> TrainConfig:
 
 def _load_dataset(data_dir, *streams):
     """Per tile listed by dataset.txt, in file order, the bands of each
-    named stream, then the labels."""
+    named stream, then the labels. Each band file must be finite, have
+    the first tile's band count for its stream, and its labels' extent."""
     index = os.path.join(data_dir, DATASET_INDEX)
     if not os.path.exists(index):
         raise ConfigError(f"no {DATASET_INDEX} in {data_dir}")
@@ -128,16 +131,21 @@ def _load_dataset(data_dir, *streams):
             stems = [line.strip() for line in fh if line.strip()]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{index}: not UTF-8: {exc}") from None
-    samples = []
+    samples, counts = [], {}
     for stem in stems:
         if (stem in ("", ".", "..") or os.path.basename(stem) != stem
                 or "\0" in stem):
             raise FormatError(f"{index}: sample {stem!r} is not a file name "
                               "in the data directory")
         base = os.path.join(data_dir, stem)
-        samples.append(tuple(tenio.read_ten(f"{base}.{s}.ten")
-                             for s in streams)
-                       + (read_pgm(base + ".labels.pgm"),))
+        paths = [f"{base}.{s}.ten" for s in streams]
+        bands = [check_bands(tenio.read_ten(p), p) for p in paths]
+        labels = read_pgm(base + ".labels.pgm")
+        for s, p, b in zip(streams, paths, bands):
+            if b.shape != (counts.setdefault(s, len(b)),) + labels.shape:
+                raise ShapeError(f"{p} has shape {b.shape}, not {counts[s]} "
+                                 f"bands over its labels' {labels.shape}")
+        samples.append((*bands, labels))
     return samples
 
 

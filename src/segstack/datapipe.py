@@ -41,6 +41,18 @@ class Raster:
                              f"{self.data.shape[0]} bands")
 
 
+def check_bands(bands: np.ndarray, what: str) -> np.ndarray:
+    """``bands`` if finite and (bands, height, width); errors name ``what``."""
+    if bands.ndim != 3:
+        raise ShapeError(f"{what} must be (bands, height, width), got shape "
+                         f"{bands.shape}")
+    if not np.isfinite(bands).all():
+        i, r, c = np.argwhere(~np.isfinite(bands))[0]
+        raise DataError(f"{what} has a non-finite value {bands[i, r, c]} at "
+                        f"band {i}, row {r}, column {c}")
+    return bands
+
+
 def ndvi(ir: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(IR - R)/(IR + R), defined as 0 where IR + R = 0."""
     ir = np.asarray(ir, dtype=np.float64)
@@ -152,7 +164,7 @@ def stitch_average(windows, maps, h: int, w: int) -> np.ndarray:
             win.left:win.left + win.width] += 1
     if (cnt == 0).any():
         raise TilingError("window plan leaves uncovered pixels")
-    return acc / cnt
+    return np.divide(acc, cnt, out=acc)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError
-from .nnops import ConvParams, conv_unit, he_fill, seeded_rng
+from .nnops import ConvParams, conv_norm, he_fill, seeded_rng, to_nchw
 from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
 
 
@@ -97,8 +97,8 @@ def forward_corrector(corr: CorrectorSpec, z: Tensor) -> Tensor:
     """The corrector on (n,c,h,w) ``z``, run channels-last."""
     h = permute(z, (0, 2, 3, 1))
     for conv in corr.convs[:-1]:
-        h = relu(conv_unit(h, conv, None, "train"))
-    return permute(conv_unit(h, corr.convs[-1], None, "train"), (0, 3, 1, 2))
+        h = relu(conv_norm(h, conv, None, "train"))
+    return to_nchw(conv_norm(h, corr.convs[-1], None, "train"))
 
 
 def _check_streams(streams):

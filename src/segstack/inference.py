@@ -35,8 +35,8 @@ import warnings
 import numpy as np
 
 from .convkernels import _inline_kernels
-from .datapipe import TileGeometry, plan_tiles, stitch_average
-from .errors import ConfigError, DataError, ShapeError
+from .datapipe import TileGeometry, check_bands, plan_tiles, stitch_average
+from .errors import ConfigError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
@@ -122,14 +122,7 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
         raise ConfigError(f"{threads} tile workers need os.fork, which this "
                           f"platform lacks; use threads=1")
     for i, b in enumerate(bands):
-        if b.ndim != 3:
-            raise ShapeError(f"scene must be (bands, height, width), "
-                             f"got shape {b.shape}")
-        if not np.isfinite(b).all():
-            band, row, col = np.argwhere(~np.isfinite(b))[0]
-            raise DataError(f"stream {i} scene has a non-finite value "
-                            f"{b[band, row, col]} at band {band}, row {row}, "
-                            f"column {col}")
+        check_bands(b, f"stream {i} scene")
     h, w = bands[0].shape[1:]
     if any(b.shape[1:] != (h, w) for b in bands):
         raise ShapeError(f"streams must be co-registered, got "

@@ -2,29 +2,27 @@
 softmax and the pixel-wise cross-entropy loss.
 
 These wrap the raw kernels from ``convkernels`` with tape recording and
-carry the parameter containers (``ConvParams``, ``BNState``) and the
-pooling argmax record (``PoolMask``).
+carry the parameter containers (``ConvParams``, ``BNState``).
 
 The network runs on channels-last (n, h, w, c) activations through
 ``conv_norm``, ``pool`` and ``unpool``. A unit (conv -> batch norm ->
 ReLU) ends at its normalisation: ``conv_norm`` returns a *pending*
 tensor, whose data is the normalised conv output x̂ and which stands for
 y = max(gamma * x̂ + beta, 0). Whatever reads it (the next conv,
-``pool``, ``unpool``, the head, or ``activate``) computes y as a
+``pool``, ``unpool``, the head, or ``to_nchw``) computes y as a
 transient, and a conv computes it again in backward, so the tape keeps
 only x̂ of a unit's output. Its gradient is that of y, as for any
 tensor; its own backward recomputes the ReLU mask and runs batch norm's.
 A conv reads its weight with any pending SGD step (``tensor.value``).
-``conv_unit``, a unit that returns y, is ``activate`` of ``conv_norm``.
+A pooling mask is a uint8 array of each window's argmax slot (0..3).
 The public (n, c, h, w) ops ``conv2d``, ``maxpool2``, ``unpool2`` and
-``batchnorm`` run the same channels-last code between two ``permute``s.
+``batchnorm`` run the same channels-last code between two permutes.
 Softmax and the loss work on (n, c, h, w).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -56,7 +54,7 @@ class ConvParams:
     """Weights of one convolution: weight (oc,ic,kh,kw), optional bias (oc,)."""
 
     weight: Tensor
-    bias: Optional[Tensor]
+    bias: "Tensor | None"
     padding: tuple[int, int]
     stride: int = 1
 
@@ -119,24 +117,6 @@ def he_fill(params: ConvParams, rng: np.random.Generator) -> None:
 
 
 @dataclass
-class PoolMask:
-    """Per-window argmax record of a 2x2 pooling pass.
-
-    ``indices`` is channels-last (n,i,j,c), the pooled map's shape; each
-    entry is the flat row-major offset (0..3) of the max within the window
-    that produced pooled cell (i, j).
-    """
-
-    shape: tuple[int, int, int, int]
-    indices: np.ndarray
-
-    def __post_init__(self):
-        if tuple(self.indices.shape) != tuple(self.shape):
-            raise ShapeError(
-                f"PoolMask indices shape {self.indices.shape} != declared {self.shape}")
-
-
-@dataclass
 class BNState:
     """Batch-norm parameters and running statistics for one channel axis.
 
@@ -159,10 +139,6 @@ class BNState:
             running_var=np.ones(channels, dtype=np.float64),
         )
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
-
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("bn.gamma", self.gamma), ("bn.beta", self.beta)]
 
@@ -177,14 +153,10 @@ def _to_nhwc(x: Tensor, op: str) -> Tensor:
     return permute(x, (0, 2, 3, 1))
 
 
-def _to_nchw(h: Tensor) -> Tensor:
-    return permute(h, (0, 3, 1, 2))
-
-
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
-    ``x``: ``conv_unit`` without batch norm between two permutes."""
-    return _to_nchw(conv_unit(_to_nhwc(x, "conv2d"), params, None, "train"))
+    ``x``: ``conv_norm`` without batch norm between two permutes."""
+    return to_nchw(conv_norm(_to_nhwc(x, "conv2d"), params, None, "train"))
 
 
 class _Pending(Tensor):
@@ -210,25 +182,19 @@ def _value(h: Tensor) -> np.ndarray:
     return _activation(h.data, h.bn) if isinstance(h, _Pending) else h.data
 
 
-def activate(h: Tensor) -> Tensor:
-    """A pending unit output as a tensor of its y; others as they are."""
-    if not isinstance(h, _Pending):
-        return h
-    return _record(Tensor(_value(h)), (h,), lambda g: (g,), "activate")
-
-
-def conv_unit(h: Tensor, params: ConvParams, bn: "BNState | None",
-              mode: str) -> Tensor:
-    """Channels-last conv plus bias, or with ``bn`` conv -> batch norm ->
-    ReLU, on the route ``ck.select_route`` picks: ``activate`` of
-    ``conv_norm``."""
-    return activate(conv_norm(h, params, bn, mode))
+def to_nchw(h: Tensor) -> Tensor:
+    """Channels-last ``h`` as its readers see it (a pending unit output's
+    y), laid out (n,c,h,w): one tape op."""
+    out = Tensor(np.ascontiguousarray(_value(h).transpose(0, 3, 1, 2)))
+    return _record(out, (h,), lambda g: (np.ascontiguousarray(
+        g.transpose(0, 2, 3, 1)),), "permute")
 
 
 def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
               mode: str) -> Tensor:
-    """``conv_unit`` reading ``h`` as readers do; with ``bn`` its output is
-    normalised in place and returned pending. That takes two tape nodes
+    """Channels-last conv plus bias of ``h``, read as readers do, on the
+    route ``ck.select_route`` picks. With ``bn`` it is a unit: its output
+    is normalised in place and returned pending. That takes two tape nodes
     over one buffer: batch norm's backward runs in the pending node, so
     the walk frees the gradient of y before the conv's backward runs. The
     conv bias cancels against the batch mean in train mode, so it enters
@@ -278,42 +244,41 @@ def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
                    "bn_relu")
 
 
-def pool(h: Tensor) -> tuple[Tensor, PoolMask]:
-    """2x2 max pooling with stride 2 of channels-last ``h``; ties go to the
-    first window slot."""
-    out_data, idx = ck.maxpool2(_value(h))
-    fn = lambda g: (ck.scatter2(g, idx),)
-    return (_record(Tensor(out_data), (h,), fn, "maxpool2"),
-            PoolMask(out_data.shape, idx))
+def pool(h: Tensor) -> tuple[Tensor, np.ndarray]:
+    """2x2 max pooling with stride 2 of channels-last ``h``, and the mask
+    of row-major argmax slots, shaped like the output; ties go to slot 0."""
+    out_data, mask = ck.maxpool2(_value(h))
+    fn = lambda g: (ck.scatter2(g, mask),)
+    return _record(Tensor(out_data), (h,), fn, "maxpool2"), mask
 
 
-def unpool(h: Tensor, mask: PoolMask) -> Tensor:
+def unpool(h: Tensor, mask: np.ndarray) -> Tensor:
     """Scatter channels-last pooled activations back to the mask's argmax
-    positions."""
-    if h.shape != tuple(mask.shape):
+    slots."""
+    if h.shape != mask.shape:
         raise ShapeError(f"unpool: input shape {h.shape} does not match "
                          f"mask shape {mask.shape}")
-    out = Tensor(ck.scatter2(_value(h), mask.indices))
-    fn = lambda g: (ck.gather2(g, mask.indices),)
+    out = Tensor(ck.scatter2(_value(h), mask))
+    fn = lambda g: (ck.gather2(g, mask),)
     return _record(out, (h,), fn, "unpool2")
 
 
-def maxpool2(x: Tensor) -> tuple[Tensor, PoolMask]:
-    """``pool`` of (n,c,h,w) ``x``; the mask stays channels-last."""
+def maxpool2(x: Tensor) -> tuple[Tensor, np.ndarray]:
+    """``pool`` of (n,c,h,w) ``x``; the uint8 mask stays channels-last."""
     out, mask = pool(_to_nhwc(x, "maxpool2"))
-    return _to_nchw(out), mask
+    return to_nchw(out), mask
 
 
-def unpool2(x: Tensor, mask: PoolMask) -> Tensor:
+def unpool2(x: Tensor, mask: np.ndarray) -> Tensor:
     """``unpool`` of (n,c,h,w) ``x``."""
-    return _to_nchw(unpool(_to_nhwc(x, "unpool2"), mask))
+    return to_nchw(unpool(_to_nhwc(x, "unpool2"), mask))
 
 
 def _check_bn(state: BNState, channels: int, mode: str) -> None:
-    if channels != state.channels:
+    if channels != len(state.gamma.data):
         raise ShapeError(
             f"batchnorm: channel axis has {channels} channels, state expects "
-            f"{state.channels}")
+            f"{len(state.gamma.data)}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
     if mode == "eval" and not state.initialized:
@@ -407,7 +372,7 @@ def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
                                          gamma.data, inv, mode)
         return dx.reshape(h.shape), dgamma, dbeta
 
-    return _to_nchw(_record(out, (h, gamma, beta), fn, "batchnorm"))
+    return to_nchw(_record(out, (h, gamma, beta), fn, "batchnorm"))
 
 
 def softmax_channels(x: Tensor) -> Tensor:

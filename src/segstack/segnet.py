@@ -22,8 +22,8 @@ from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 # them at these names
 from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F401
                           make_head)
-from .nnops import (BNState, ConvParams, activate, batchnorm,  # noqa: F401
-                    conv_norm, conv_unit, he_fill, pool, seeded_rng, unpool)
+from .nnops import (BNState, ConvParams, batchnorm,  # noqa: F401
+                    conv_norm, he_fill, pool, seeded_rng, to_nchw, unpool)
 from .tensor import Tensor, permute, value
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
@@ -122,7 +122,7 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     one conv; ``branch_outputs(spec.head, features)`` gives the
     per-branch logits it averages."""
     logits, h = _forward(spec, x, mode)
-    return logits, permute(activate(h), (0, 3, 1, 2))
+    return logits, to_nchw(h)
 
 
 def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
@@ -151,7 +151,7 @@ def _forward(spec: NetworkSpec, x: Tensor, mode: str):
         h = unpool(h, masks.pop())
         for u in block:
             h = conv_norm(h, u.params, u.bn, mode)
-    logits = conv_unit(h, fold_head(spec.head), None, mode)
+    logits = conv_norm(h, fold_head(spec.head), None, mode)
     return permute(logits, (0, 3, 1, 2)), h
 
 

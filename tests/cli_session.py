@@ -3,10 +3,11 @@ bytes as the commit before it.
 
     python3 tests/cli_session.py OUT_DIR > session.txt
 
-It runs every training command, a diverged run and the three kinds of
-``predict`` through ``python -m segstack.cli`` from this checkout's
-``src/``, one process each with BLAS pinned to one thread and OUT_DIR as
-the working directory, so the runs see only relative paths. It then
+It runs every subcommand: each training command, a diverged run, the
+three kinds of ``predict``, ``fusion-stats`` and ``evaluate``. Each runs
+through ``python -m segstack.cli`` from this checkout's ``src/``, in its
+own process with BLAS pinned to one thread and OUT_DIR as the working
+directory, so the runs see only relative paths. It then
 prints one ``sha256  path`` line per file under OUT_DIR, and for each
 command its exit code and the sha256 of its stdout and of its stderr,
 with this checkout's path and OUT_DIR masked. Run it from two checkouts
@@ -62,6 +63,8 @@ SESSION = [
                        "--stride", "16", "--threads", "2"], 0),
     ("fusion_stats", ["fusion-stats", "--data", "data", "--run-a", "irrg",
                       "--run-b", "comp", "--fusion-run", "fusion"], 0),
+    ("evaluate", ["evaluate", "--pred", "pred_single/labels.pgm", "--gt",
+                  "data/tile-000.labels.pgm"], 0),
 ]
 
 

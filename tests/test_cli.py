@@ -745,6 +745,11 @@ class TestRunManifest:
                      str(tmp_path / "pred"), *self.scene(workspace)]) == 1
 
 
+def _nan_at_1_2_3(bands):
+    bands[1, 2, 3] = np.nan
+    return bands
+
+
 class TestHostileFiles:
     """Malformed inputs end in their documented exit code, not a
     traceback."""
@@ -794,6 +799,29 @@ class TestHostileFiles:
             "train", "--data", str(data), "--out", str(tmp_path / "x"),
             "--epochs", "1", "--patch", "32"]) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_nan_at_1_2_3,
+         "has a non-finite value nan at band 1, row 2, column 3"),
+        (lambda b: np.concatenate([b, b[:1]]),
+         "has shape (4, 32, 32), not 3 bands"),
+        (lambda b: np.ascontiguousarray(b[:, :, :16]),
+         "has shape (3, 32, 16), not 3 bands over its labels' (32, 32)"),
+    ], ids=["non_finite", "band_count", "extent_vs_labels"])
+    def test_bad_training_tile_is_data_error(self, workspace, tmp_path,
+                                             capsys, corrupt, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        tile = data / "tile-002.irrg.ten"
+        write_ten(tile, corrupt(read_ten(tile)))
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--patch", "32"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("segstack: error:")
+        assert f"{tile} {message}" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.encode() + b"\xff\n",

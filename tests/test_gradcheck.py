@@ -12,7 +12,7 @@ from oracles import sum_all
 from segstack import (BNState, ConvParams, Tensor, backward, conv2d,
                       cross_entropy_loss, maxpool2, relu, unpool2)
 from segstack import convkernels as ck
-from segstack.nnops import PoolMask, batchnorm, conv_unit, softmax_channels
+from segstack.nnops import batchnorm, conv_norm, softmax_channels, to_nchw
 from segstack.tensor import add, add_n, concat_channels, mean_n, scale
 
 TOL = 1e-4
@@ -138,7 +138,7 @@ class TestPoolGrad:
         rng = np.random.default_rng(12)
         x = t64(rng.standard_normal((1, 2, 3, 3)))
         idx = rng.integers(0, 4, size=(1, 2, 3, 3)).astype(np.uint8)
-        mask = PoolMask((1, 3, 3, 2), idx.transpose(0, 2, 3, 1))
+        mask = idx.transpose(0, 2, 3, 1)
         w = project(rng, (1, 2, 6, 6))
         err = oracles.check_gradients(
             lambda: sum_all(_mul_const(unpool2(x, mask), w)), [x], rng)
@@ -206,7 +206,8 @@ class TestConvBnReluGrad:
             leaves.append(params.bias)
 
         def loss():
-            return sum_all(_mul_const(conv_unit(x, params, state, mode), w))
+            y = to_nchw(conv_norm(x, params, state, mode))
+            return sum_all(_mul_const(y, w.transpose(0, 3, 1, 2)))
 
         err = oracles.check_gradients(loss, leaves, rng)
         assert err < TOL

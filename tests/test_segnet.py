@@ -103,7 +103,7 @@ class TestStructure:
         def no_features(h):
             raise AssertionError("trunk features built")
 
-        monkeypatch.setattr(segnet, "activate", no_features)
+        monkeypatch.setattr(segnet, "to_nchw", no_features)
         np.testing.assert_array_equal(forward(spec, Tensor(x)).data, want)
         labels = np.zeros((32, 32), np.uint8)
         train_segnet(spec, [(xi, labels) for xi in x],

@@ -16,8 +16,8 @@ from segstack import (IGNORE_LABEL, ConvParams, Tensor, backward, conv2d,
 from segstack import convkernels as ck
 from segstack import tensor
 from segstack.errors import ShapeError, StaleTapeError
-from segstack.nnops import (BNState, PoolMask, batchnorm, conv_unit, pool,
-                           softmax_channels, unpool)
+from segstack.nnops import (BNState, batchnorm, conv_norm, pool,
+                           softmax_channels, to_nchw, unpool)
 from segstack.segnet import ConvUnit
 from segstack.tensor import (apply_steps, hold_step, leaf_grads_to, no_grad,
                              pending_steps, value)
@@ -102,20 +102,20 @@ class TestMaxPoolUnpool:
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         out, mask = maxpool2(x)
         assert out.item() == 4.0
-        assert mask.indices[0, 0, 0, 0] == 3  # bottom-right slot
+        assert mask[0, 0, 0, 0] == 3  # bottom-right slot
 
     def test_tie_break_first_slot(self):
         x = Tensor(np.full((1, 1, 2, 2), 7.0))
         out, mask = maxpool2(x)
         assert out.item() == 7.0
-        assert mask.indices[0, 0, 0, 0] == 0
+        assert mask[0, 0, 0, 0] == 0
 
     def test_matches_window_scan(self, rng):
         x = rng.standard_normal((1, 2, 8, 8))
         out, mask = maxpool2(Tensor(x))
         expect_v, expect_i = oracles.scan_maxpool2(x)
         np.testing.assert_array_equal(out.data, expect_v)
-        np.testing.assert_array_equal(mask.indices, nhwc(expect_i))
+        np.testing.assert_array_equal(mask, nhwc(expect_i))
 
     def test_odd_extent_rejected(self, rng):
         with pytest.raises(ShapeError, match="odd"):
@@ -148,8 +148,8 @@ class TestMaxPoolUnpool:
         expect_v, expect_i = oracles.scan_maxpool2(x)
         np.testing.assert_array_equal(out.data.transpose(0, 3, 1, 2),
                                       expect_v)
-        assert mask.indices.dtype == np.uint8
-        np.testing.assert_array_equal(mask.indices.transpose(0, 3, 1, 2),
+        assert mask.dtype == np.uint8
+        np.testing.assert_array_equal(mask.transpose(0, 3, 1, 2),
                                       expect_i)
         restored = unpool(out, mask)
         np.testing.assert_array_equal(
@@ -159,7 +159,7 @@ class TestMaxPoolUnpool:
     def test_unpool_mass_conservation(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         idx = rng.integers(0, 4, size=(2, 3, 4, 4)).astype(np.uint8)
-        out = unpool2(Tensor(x), PoolMask((2, 4, 4, 3), nhwc(idx)))
+        out = unpool2(Tensor(x), nhwc(idx))
         expect = oracles.scatter_unpool2(x, idx)
         np.testing.assert_array_equal(out.data, expect)
         assert out.data.sum() == pytest.approx(x.sum(), rel=1e-12)
@@ -184,7 +184,7 @@ class TestMaxPoolUnpool:
     def test_unpool_shape_mismatch(self, rng):
         idx = np.zeros((1, 2, 2, 1), dtype=np.uint8)
         with pytest.raises(ShapeError, match="mask"):
-            unpool2(Tensor(np.zeros((1, 1, 3, 2))), PoolMask((1, 2, 2, 1), idx))
+            unpool2(Tensor(np.zeros((1, 1, 3, 2))), idx)
 
 
 def _unit(rng, oc=6, c=4, bias=True, dtype=np.float32):
@@ -210,21 +210,21 @@ class TestConvBnRelu:
         unit.bn.initialized[...] = 1
         x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) * 3
         with no_grad():
-            got = conv_unit(Tensor(nhwc(x)), unit.params, unit.bn,
-                            "eval").data
+            got = to_nchw(conv_norm(Tensor(nhwc(x)), unit.params, unit.bn,
+                                    "eval")).data
             want = relu(batchnorm(conv2d(Tensor(x), unit.params), unit.bn,
                                   "eval")).data
         assert got.dtype == np.float32
-        assert _rel_err(got.transpose(0, 3, 1, 2), want) < 1e-6
+        assert _rel_err(got, want) < 1e-6
 
     def test_train_matches_composition_and_running_stats(self, rng):
         units = [_unit(np.random.default_rng(3)) for _ in range(2)]
         x = rng.standard_normal((2, 4, 16, 12)).astype(np.float32) + 1
-        got = conv_unit(Tensor(nhwc(x)), units[0].params, units[0].bn,
-                        "train").data
+        got = to_nchw(conv_norm(Tensor(nhwc(x)), units[0].params,
+                                units[0].bn, "train")).data
         want = relu(batchnorm(conv2d(Tensor(x), units[1].params),
                               units[1].bn, "train")).data
-        assert _rel_err(got.transpose(0, 3, 1, 2), want) < 1e-6
+        assert _rel_err(got, want) < 1e-6
         for attr in ("running_mean", "running_var"):
             np.testing.assert_allclose(getattr(units[0].bn, attr),
                                        getattr(units[1].bn, attr),
@@ -234,7 +234,7 @@ class TestConvBnRelu:
         from segstack.errors import TrainingError
         unit = _unit(rng)
         with pytest.raises(TrainingError, match="uninitialized"):
-            conv_unit(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
+            conv_norm(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
                       unit.params, unit.bn, "eval")
 
 

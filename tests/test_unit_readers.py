@@ -10,7 +10,7 @@ import pytest
 
 from oracles import sum_all
 from segstack.multikernel import fold_head
-from segstack.nnops import (PoolMask, conv_unit, cross_entropy_loss, pool,
+from segstack.nnops import (conv_norm, cross_entropy_loss, pool, to_nchw,
                             unpool)
 from segstack.segnet import (build_segnet, forward_parts, init_he,
                              named_parameters, state_entries)
@@ -24,21 +24,26 @@ def mk_net(seed=4):
     return spec
 
 
+def finished(h):
+    """A pending unit output as a channels-last tensor of its y."""
+    return permute(to_nchw(h), (0, 2, 3, 1))
+
+
 def chained(spec, x, mode):
-    """``forward_parts``' wiring from the public ops, each unit finished
-    by ``conv_unit`` before anything reads it."""
+    """``forward_parts``' wiring from the public ops, each unit's y
+    built by ``to_nchw`` before anything reads it."""
     masks = []
     h = permute(x, (0, 2, 3, 1))
     for block in spec.enc_blocks:
         for u in block:
-            h = conv_unit(h, u.params, u.bn, mode)
+            h = finished(conv_norm(h, u.params, u.bn, mode))
         h, m = pool(h)
         masks.append(m)
     for block in spec.dec_blocks:
         h = unpool(h, masks.pop())
         for u in block:
-            h = conv_unit(h, u.params, u.bn, mode)
-    logits = conv_unit(h, fold_head(spec.head), None, mode)
+            h = finished(conv_norm(h, u.params, u.bn, mode))
+    logits = conv_norm(h, fold_head(spec.head), None, mode)
     return permute(logits, (0, 3, 1, 2)), permute(h, (0, 3, 1, 2))
 
 
@@ -89,8 +94,6 @@ def held_buffers(loss, spec):
     def keep(value):
         if isinstance(value, Tensor):
             value = value.data
-        elif isinstance(value, PoolMask):
-            value = value.indices
         if not isinstance(value, np.ndarray):
             return
         root = value

@@ -19,13 +19,14 @@ from . import tenio
 from .datapipe import (CLASS_NAMES, TileGeometry, check_bands,
                        colorize_labels, read_pgm, synth_dataset, write_pgm,
                        write_ppm)
-from .errors import (ConfigError, DivergenceError, FormatError, SegstackError,
-                     ShapeError)
+from .errors import (ConfigError, DataError, DivergenceError, FormatError,
+                     SegstackError, ShapeError)
 from .fusion import init_corrector, make_corrector
 from .inference import labels_from_probs, predict_probs, predict_probs_fused
 from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
     format_report
 from .multikernel import extend_with_scale
+from .nnops import IGNORE_LABEL
 from .segnet import (build_segnet, init_he, named_parameters, param_groups,
                      ParamGroup)
 from .training import (MANIFEST_NAME, TrainConfig, load_fusion_run, load_run,
@@ -119,10 +120,12 @@ def _train_config(args) -> TrainConfig:
                           for f in fields(TrainConfig)})
 
 
-def _load_dataset(data_dir, *streams):
+def _load_dataset(data_dir, k, patch, *streams):
     """Per tile listed by dataset.txt, in file order, the bands of each
     named stream, then the labels. Each band file must be finite, have
-    the first tile's band count for its stream, and its labels' extent."""
+    the first tile's band count for its stream, and its labels' extent.
+    Each label must be below the ``k`` classes or the ignore value, and
+    a tile at least ``patch`` high and wide (unless that is None)."""
     index = os.path.join(data_dir, DATASET_INDEX)
     if not os.path.exists(index):
         raise ConfigError(f"no {DATASET_INDEX} in {data_dir}")
@@ -141,6 +144,15 @@ def _load_dataset(data_dir, *streams):
         paths = [f"{base}.{s}.ten" for s in streams]
         bands = [check_bands(tenio.read_ten(p), p) for p in paths]
         labels = read_pgm(base + ".labels.pgm")
+        bad = np.argwhere((labels >= k) & (labels != IGNORE_LABEL))
+        if len(bad):
+            y, x = bad[0]
+            raise DataError(f"{base}.labels.pgm has label {labels[y, x]} at "
+                            f"row {y}, column {x}, not below {k} classes or "
+                            f"{IGNORE_LABEL}")
+        if patch is not None and min(labels.shape) < patch:
+            raise ConfigError(f"--patch {patch} is larger than tile {base}, "
+                              f"whose labels are {labels.shape}")
         for s, p, b in zip(streams, paths, bands):
             if b.shape != (counts.setdefault(s, len(b)),) + labels.shape:
                 raise ShapeError(f"{p} has shape {b.shape}, not {counts[s]} "
@@ -194,9 +206,9 @@ def cmd_synth(args):
 
 
 def _run_train(args, head_scales):
-    dataset = _load_dataset(args.data, args.stream)
     spec = build_segnet(k=args.classes, scale=args.net, in_channels=3,
                         head_scales=head_scales)
+    dataset = _load_dataset(args.data, spec.k, args.patch, args.stream)
     init_he(spec, seed=args.init_seed)
     variant = "plain" if head_scales == (3,) else "multikernel"
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
@@ -225,7 +237,7 @@ def cmd_train_mk(args):
 def cmd_extend_scale(args):
     spec, run_manifest = _load_run(args.run)
     stream = run_manifest["stream"]
-    dataset = _load_dataset(args.data, stream)
+    dataset = _load_dataset(args.data, spec.k, args.patch, stream)
 
     old_ids = {id(t) for _, t, g in named_parameters(spec) if g == "head"}
     rng = np.random.default_rng(args.init_seed)
@@ -253,10 +265,11 @@ def cmd_extend_scale(args):
 def cmd_train_fusion(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
-    dataset = _load_dataset(args.data, man_a["stream"], man_b["stream"])
     corr = make_corrector(
         in_channels=spec_a.head.in_channels + spec_b.head.in_channels,
         k=spec_a.k, hidden=args.hidden)
+    dataset = _load_dataset(args.data, spec_a.k, args.patch, man_a["stream"],
+                            man_b["stream"])
     init_corrector(corr, seed=args.init_seed)
     extra = {key: _run_relative(getattr(args, key), args.out)
              for key in ("run_a", "run_b", "data")}
@@ -318,7 +331,8 @@ def cmd_fusion_stats(args):
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
     corr = load_fusion_run(args.fusion_run, spec_a, spec_b)
-    dataset = _load_dataset(args.data, man_a["stream"], man_b["stream"])
+    dataset = _load_dataset(args.data, spec_a.k, None, man_a["stream"],
+                            man_b["stream"])
     stats, corr_mag, avg_mag = measure_fusion_stats(spec_a, spec_b, corr,
                                                     dataset)
     for key in ("m_avg", "s_avg", "m_corr", "s_corr"):

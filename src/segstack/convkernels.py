@@ -11,9 +11,10 @@ Every convolution, forward or backward, is one channels-last correlation
 
 The input gradient is the forward correlation of the zero-dilated upstream
 gradient, re-padded by k-1-p, with the flipped, channel-swapped kernel; the
-weight gradient reads the forward's windows on the forward's route.
-``select_route`` goes by the GEMM's shape.  Both routes agree up to float
-reduction order; the tests pin each against naive nested-loop oracles.
+weight gradient reads the forward's windows on the forward's route.  Each
+correlation's route is ``select_route`` of its GEMM's shape, picked here,
+so callers pass none.  Both routes agree up to float reduction order; the
+tests pin each against naive nested-loop oracles.
 
 With BLAS pinned, a kernel whose GEMMs clear a size gate (``_parts``)
 runs as two fixed parts, set by the shapes alone: alternate row chunks
@@ -21,14 +22,15 @@ runs as two fixed parts, set by the shapes alone: alternate row chunks
 weight gradient), or two row blocks (im2col; column blocks for its weight
 gradient).  The caller runs part 0 and a helper thread part 1 (``_run``);
 without the helper the caller runs both, so the bits never depend on it.
+A forked child starts its own helper.
 
 Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
 of a window is its row-major offset (k // 2, k % 2), and the argmax is the
 uint8 slot of the first maximum.
 
-Weights are (oc, c, kh, kw) throughout.  The (n, c, h, w) section at the
-end (``nhwc``, ``nchw``, ``conv2d_*``, ``maxpool2_*``, ``unpool2_*``) has no
-caller in the package; ``nnops`` calls only the channels-last kernels.
+Weights are (oc, c, kh, kw) throughout.  ``nnops`` calls only the
+channels-last kernels; the (n, c, h, w) adapters at the end have no
+caller in the package.
 
 Everything here is pure ndarray-in/ndarray-out; autodiff wiring lives
 in ``nnops``.
@@ -36,7 +38,6 @@ in ``nnops``.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -59,10 +60,10 @@ _CHUNK_BYTES = 1 << 18
 # when the op does at least _SPLIT_MACS multiply-adds and each of its matmul
 # calls at least _SPLIT_CALL_MACS; no mini-net op does. Unpinned, BLAS keeps
 # both cores busy already. pool: the helper, a one-thread pool once started
-# under lock (forked children drop both); inline: the caller runs both parts.
+# under lock (forked children drop both).
 _SPLIT_MACS, _SPLIT_CALL_MACS = 50_000_000, 1_000_000
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_split = SimpleNamespace(pool=None, lock=threading.Lock(), inline=False,
+_split = SimpleNamespace(pool=None, lock=threading.Lock(),
                          pinned={os.environ.get(v) for v in _BLAS_VARS}
                          - {None} == {"1"})
 if hasattr(os, "register_at_fork"):
@@ -78,7 +79,7 @@ def _parts(op_macs: int, call_macs: int) -> int:
 def _run(job, parts: int) -> None:
     """``job(p)`` for each part p: with two parts, part 1 on the helper if
     the process may run on two CPUs."""
-    if parts == 2 and not _split.inline and (
+    if parts == 2 and (
             len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) >= 2:
         with _split.lock:
@@ -95,17 +96,6 @@ def _run(job, parts: int) -> None:
         job(p)
 
 
-@contextlib.contextmanager
-def _inline_kernels():
-    """The caller runs both parts of every kernel for the block, also in
-    processes forked inside it."""
-    saved, _split.inline = _split.inline, True
-    try:
-        yield
-    finally:
-        _split.inline = saved
-
-
 def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
                       stride: int) -> tuple[int, int]:
     """Validates a conv of channels-last ``x`` and returns its output
@@ -120,12 +110,10 @@ def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
         raise ShapeError(
             f"conv2d: channel axis mismatch, input has {c} channels but weight expects {ic}")
     ph, pw = pad
-    if h + 2 * ph < kh:
-        raise ShapeError(
-            f"conv2d: height axis too small, {h}+2*{ph} padded < kernel {kh}")
-    if wd + 2 * pw < kw:
-        raise ShapeError(
-            f"conv2d: width axis too small, {wd}+2*{pw} padded < kernel {kw}")
+    for axis, e, p, k in (("height", h, ph, kh), ("width", wd, pw, kw)):
+        if e + 2 * p < k:
+            raise ShapeError(
+                f"conv2d: {axis} axis too small, {e}+2*{p} padded < kernel {k}")
     return (h + 2 * ph - kh) // stride + 1, (wd + 2 * pw - kw) // stride + 1
 
 
@@ -163,22 +151,20 @@ def _columns(xp: np.ndarray, kh: int, kw: int, stride: int,
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * oh * ow, -1)
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
-               route: str) -> np.ndarray:
+def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int,
+               ow: int) -> np.ndarray:
     """``_pad`` map * ``w`` (oc,c,kh,kw) -> (n,oh,ow,oc), maybe a strided
     view of a larger buffer."""
     n, _, width, c = xp.shape
     oc, _, kh, kw = w.shape
     macs = n * oh * ow * oc * c * kh * kw
-    if route == "im2col":
+    if select_route(n * oh * ow, c) == "im2col":
         cols = _columns(xp, kh, kw, stride, oh, ow)
         wt = w.transpose(0, 2, 3, 1).reshape(oc, -1).T
         out = np.empty((len(cols), oc), xp.dtype)
         a, o = (np.array_split(m, _parts(macs, macs // 2)) for m in (cols, out))
         _run(lambda p: np.matmul(a[p], wt, out=o[p]), len(a))
         return out.reshape(n, oh, ow, oc)
-    if route != "direct":
-        raise ValueError(f"unknown conv route {route!r}")
     # output row r reads input rows r + i*width + j; rows that wrap past a
     # row's or an image's end are cut away at the end
     flat = xp.reshape(-1, c)
@@ -202,7 +188,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int,
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
-                 stride: int, route: str) -> np.ndarray:
+                 stride: int) -> np.ndarray:
     """Cross-correlation of ``x`` (n,h,w,c) with ``w`` (oc,c,kh,kw) ->
     (n,oh,ow,oc), bias not added."""
     oh, ow = check_conv_shapes(x, w, pad, stride)
@@ -211,18 +197,19 @@ def conv_forward(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
     # a transient x that the caller did not keep goes now, and the padded map
     # before the copy out: two fewer activation-sized buffers at the peak
     del x
-    out = _correlate(xp, w, stride, oh, ow, route)
+    out = _correlate(xp, w, stride, oh, ow)
     del xp
     return np.ascontiguousarray(out)
 
 
 def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
-                 stride: int, route: str) -> np.ndarray:
-    """(oc,kh,kw,c) weight gradient, read from the forward's windows of xp."""
+                 stride: int) -> np.ndarray:
+    """(oc,kh,kw,c) weight gradient, read from the forward's windows of xp
+    on the forward's route."""
     _, hp1, width, c = xp.shape
     oh, ow, oc = g.shape[1:]
     macs = g.size * c * kh * kw
-    if route == "im2col":
+    if select_route(g.size // oc, c) == "im2col":
         cols = _columns(xp, kh, kw, stride, oh, ow)
         gt = g.reshape(-1, oc).T
         gw = np.empty((oc, cols.shape[1]), np.result_type(g, xp))
@@ -251,29 +238,28 @@ def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
 
 
 def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                  pad: tuple[int, int], stride: int, route: str,
+                  pad: tuple[int, int], stride: int, *,
                   need_input_grad: bool = True
                   ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of ``conv_forward`` plus a bias w.r.t. input, weight and
     bias.
 
-    ``g`` is the upstream gradient with the output's shape (n,oh,ow,oc)
-    and ``route`` the route the forward took.  Returns (grad_x, grad_w,
-    grad_b); grad_x is None when not requested.
+    ``g`` is the upstream gradient with the output's shape (n,oh,ow,oc).
+    Returns (grad_x, grad_w, grad_b); grad_x is None when not requested.
     """
-    n, h, wd, c = x.shape
-    oc, _, kh, kw = w.shape
+    _, h, wd, _ = x.shape
+    _, _, kh, kw = w.shape
     ph, pw = pad
     grad_w = np.ascontiguousarray(_weight_grad(
-        _pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw, stride,
-        route).transpose(0, 3, 1, 2), dtype=w.dtype)
+        _pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw,
+        stride).transpose(0, 3, 1, 2), dtype=w.dtype)
     del x  # as in conv_forward
     grad_x = None
     if need_input_grad:
         gp = _pad(g, (kh - 1 - ph, kw - 1 - pw), (h + kh - 1, wd + kw - 1),
                   stride)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(g.dtype, copy=False)
-        grad_x = _correlate(gp, w_t, 1, h, wd, select_route(n * h * wd, oc))
+        grad_x = _correlate(gp, w_t, 1, h, wd)
         del gp  # as in conv_forward
         grad_x = np.ascontiguousarray(grad_x)
     return grad_x, grad_w, g.sum(axis=(0, 1, 2))
@@ -285,14 +271,10 @@ def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    """(n,h,w,c) -> (n,h/2,2,w/2,2,c); slot (i, j) is [:, :, i, :, j]."""
-    n, h, w, c = x.shape
-    return x.reshape(n, h // 2, 2, w // 2, 2, c)
-
-
 def _slots(x: np.ndarray) -> list[np.ndarray]:
-    v = _windows(x)
+    """(n,h/2,w/2,c) views of (n,h,w,c) ``x`` at each window slot."""
+    n, h, w, c = x.shape
+    v = x.reshape(n, h // 2, 2, w // 2, 2, c)
     return [v[:, :, i, :, j] for i, j in _SLOTS]
 
 
@@ -353,22 +335,22 @@ def nchw(x: np.ndarray) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   pad: tuple[int, int], stride: int, route: str) -> np.ndarray:
+                   pad: tuple[int, int], stride: int) -> np.ndarray:
     """Cross-correlation of ``x`` (n,c,h,w) with ``w`` (oc,c,kh,kw), plus
     ``b``."""
-    out = conv_forward(nhwc(x), w, pad, stride, route)
+    out = conv_forward(nhwc(x), w, pad, stride)
     if b is not None:
         out += b.astype(x.dtype, copy=False)
     return nchw(out)
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                    pad: tuple[int, int], stride: int, route: str,
+                    pad: tuple[int, int], stride: int, *,
                     need_input_grad: bool = True
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """``conv_backward`` of (n,c,h,w) ``x`` and ``g``."""
-    gx, gw, gb = conv_backward(nhwc(x), w, nhwc(g), pad, stride, route,
-                               need_input_grad)
+    gx, gw, gb = conv_backward(nhwc(x), w, nhwc(g), pad, stride,
+                               need_input_grad=need_input_grad)
     return None if gx is None else nchw(gx), gw, gb
 
 

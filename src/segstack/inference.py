@@ -14,16 +14,12 @@ shared anonymous mmap at the window's plan index and leave through
 never flushed twice. A child that fails, by an exception, a warning or
 a signal, has its windows mapped again by the caller, so an error
 surfaces there with its own type. The caller stitches in plan order,
-which keeps the output bitwise independent of ``threads``. On two
-cores, two workers map a fused 512x512 scene at stride 64 1.8x as fast
-as one; the thread pool they replace reached 1.46x, because the many
-short numpy calls of a window hold the GIL.
+which keeps the output bitwise independent of ``threads``.
 
 Forking copies only the calling thread: other threads of the caller
-must not hold locks the windows need. While workers run, the caller and
-its children run every conv kernel inline (``convkernels``), so no helper
-thread competes for the cores they share. Platforms without ``os.fork``
-accept ``threads=1`` only.
+must not hold locks the windows need. A child splits its large conv
+kernels on a helper thread of its own (``convkernels``). Platforms
+without ``os.fork`` accept ``threads=1`` only.
 """
 
 import math
@@ -34,18 +30,12 @@ import warnings
 
 import numpy as np
 
-from .convkernels import _inline_kernels
 from .datapipe import TileGeometry, check_bands, plan_tiles, stitch_average
 from .errors import ConfigError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
 from .tensor import Tensor, no_grad
-
-
-def _crop_window(bands, win):
-    return bands[:, win.top:win.top + win.height,
-                 win.left:win.left + win.width]
 
 
 def stream_outputs(specs, xs) -> "list[StreamOutput]":
@@ -130,7 +120,9 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
     windows = plan_tiles(h, w, geom or TileGeometry())
 
     def worker(win):
-        return window_map(specs, corr, [Tensor(_crop_window(b, win)[None])
+        rows, cols = (slice(win.top, win.top + win.height),
+                      slice(win.left, win.left + win.width))
+        return window_map(specs, corr, [Tensor(b[None, :, rows, cols])
                                          for b in bands])[0]
 
     workers = min(threads, len(windows))
@@ -138,8 +130,7 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
         if workers == 1:
             maps = [worker(win) for win in windows]
         else:
-            with _inline_kernels():
-                maps = _map_forked(worker, windows, specs[0].k, workers)
+            maps = _map_forked(worker, windows, specs[0].k, workers)
     return stitch_average(windows, maps, h, w)
 
 

@@ -192,21 +192,19 @@ def to_nchw(h: Tensor) -> Tensor:
 
 def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
               mode: str) -> Tensor:
-    """Channels-last conv plus bias of ``h``, read as readers do, on the
-    route ``ck.select_route`` picks. With ``bn`` it is a unit: its output
-    is normalised in place and returned pending. That takes two tape nodes
-    over one buffer: batch norm's backward runs in the pending node, so
-    the walk frees the gradient of y before the conv's backward runs. The
-    conv bias cancels against the batch mean in train mode, so it enters
-    only the running mean. Eval mode without a tape finishes the unit in
-    place, as one per-channel scale and shift."""
+    """Channels-last conv plus bias of ``h``, read as readers do; the
+    kernels check the shapes and pick each GEMM's route. With ``bn`` it is
+    a unit: its output is normalised in place and returned pending. That
+    takes two tape nodes over one buffer: batch norm's backward runs in
+    the pending node, so the walk frees the gradient of y before the
+    conv's backward runs. The conv bias cancels against the batch mean in
+    train mode, so it enters only the running mean. Eval mode without a
+    tape finishes the unit in place, as one per-channel scale and shift."""
     w, b = params.weight, params.bias
-    oh, ow = ck.check_conv_shapes(h.data, w.data, params.padding, params.stride)
-    route = ck.select_route(h.shape[0] * oh * ow, h.shape[3])
     # a pending input's y is transient: conv_forward drops it once padded
     rows = ck.conv_forward(_value(h), value(w.data), params.padding,
-                           params.stride, route)
-    n, oc = len(rows), rows.shape[-1]
+                           params.stride)
+    n, oh, ow, oc = rows.shape
     rows = rows.reshape(-1, oc)
     parents = (h, w) + (() if b is None else (b,))
     bias = None if b is None else b.data
@@ -225,7 +223,7 @@ def conv_norm(h: Tensor, params: ConvParams, bn: "BNState | None",
 
     def fn(g):
         gx, gw, gb = ck.conv_backward(
-            _value(h), w.data, g, params.padding, params.stride, route,
+            _value(h), w.data, g, params.padding, params.stride,
             need_input_grad=h.requires_grad)
         return (gx, gw) + (() if b is None else (gb,))
 

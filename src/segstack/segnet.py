@@ -162,9 +162,7 @@ def _forward(spec: NetworkSpec, x: Tensor, mode: str):
 def named_parameters(spec: NetworkSpec) -> "list[tuple[str, Tensor, str]]":
     out = []
     for u in _units(spec):
-        for suffix, t in u.params.tensors():
-            out.append((f"{u.name}.{suffix}", t, u.group))
-        for suffix, t in u.bn.tensors():
+        for suffix, t in u.params.tensors() + u.bn.tensors():
             out.append((f"{u.name}.{suffix}", t, u.group))
     for bname, b in zip(spec.head.branch_names(), spec.head.branches):
         for suffix, t in b.tensors():
@@ -184,12 +182,11 @@ def param_groups(spec: NetworkSpec, ratio: float = 1.0) -> "list[ParamGroup]":
     the encoder exactly: frozen parameters are skipped, not scaled."""
     if not 0 <= ratio < np.inf:
         raise ConfigError(f"lr ratio must be finite and >= 0, got {ratio}")
-    named = named_parameters(spec)
     groups = [ParamGroup("encoder", float(ratio)),
               ParamGroup("decoder", 1.0),
               ParamGroup("head", 1.0)]
     by_role = {g.role: g for g in groups}
-    for name, t, role in named:
+    for name, t, role in named_parameters(spec):
         by_role[role].params.append((name, t))
     return groups
 

@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tenio
-from .errors import ConfigError, DivergenceError, FormatError, TrainingError
+from .errors import (ConfigError, DivergenceError, FormatError, SpecError,
+                     TrainingError)
 from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
                      fuse_residual, fusion_stats, make_corrector)
 from .inference import stream_outputs, window_map
@@ -254,6 +255,13 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
         return _finish(out_dir, manifest, log, "complete")
 
 
+def _check_patch(config: TrainConfig, *specs: NetworkSpec) -> None:
+    div = 2 ** max(spec.depth for spec in specs)
+    if config.patch % div:
+        raise ConfigError(f"patch {config.patch} must be divisible by {div} "
+                          "(2 ** pooling levels)")
+
+
 def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
                  groups=None, manifest_extra=None) -> dict:
     """Train one network on (input, labels) pairs and write
@@ -262,6 +270,7 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
     ``groups`` overrides the Table-1-style encoder/decoder split (used by
     the branch-extension protocol to freeze everything but new params).
     """
+    _check_patch(config, spec)
     if groups is None:
         groups = param_groups(spec, config.lr_ratio)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
@@ -305,6 +314,14 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     need initialized batchnorm statistics, i.e. they should come from
     trained checkpoints.
     """
+    _check_patch(config, spec_a, spec_b)
+    heads = spec_a.head.in_channels + spec_b.head.in_channels
+    if (spec_b.k, corr.out_channels, corr.in_channels) != (
+            spec_a.k, spec_a.k, heads):
+        raise SpecError(
+            f"stream a has {spec_a.k} classes and stream b {spec_b.k}, with "
+            f"{heads} head channels in all; the corrector maps "
+            f"{corr.in_channels} channels to {corr.out_channels} classes")
     specs = (spec_a, spec_b)
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
     stream_dirs = [os.path.join(out_dir, d) for d in STREAM_DIRS]

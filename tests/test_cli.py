@@ -11,7 +11,7 @@ import pytest
 
 import segstack
 from segstack.cli import build_parser, main
-from segstack.datapipe import TileGeometry, read_pgm, read_ppm
+from segstack.datapipe import TileGeometry, read_pgm, read_ppm, write_pgm
 from segstack.fusion import init_corrector, make_corrector
 from segstack.inference import predict_probs_fused
 from segstack.segnet import build_segnet, init_he, load_checkpoint
@@ -822,6 +822,63 @@ class TestHostileFiles:
         assert len(err) == 1 and err[0].startswith("segstack: error:")
         assert f"{tile} {message}" in err[0]
         assert not out.exists()
+
+    def run_refused(self, capsys, argv, out):
+        """Exit code and the one error line of a command that writes
+        nothing to ``out``."""
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("segstack: error:"), err
+        assert not out.exists()
+        return code, err[0]
+
+    @pytest.mark.parametrize("classes, message", [
+        ("5", "tile-002.labels.pgm has label 7 at row 5, column 5, not below "
+              "5 classes or 255"),
+        ("3", ".labels.pgm has label"),
+    ], ids=["label_7", "classes_3"])
+    def test_label_outside_the_classes_is_data_error(
+            self, workspace, tmp_path, capsys, classes, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        labels = read_pgm(data / "tile-002.labels.pgm")
+        labels[5, 5] = 7
+        write_pgm(data / "tile-002.labels.pgm", labels)
+        out = tmp_path / "x"
+        code, line = self.run_refused(capsys, [
+            "train", "--data", str(data), "--out", str(out), "--classes",
+            classes, "--epochs", "1", "--patch", "32"], out)
+        assert code == 2 and str(data) in line and message in line
+        assert f"not below {classes} classes" in line
+
+    @pytest.mark.parametrize("patch, message", [
+        ("100", "--patch 100 is larger than tile "),
+        ("30", "patch 30 must be divisible by 4"),
+    ], ids=["larger_than_tiles", "not_divisible"])
+    def test_bad_patch_is_usage_error(self, workspace, tmp_path, capsys,
+                                      patch, message):
+        out = tmp_path / "x"
+        code, line = self.run_refused(capsys, [
+            "train", "--data", str(workspace / "data"), "--out", str(out),
+            "--epochs", "1", "--patch", patch], out)
+        assert code == 1 and message in line
+
+    def test_fusion_over_runs_of_other_classes_is_spec_error(
+            self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        for path in data.glob("*.labels.pgm"):
+            write_pgm(path, np.minimum(read_pgm(path), 3))
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run-4"), "--classes", "4", "--stream",
+                     "comp", "--epochs", "1", "--patch", "32"]) == 0
+        out = tmp_path / "f"
+        code, line = self.run_refused(capsys, [
+            "train-fusion", "--run-a", str(workspace / "run-a"), "--run-b",
+            str(tmp_path / "run-4"), "--data", str(workspace / "data"),
+            "--out", str(out), "--epochs", "1", "--patch", "32"], out)
+        assert code == 2 and "stream a has 5 classes and stream b 4" in line
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.encode() + b"\xff\n",

@@ -1,6 +1,7 @@
 """The two-part split of large conv kernels (``convkernels``): the helper
-thread and the caller alone write the same bits, a forked child runs
-without its parent's helper, and forked prediction runs inline."""
+thread and the caller alone write the same bits, a forked child runs on
+a helper of its own, not its parent's, and forked prediction splits as
+one worker does."""
 
 import contextlib
 import os
@@ -12,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-import segstack
 from segstack import convkernels as ck
 from segstack.datapipe import TileGeometry, synth_dataset
 from segstack.fusion import init_corrector, make_corrector
@@ -32,6 +32,31 @@ def helper(monkeypatch):
     monkeypatch.setattr(ck._split, "pinned", True)
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """The process may run on one CPU only, so the caller runs both parts
+    of every kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raises TimeoutError here once the block has run ``seconds``: a
+    forked worker that hangs fails the test instead of the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def part_threads():
     """The thread each part of a two-part ``_run`` ran on."""
     ran = {}
@@ -47,9 +72,9 @@ def full_net_convs():
     init_he(spec, seed=0)
     seen, real = set(), ck.conv_forward
 
-    def spy(x, w, pad, stride, route):
+    def spy(x, w, pad, stride):
         seen.add((x.shape, w.shape, tuple(pad), stride))
-        return real(x, w, pad, stride, route)
+        return real(x, w, pad, stride)
 
     ck.conv_forward = spy
     try:
@@ -74,8 +99,7 @@ class TestPartition:
         for xs, ws, pad, stride in full_net_convs:
             shape = (xs[3], ws[0])
             x, w = np.zeros(xs, np.float32), np.zeros(ws, np.float32)
-            ck.conv_forward(x, w, pad, stride,
-                            ck.select_route(np.prod(xs[:3]), xs[3]))
+            ck.conv_forward(x, w, pad, stride)
         every = {(xs[3], ws[0]) for xs, ws, _, _ in full_net_convs}
         assert every - split == {(3, 64), (64, 5)}
 
@@ -84,18 +108,19 @@ class TestPartition:
         assert ck._parts(10 ** 12, 10 ** 12) == 1
 
     @pytest.mark.parametrize("route", ["direct", "im2col"])
-    def test_helper_and_inline_write_the_same_bits(self, helper,
+    def test_helper_and_inline_write_the_same_bits(self, helper, monkeypatch,
                                                    full_net_convs, route):
+        monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
         rng = np.random.default_rng(0)
         for xs, ws, pad, stride in full_net_convs:
             x = rng.standard_normal(xs).astype(np.float32)
             w = rng.standard_normal(ws).astype(np.float32)
             g = rng.standard_normal(xs[:3] + ws[:1]).astype(np.float32)
-            got = [ck.conv_forward(x, w, pad, stride, route),
-                   *ck.conv_backward(x, w, g, pad, stride, route)]
-            with ck._inline_kernels():
-                want = [ck.conv_forward(x, w, pad, stride, route),
-                        *ck.conv_backward(x, w, g, pad, stride, route)]
+            got = [ck.conv_forward(x, w, pad, stride),
+                   *ck.conv_backward(x, w, g, pad, stride)]
+            with one_cpu():
+                want = [ck.conv_forward(x, w, pad, stride),
+                        *ck.conv_backward(x, w, g, pad, stride)]
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, err_msg=f"{xs} {ws}")
         assert ck._split.pool is not None
@@ -105,7 +130,7 @@ class TestPartition:
         config = TrainConfig(epochs=1, batch_size=4, seed=3, patch=32)
         runs = []
         for name, mode in (("helper", contextlib.nullcontext()),
-                           ("inline", ck._inline_kernels())):
+                           ("inline", one_cpu())):
             spec = build_segnet(k=5, scale="full", in_channels=3)
             init_he(spec, seed=3)
             with mode:
@@ -124,17 +149,8 @@ class TestHelperThread:
     def test_part_one_runs_on_the_helper(self, helper):
         ran = part_threads()
         assert ran[0] == threading.get_ident() != ran[1]
-
-    def test_inline_block_runs_both_parts_here_and_restores(self, helper):
-        with pytest.raises(KeyError):
-            with ck._inline_kernels():
-                with ck._inline_kernels():
-                    assert set(part_threads().values()) == {
-                        threading.get_ident()}
-                assert ck._split.inline
-                raise KeyError("leaves the block")
-        assert not ck._split.inline
-        assert part_threads()[1] != threading.get_ident()
+        with one_cpu():
+            assert set(part_threads().values()) == {threading.get_ident()}
 
     def test_helper_error_reaches_the_caller(self, helper):
         def job(p):
@@ -150,13 +166,13 @@ class TestHelperThread:
         x = rng.standard_normal((4, 32, 32, 64)).astype(np.float32)
         w = rng.standard_normal((128, 64, 3, 3)).astype(np.float32)
         g = rng.standard_normal((4, 32, 32, 128)).astype(np.float32)
-        with ck._inline_kernels():
-            want = ck.conv_backward(x, w, g, (1, 1), 1, "direct")
+        with one_cpu():
+            want = ck.conv_backward(x, w, g, (1, 1), 1)
         bad, switch = [], sys.getswitchinterval()
 
         def caller():
             for _ in range(3):
-                got = ck.conv_backward(x, w, g, (1, 1), 1, "direct")
+                got = ck.conv_backward(x, w, g, (1, 1), 1)
                 bad.extend(not np.array_equal(a, b) for a, b in zip(got, want))
 
         sys.setswitchinterval(1e-5)
@@ -171,22 +187,17 @@ class TestHelperThread:
         assert not any(t.is_alive() for t in threads)
         assert len(bad) == 4 * 3 * 3 and not any(bad)
 
-    def test_switch_is_private(self):
-        assert not [n for n in dir(segstack) if "inline" in n.lower()]
-        assert not [n for n in vars(ck) if "inline" in n.lower()
-                    and not n.startswith("_")]
-
     def test_forked_child_runs_a_split_conv(self, helper):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 64, 64, 64)).astype(np.float32)
         w = rng.standard_normal((64, 64, 3, 3)).astype(np.float32)
-        want = ck.conv_forward(x, w, (1, 1), 1, "direct")
+        want = ck.conv_forward(x, w, (1, 1), 1)
         assert ck._split.pool is not None
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                got = ck.conv_forward(x, w, (1, 1), 1, "direct")
+                got = ck.conv_forward(x, w, (1, 1), 1)
                 status = 0 if np.array_equal(got, want) else 2
             finally:
                 os._exit(status)
@@ -204,8 +215,9 @@ class TestHelperThread:
 
 
 def test_forked_prediction_equals_one_worker(helper, monkeypatch):
-    """With the helper running in this process, two forked tile workers
-    map a fused scene with a split corrector as one worker does."""
+    """With the helper running in this process, forked tile workers split
+    the corrector's convs on helpers of their own and map a fused scene
+    as one worker does."""
     tiles = synth_dataset(seed=5, n_tiles=2, size=128)
     nets = []
     for seed in (22, 23):
@@ -223,16 +235,18 @@ def test_forked_prediction_equals_one_worker(helper, monkeypatch):
     split, real = [], ck._run
 
     def spy(job, parts):
-        split.append(parts == 2 and not ck._split.inline)
+        split.append(parts == 2)
         return real(job, parts)
 
     monkeypatch.setattr(ck, "_run", spy)
-    one = predict_probs_fused(*args, threads=1)
-    assert any(split)  # the corrector's convs ran on the helper
-    split.clear()
-    two = predict_probs_fused(*args, threads=2)
-    assert split and not any(split)  # the caller's share ran inline
-    np.testing.assert_array_equal(one, two)
-    with ck._inline_kernels():
+    with deadline(120):
+        one = predict_probs_fused(*args, threads=1)
+        assert any(split) and ck._split.pool is not None
+        for threads in (2, 3):
+            split.clear()
+            got = predict_probs_fused(*args, threads=threads)
+            assert any(split)  # the caller's share split too
+            np.testing.assert_array_equal(one, got, err_msg=f"{threads}")
+    with one_cpu():
         np.testing.assert_array_equal(one, predict_probs_fused(*args,
                                                                threads=1))

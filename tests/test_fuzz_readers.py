@@ -164,7 +164,7 @@ def _load_inside(data_dir):
     ``cli.main`` also turns into exit 2."""
     def read(_):
         try:
-            samples = cli._load_dataset(data_dir, "irrg")
+            samples = cli._load_dataset(data_dir, 5, None, "irrg")
         except FileNotFoundError:
             return
         assert not any(bands.any() for bands, _ in samples)

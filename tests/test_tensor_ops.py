@@ -64,7 +64,8 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, expect, rtol=1e-6)
 
     @pytest.mark.parametrize("route", ["direct", "im2col"])
-    def test_both_routes_match_oracle(self, rng, route):
+    def test_both_routes_match_oracle(self, rng, monkeypatch, route):
+        _force_route(monkeypatch, route)
         for _ in range(10):
             n, c, oc = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
             k = int(rng.choice([1, 3, 5]))
@@ -74,7 +75,7 @@ class TestConv2d:
             pad = int(rng.integers(0, 3))
             x = rng.standard_normal((n, c, h, w))
             wt = rng.standard_normal((oc, c, k, k))
-            got = ck.conv_forward(nhwc(x), wt, (pad, pad), stride, route)
+            got = ck.conv_forward(nhwc(x), wt, (pad, pad), stride)
             expect = nhwc(oracles.naive_conv2d(x, wt, None, (pad, pad), stride))
             np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-9)
 
@@ -516,7 +517,7 @@ class TestConvBackward:
         w = rng.standard_normal((4, 3) + ksize)
         oh, ow = ck.check_conv_shapes(nhwc(x), w, pad, stride)
         g = rng.standard_normal((2, 4, oh, ow))
-        got = ck.conv_backward(nhwc(x), w, nhwc(g), pad, stride, route)
+        got = ck.conv_backward(nhwc(x), w, nhwc(g), pad, stride)
         gx, gw, gb = oracles.naive_conv2d_backward(x, w, g, pad, stride)
         want = nhwc(gx), gw, gb
         for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
@@ -528,7 +529,7 @@ class TestConvBackward:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         gx, gw, _ = ck.conv_backward(nhwc(x), w, np.ones((1, 3, 3, 3)), (0, 0),
-                                     1, "direct", need_input_grad=False)
+                                     1, need_input_grad=False)
         assert gx is None and gw.shape == w.shape
 
     @pytest.mark.parametrize("xshape,wshape", [
@@ -545,8 +546,8 @@ class TestConvBackward:
         for route in ("direct", "im2col"):
             _force_route(monkeypatch, route)
             results.append(
-                (ck.conv_forward(x, w, pad, 1, route),)
-                + ck.conv_backward(x, w, g, pad, 1, route))
+                (ck.conv_forward(x, w, pad, 1),)
+                + ck.conv_backward(x, w, g, pad, 1))
         for name, a, b in zip(("out", "grad_x", "grad_w", "grad_b"),
                               *results):
             assert _rel_err(a, b) < CONV_TOL, name

@@ -28,9 +28,13 @@ Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
 of a window is its row-major offset (k // 2, k % 2), and the argmax is the
 uint8 slot of the first maximum.
 
-Weights are (oc, c, kh, kw) throughout.  ``nnops`` calls only the
-channels-last kernels; the (n, c, h, w) adapters at the end have no
-caller in the package.
+Weights have shape (oc, c, kh, kw) throughout, and the kernels read
+them in (oc, kh, kw, c) memory order (``nnops.ConvParams`` allocates
+them so): the im2col forward's weight matrix is then a view, and the
+weight gradient comes back in that order, as a view.  A weight in any
+other order costs a copy.  ``nnops`` calls only the channels-last
+kernels; the (n, c, h, w) adapters at the end have no caller in the
+package.
 
 Everything here is pure ndarray-in/ndarray-out; autodiff wiring lives
 in ``nnops``.
@@ -160,7 +164,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int,
     macs = n * oh * ow * oc * c * kh * kw
     if select_route(n * oh * ow, c) == "im2col":
         cols = _columns(xp, kh, kw, stride, oh, ow)
-        wt = w.transpose(0, 2, 3, 1).reshape(oc, -1).T
+        wt = w.transpose(2, 3, 1, 0).reshape(-1, oc)
         out = np.empty((len(cols), oc), xp.dtype)
         a, o = (np.array_split(m, _parts(macs, macs // 2)) for m in (cols, out))
         _run(lambda p: np.matmul(a[p], wt, out=o[p]), len(a))
@@ -223,18 +227,18 @@ def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     shifts = [ki * width + kj for ki in range(kh) for kj in range(kw)]
     chunks = _row_chunks(len(xf) - shifts[-1], c, oc, xp.itemsize)
     parts = _parts(macs, chunks[0][1] * c * oc)
-    gw = np.zeros((len(shifts), oc, c), dtype=xp.dtype)
+    gw = np.zeros((oc, len(shifts), c), dtype=xp.dtype)
     scratch = np.empty((parts, oc, c), np.result_type(gf, xf))
 
     def job(p):
         for r0, r1 in chunks:
             gt = gf[r0:r1].T
             for t in range(p, len(shifts), parts):
-                gw[t] += np.matmul(gt, xf[r0 + shifts[t]:r1 + shifts[t]],
-                                   out=scratch[p])
+                gw[:, t] += np.matmul(gt, xf[r0 + shifts[t]:r1 + shifts[t]],
+                                      out=scratch[p])
 
     _run(job, parts)
-    return gw.reshape(kh, kw, oc, c).transpose(2, 0, 1, 3)
+    return gw.reshape(oc, kh, kw, c)
 
 
 def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -250,9 +254,9 @@ def conv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     _, h, wd, _ = x.shape
     _, _, kh, kw = w.shape
     ph, pw = pad
-    grad_w = np.ascontiguousarray(_weight_grad(
-        _pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw,
-        stride).transpose(0, 3, 1, 2), dtype=w.dtype)
+    grad_w = _weight_grad(_pad(x, pad, (h + 2 * ph, wd + 2 * pw)), g, kh, kw,
+                          stride).transpose(0, 3, 1, 2)
+    grad_w = grad_w.astype(w.dtype, copy=False)
     del x  # as in conv_forward
     grad_x = None
     if need_input_grad:
@@ -314,8 +318,14 @@ def scatter2(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def gather2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The window-slot ``idx`` entries of ``g``: the gradient of
-    ``scatter2`` w.r.t. its values."""
-    return np.choose(idx, _slots(g))
+    ``scatter2`` w.r.t. its values. Each slot's bits are ANDed with all
+    ones where ``idx`` picks it, else 0, and the four are ORed."""
+    bits = g.view(f"u{g.itemsize}")
+    out = np.zeros(idx.shape, bits.dtype)
+    for k, slot in enumerate(_slots(bits)):
+        keep = np.negative(np.equal(idx, k).astype(bits.dtype))
+        out |= np.bitwise_and(slot, keep, out=keep)
+    return out.view(g.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,11 @@ def same_padding(ksize: int) -> int:
 
 @dataclass
 class ConvParams:
-    """Weights of one convolution: weight (oc,ic,kh,kw), optional bias (oc,)."""
+    """Weights of one convolution: weight (oc,ic,kh,kw), optional bias (oc,).
+
+    ``zeros`` lays the weight out (oc,kh,kw,ic) in memory, the order the
+    kernels read, so ``weight.data`` is a transposed view: write it
+    through indexing or ``[...]``, as ``reshape(-1)`` copies."""
 
     weight: Tensor
     bias: "Tensor | None"
@@ -75,8 +79,8 @@ class ConvParams:
               dtype=np.float32) -> "ConvParams":
         """Zero stride-1 convolution with same padding."""
         p = same_padding(ksize)
-        w = Tensor(np.zeros((out_ch, in_ch, ksize, ksize), dtype=dtype),
-                   requires_grad=True)
+        w = Tensor(np.zeros((out_ch, ksize, ksize, in_ch), dtype=dtype)
+                   .transpose(0, 3, 1, 2), requires_grad=True)
         b = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True) if bias else None
         return cls(w, b, (p, p))
 

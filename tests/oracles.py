@@ -109,6 +109,14 @@ def scatter2_where(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out.reshape(n, 2 * oh, 2 * ow, c)
 
 
+def gather2_choose(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Channels-last unpooling gradient by ``np.choose``: entry (i, j) of
+    the result is window (i, j)'s slot ``idx`` of ``g``."""
+    n, h, w, c = g.shape
+    v = g.reshape(n, h // 2, 2, w // 2, 2, c)
+    return np.choose(idx, [v[:, :, i, :, j] for i in (0, 1) for j in (0, 1)])
+
+
 def softmax_direct(z: np.ndarray) -> np.ndarray:
     """Plain exp/sum softmax over axis 1 at float64, no max subtraction."""
     e = np.exp(z.astype(np.float64))
@@ -142,17 +150,20 @@ def sum_all(a: Tensor) -> Tensor:
 
 def numeric_gradient(build_loss, tensor, coords, eps: float = 1e-5) -> np.ndarray:
     """Central finite differences of ``build_loss()`` w.r.t. entries of
-    ``tensor.data`` at the given flat coordinates."""
-    flat = tensor.data.reshape(-1)
+    ``tensor.data`` at the given flat (C-order) coordinates. It writes
+    through an index, not ``reshape(-1)``, which copies an array that is
+    not C-contiguous, such as a conv weight."""
+    data = tensor.data
     grads = np.zeros(len(coords), dtype=np.float64)
     with no_grad():
         for j, cidx in enumerate(coords):
-            orig = flat[cidx]
-            flat[cidx] = orig + eps
+            at = np.unravel_index(cidx, data.shape)
+            orig = data[at]
+            data[at] = orig + eps
             fp = float(build_loss().data)
-            flat[cidx] = orig - eps
+            data[at] = orig - eps
             fm = float(build_loss().data)
-            flat[cidx] = orig
+            data[at] = orig
             grads[j] = (fp - fm) / (2.0 * eps)
     return grads
 

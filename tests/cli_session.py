@@ -4,16 +4,18 @@ bytes as the commit before it.
     python3 tests/cli_session.py OUT_DIR > session.txt
 
 It runs every subcommand: each training command, a diverged run, the
-three kinds of ``predict``, ``fusion-stats`` and ``evaluate``. Each runs
-through ``python -m segstack.cli`` from this checkout's ``src/``, in its
-own process with BLAS pinned to one thread and OUT_DIR as the working
-directory, so the runs see only relative paths. It then
-prints one ``sha256  path`` line per file under OUT_DIR, and for each
-command its exit code and the sha256 of its stdout and of its stderr,
-with this checkout's path and OUT_DIR masked. Run it from two checkouts
-into two fresh directories and diff the printouts. The session takes
-about 15 s on two cores and writes about 120 MB, nearly all of it the
-full net's checkpoint. Pytest does not collect this file.
+three kinds of ``predict`` (fused with ``--threads`` 1, 2 and 3),
+``fusion-stats`` and ``evaluate``. Each runs through
+``python -m segstack.cli`` from this checkout's ``src/``, in its own
+process with BLAS pinned to one thread and OUT_DIR as the working
+directory, so the runs see only relative paths. It then prints one
+``sha256  path`` line per file under OUT_DIR, and for each command its
+exit code and the sha256 of its stdout and of its stderr, with this
+checkout's path and OUT_DIR masked. Run it from two checkouts into two
+fresh directories and diff the printouts; ``tests/test_same_bits.py``
+compares the printout with ``tests/golden/same_bits.txt``. The session
+takes about 10 s on two cores and writes about 120 MB, nearly all of it
+the full net's checkpoint. Pytest does not collect this file.
 """
 
 import hashlib
@@ -57,10 +59,12 @@ SESSION = [
     ("predict_mk", ["predict", "--run", "mk", "--scene", "data/tile-001",
                     "--out", "pred_mk", "--patch", "32", "--stride", "16"],
      0),
-    ("predict_fused", ["predict", "--run-a", "irrg", "--run-b", "comp",
-                       "--fusion-run", "fusion_unfrozen", "--scene",
-                       "data/tile-002", "--out", "pred_fused", "--patch", "32",
-                       "--stride", "16", "--threads", "2"], 0),
+    *((f"predict_fused_t{n}", ["predict", "--run-a", "irrg", "--run-b",
+                               "comp", "--fusion-run", "fusion_unfrozen",
+                               "--scene", "data/tile-002", "--out",
+                               f"pred_fused_t{n}", "--patch", "32",
+                               "--stride", "16", "--threads", str(n)], 0)
+      for n in (1, 2, 3)),
     ("fusion_stats", ["fusion-stats", "--data", "data", "--run-a", "irrg",
                       "--run-b", "comp", "--fusion-run", "fusion"], 0),
     ("evaluate", ["evaluate", "--pred", "pred_single/labels.pgm", "--gt",
@@ -69,20 +73,15 @@ SESSION = [
 
 
 def _digest(text: str, out_dir: str) -> str:
-    for path in (out_dir, ROOT):
-        text = text.replace(path, "<" + os.path.basename(path) + ">")
+    for path, mask in ((out_dir, "<out>"), (ROOT, "<root>")):
+        text = text.replace(path, mask)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: python3 tests/cli_session.py OUT_DIR", file=sys.stderr)
-        return 1
-    out_dir = os.path.realpath(argv[1])
-    os.makedirs(out_dir, exist_ok=True)
-    if os.listdir(out_dir):
-        print(f"{out_dir} is not empty", file=sys.stderr)
-        return 1
+def run_session(out_dir: str) -> "tuple[list[str], bool]":
+    """Runs SESSION in the empty directory ``out_dir``. Returns the
+    printout's lines and whether every command exited as expected."""
+    out_dir = os.path.realpath(out_dir)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -92,18 +91,32 @@ def main(argv) -> int:
                               cwd=out_dir, env=env, capture_output=True,
                               text=True)
         runs.append((name, done, want))
+    lines = []
     for top, dirs, files in os.walk(out_dir):
         dirs.sort()
         for fname in sorted(files):
             path = os.path.join(top, fname)
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            print(f"{digest}  {os.path.relpath(path, out_dir)}")
+            lines.append(f"{digest}  {os.path.relpath(path, out_dir)}")
     for name, done, want in runs:
-        print(f"{name} exit={done.returncode} "
-              f"stdout={_digest(done.stdout, out_dir)} "
-              f"stderr={_digest(done.stderr, out_dir)}")
-    return 0 if all(done.returncode == want for _, done, want in runs) else 1
+        lines.append(f"{name} exit={done.returncode} "
+                     f"stdout={_digest(done.stdout, out_dir)} "
+                     f"stderr={_digest(done.stderr, out_dir)}")
+    return lines, all(done.returncode == want for _, done, want in runs)
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tests/cli_session.py OUT_DIR", file=sys.stderr)
+        return 1
+    os.makedirs(argv[1], exist_ok=True)
+    if os.listdir(argv[1]):
+        print(f"{argv[1]} is not empty", file=sys.stderr)
+        return 1
+    lines, ok = run_session(argv[1])
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -171,6 +171,21 @@ class TestStitch:
         with pytest.raises(ShapeError, match="fit"):
             stitch_average([Window(0, 0, 8, 8)], [np.ones((1, 4, 4))], 8, 8)
 
+    def test_generator_of_maps_gives_list_bits(self):
+        rng = np.random.default_rng(8)
+        wins = plan_tiles(64, 96, TileGeometry(32, 16))
+        maps = [rng.random((3, 32, 32), dtype=np.float32) for _ in wins]
+        np.testing.assert_array_equal(
+            stitch_average(wins, (m for m in maps), 64, 96),
+            stitch_average(wins, maps, 64, 96))
+
+    @pytest.mark.parametrize("n_maps", [0, 3, 5, 9])
+    def test_map_count_mismatch_names_both_counts(self, n_maps):
+        wins = plan_tiles(8, 8, TileGeometry(4, 4))
+        maps = (np.ones((1, 4, 4)) for _ in range(n_maps))
+        with pytest.raises(ShapeError, match=f"4 windows but {n_maps} maps"):
+            stitch_average(wins, maps, 8, 8)
+
 
 class TestSynth:
     def test_same_seed_bit_identical(self):

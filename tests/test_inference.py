@@ -14,7 +14,8 @@ import pytest
 
 import segstack
 from segstack.cli import build_parser
-from segstack.datapipe import TileGeometry, synth_dataset
+from segstack.datapipe import (TileGeometry, plan_tiles, stitch_average,
+                               synth_dataset)
 from segstack.errors import ConfigError, DataError, ShapeError
 from segstack.fusion import make_corrector, init_corrector
 from segstack import inference
@@ -328,3 +329,114 @@ class TestBenchmarkTracing:
         assert {"segnet.forward", "nnops.softmax", "fusion.fuse",
                 "fusion.corrector", "datapipe.stitch"} <= layers
         assert segstack.inference.forward_parts is segstack.segnet.forward_parts
+
+
+class TestStreamedWorkers:
+    """Children hand their maps over through rings of a few slots, so on
+    a 96x96 scene at patch 32 and stride 16 (25 windows) every child's
+    ring wraps. The CPU count is patched so that 3 workers really fork on
+    a 2-CPU host."""
+
+    GEOM = TileGeometry(32, 16)
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def stitched_list(specs, corr, bands, geom):
+        """``stitch_average`` over the full list of window maps."""
+        h, w = bands[0].shape[1:]
+        windows = plan_tiles(h, w, geom)
+        with no_grad():
+            maps = [inference.window_map(
+                specs, corr, [Tensor(b[None, :, win.top:win.top + win.height,
+                                       win.left:win.left + win.width])
+                              for b in bands])[0] for win in windows]
+        return stitch_average(windows, maps, h, w)
+
+    def test_workers_capped_by_cpus(self, net, scene, monkeypatch):
+        one = predict_probs(net, scene[0], TestForkedWorkers.GEOM, threads=1)
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", counting_fork)
+        self.cpus(monkeypatch, 2)
+        many = predict_probs(net, scene[0], TestForkedWorkers.GEOM,
+                             threads=50)
+        assert len(forks) == 1
+        np.testing.assert_array_equal(one, many)
+
+    def test_three_workers_with_corrector_match_list_stitch(
+            self, nets, scene, monkeypatch):
+        corr = make_corrector(in_channels=32, k=5, hidden=8)
+        init_corrector(corr, seed=5)
+        w = corr.convs[2].weight.data
+        w[...] = np.random.default_rng(5).normal(0, 0.1, w.shape)
+        want = self.stitched_list(list(nets), corr, scene[:2], self.GEOM)
+        self.cpus(monkeypatch, 3)
+        for threads in (1, 2, 3):
+            got = predict_probs_fused(*nets, corr, scene[0], scene[1],
+                                      self.GEOM, threads)
+            np.testing.assert_array_equal(got, want)
+        TestForkedWorkers.assert_no_children()
+
+    def test_child_killed_after_streaming(self, net, scene, monkeypatch):
+        """The child maps windows 1, 3, ..., 23 and dies on its sixth, so
+        the caller adds five of its maps and maps the other seven."""
+        want = self.stitched_list([net], None, [scene[0]], self.GEOM)
+        caller, calls = os.getpid(), []
+        real = inference.window_map
+
+        def patched(specs, corr, xs):
+            calls.append(1)
+            if os.getpid() != caller and len(calls) == 6:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(specs, corr, xs)
+        monkeypatch.setattr(inference, "window_map", patched)
+        self.cpus(monkeypatch, 2)
+        got = predict_probs(net, scene[0], self.GEOM, threads=2)
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) == 13 + 7
+        TestForkedWorkers.assert_no_children()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_does_not_grow_with_windows(self, threads):
+        """A 256x256 scene at patch 32: stride 8 (841 windows) after
+        stride 32 (49 windows) raises the peak RSS by under 4 MB. Keeping
+        every map would take 17 MB."""
+        src = Path(segstack.__file__).resolve().parents[1]
+        script = textwrap.dedent(f"""
+            import resource
+            import numpy as np
+            from segstack.datapipe import TileGeometry
+            from segstack.inference import predict_probs
+            from segstack.segnet import build_segnet, forward_parts, init_he
+            from segstack.tensor import Tensor, no_grad
+
+            net = build_segnet(k=5, scale="mini")
+            init_he(net, seed=1)
+            scene = np.random.default_rng(0).random((3, 256, 256),
+                                                    dtype=np.float32)
+            with no_grad():
+                forward_parts(net, Tensor(scene[None, :, :32, :32]),
+                              mode="train")
+            peaks = []
+            for stride in (32, 8):
+                predict_probs(net, scene, TileGeometry(32, stride),
+                              threads={threads})
+                peaks.append(resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024)
+            print(peaks[1] - peaks[0])
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 4.0, f"peak grew {done.stdout} MB"

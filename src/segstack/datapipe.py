@@ -1,6 +1,6 @@
 """Raster plumbing: composite-channel construction, sliding-window tile
 plans, overlap-averaged stitching, the synthetic desk-scale dataset, and
-binary PPM/PGM raster IO with the standard 5-class color legend.
+binary netpbm IO (PPM and PGM out, PGM in) with the 5-class color legend.
 """
 
 from dataclasses import dataclass
@@ -344,17 +344,6 @@ def _read_netpbm_header(buf: bytes, magic: bytes):
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
     return w, h, pos
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, pos = _read_netpbm_header(buf, b"P6")
-    need = w * h * 3
-    if len(buf) - pos < need:
-        raise FormatError(f"truncated pixel data: {len(buf) - pos} of {need} bytes")
-    return np.frombuffer(buf, dtype=np.uint8, count=need,
-                         offset=pos).reshape(h, w, 3).copy()
 
 
 def read_pgm(path) -> np.ndarray:

@@ -43,7 +43,7 @@ from .datapipe import TileGeometry, check_bands, plan_tiles, stitch_average
 from .errors import ConfigError, ShapeError
 from .fusion import StreamOutput, fuse_average, fuse_residual
 from .nnops import softmax_channels
-from .segnet import NetworkSpec, forward_parts
+from .segnet import NetworkSpec, check_patch, forward_parts
 from .tensor import Tensor, no_grad
 
 # Map slots in each forked worker's ring: a worker runs up to this many
@@ -140,7 +140,9 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
     if any(b.shape[1:] != (h, w) for b in bands):
         raise ShapeError(f"streams must be co-registered, got "
                          f"{[b.shape[1:] for b in bands]}")
-    windows = plan_tiles(h, w, geom or TileGeometry())
+    geom = geom or TileGeometry()
+    check_patch(geom.patch, *specs)
+    windows = plan_tiles(h, w, geom)
 
     def worker(win):
         rows, cols = (slice(win.top, win.top + win.height),

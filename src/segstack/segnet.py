@@ -155,6 +155,14 @@ def _forward(spec: NetworkSpec, x: Tensor, mode: str):
     return permute(logits, (0, 3, 1, 2)), h
 
 
+def check_patch(patch: int, *specs: NetworkSpec) -> None:
+    """ConfigError unless every pooling level of ``specs`` halves ``patch``."""
+    div = 2 ** max(spec.depth for spec in specs)
+    if patch % div:
+        raise ConfigError(f"patch {patch} must be divisible by {div} "
+                          "(2 ** pooling levels)")
+
+
 # ---------------------------------------------------------------------------
 # Parameter access and checkpoints
 
@@ -205,9 +213,10 @@ def state_entries(spec: NetworkSpec) -> "list[tuple[str, np.ndarray, str]]":
     return out
 
 
-def save_checkpoint(spec: NetworkSpec, dirpath) -> None:
+def save_checkpoint(dirpath, entries) -> None:
+    """Bundle (name, array, group) rows, each array read through ``value``."""
     tenio.save_bundle(dirpath, ((name, value(arr), group)
-                                for name, arr, group in state_entries(spec)))
+                                for name, arr, group in entries))
 
 
 def restore_entries(bundle, entries, missing_label: str) -> None:

@@ -3,13 +3,13 @@ desk-scale trainers for the plain, multi-kernel, branch-extension and
 dual-stream fusion variants.
 
 Every trainer runs the one loop ``_train`` over (*inputs, labels)
-samples. A trainer supplies its parameter groups, its (name, array,
-group) state rows, a ``forward(inputs) -> logits`` and a save function
-that writes those rows to the run directory; cropping, batching, the
-loss, SGD, the last-good guard, divergence handling and the manifest are
-the loop's. In it SGD holds each conv weight's step pending
-(``tensor.pending_steps``) until the next loss is finite; forwards and
-saves read the weight as stepped (``tensor.value``).
+samples. A trainer supplies its parameter groups, its state as bundles
+(each checkpoint directory of the run with its (name, array, group)
+rows) and a ``forward(inputs) -> logits``; cropping, batching, the
+loss, SGD, the last-good guard over those rows, saving them, divergence
+handling and the manifest are the loop's. In it SGD holds each conv
+weight's step pending (``tensor.pending_steps``) until the next loss is
+finite; forwards and saves read the weight as stepped (``tensor.value``).
 
 A run directory is this module's format: the trainers write every
 manifest key that ``load_run`` and ``load_fusion_run`` read back.
@@ -27,18 +27,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import tenio
 from .errors import (ConfigError, DivergenceError, FormatError, SpecError,
                      TrainingError)
 from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
                      fuse_residual, fusion_stats, make_corrector)
 from .inference import stream_outputs, window_map
 from .nnops import IGNORE_LABEL, cross_entropy_loss, softmax_channels
-from .segnet import (NetworkSpec, ParamGroup, build_segnet, forward,
-                     forward_parts, load_checkpoint, param_groups,
+from .segnet import (NetworkSpec, ParamGroup, build_segnet, check_patch,
+                     forward, forward_parts, load_checkpoint, param_groups,
                      restore_bundle, save_checkpoint, state_entries)
 from .tensor import (Tensor, apply_steps, backward, hold_step, leaf_grads_to,
-                     no_grad, pending_steps, value)
+                     no_grad, pending_steps)
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_DIR = "checkpoint"
@@ -187,13 +186,13 @@ def _finish(out_dir, manifest, log, status) -> dict:
     return manifest
 
 
-def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
-           forward, save) -> dict:
+def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
+           forward) -> dict:
     """The one epoch and step loop: shuffling, patch sampling, SGD on
-    ``groups``, plateau decay, the last-good guard over the state
-    ``rows``, divergence handling, checkpointing through ``save`` and
-    the manifest write. ``forward(input tensors)`` returns the logits the
-    loss scores."""
+    ``groups``, plateau decay, the last-good guard, divergence handling,
+    saving ``bundles`` (each checkpoint directory of the run with its
+    (name, array, group) rows) and the manifest write. ``forward(input
+    tensors)`` returns the logits the loss scores."""
     if not dataset:
         raise ConfigError("dataset is empty")
     manifest = {"config": asdict(config), "checkpoint": CHECKPOINT_DIR,
@@ -201,8 +200,13 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
     os.makedirs(out_dir, exist_ok=True)
     opt = SGD(groups, config.base_lr, config.momentum)
     rng = np.random.default_rng(config.seed)
+
+    def save():
+        for dirname, rows in bundles.items():
+            save_checkpoint(os.path.join(out_dir, dirname), rows)
+
     save()  # params at init are the first "last good" state
-    guard = _LastGoodGuard(rows)
+    guard = _LastGoodGuard([row for rows in bundles.values() for row in rows])
     with pending_steps(guard.steps):
         lr = config.base_lr
         best = np.inf
@@ -255,13 +259,6 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, rows,
         return _finish(out_dir, manifest, log, "complete")
 
 
-def _check_patch(config: TrainConfig, *specs: NetworkSpec) -> None:
-    div = 2 ** max(spec.depth for spec in specs)
-    if config.patch % div:
-        raise ConfigError(f"patch {config.patch} must be divisible by {div} "
-                          "(2 ** pooling levels)")
-
-
 def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
                  groups=None, manifest_extra=None) -> dict:
     """Train one network on (input, labels) pairs and write
@@ -270,10 +267,9 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
     ``groups`` overrides the Table-1-style encoder/decoder split (used by
     the branch-extension protocol to freeze everything but new params).
     """
-    _check_patch(config, spec)
+    check_patch(config.patch, spec)
     if groups is None:
         groups = param_groups(spec, config.lr_ratio)
-    ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
     manifest = {
         "k": spec.k,
         "scale": spec.scale_name,
@@ -283,19 +279,13 @@ def train_segnet(spec: NetworkSpec, dataset, config: TrainConfig, out_dir,
         **(manifest_extra or {}),
     }
     return _train(config, dataset, out_dir, manifest, groups,
-                  state_entries(spec),
-                  lambda xs: forward(spec, xs[0], mode="train"),
-                  lambda: save_checkpoint(spec, ckpt_dir))
+                  {CHECKPOINT_DIR: state_entries(spec)},
+                  lambda xs: forward(spec, xs[0], mode="train"))
 
 
 def corrector_entries(corr: CorrectorSpec) -> "list[tuple]":
     """(name, array, group) rows of the corrector's parameters."""
     return [(name, t.data, "corrector") for name, t in corr.tensors()]
-
-
-def save_corrector(corr: CorrectorSpec, dirpath) -> None:
-    tenio.save_bundle(dirpath, ((name, value(arr), group) for name, arr, group
-                                in corrector_entries(corr)))
 
 
 def load_corrector(corr: CorrectorSpec, dirpath) -> None:
@@ -314,7 +304,7 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     need initialized batchnorm statistics, i.e. they should come from
     trained checkpoints.
     """
-    _check_patch(config, spec_a, spec_b)
+    check_patch(config.patch, spec_a, spec_b)
     heads = spec_a.head.in_channels + spec_b.head.in_channels
     if (spec_b.k, corr.out_channels, corr.in_channels) != (
             spec_a.k, spec_a.k, heads):
@@ -323,16 +313,14 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
             f"{heads} head channels in all; the corrector maps "
             f"{corr.in_channels} channels to {corr.out_channels} classes")
     specs = (spec_a, spec_b)
-    ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
-    stream_dirs = [os.path.join(out_dir, d) for d in STREAM_DIRS]
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
-    rows = corrector_entries(corr)
+    bundles = {CHECKPOINT_DIR: corrector_entries(corr)}
     if unfreeze_streams:
-        for tag, spec in zip("ab", specs):
+        for tag, spec, dirname in zip("ab", specs, STREAM_DIRS):
             for g in param_groups(spec, config.lr_ratio):
                 g.role = f"stream_{tag}.{g.role}"
                 groups.append(g)
-            rows += state_entries(spec)
+            bundles[dirname] = state_entries(spec)
 
     def forward(xs):
         if unfreeze_streams:
@@ -345,12 +333,6 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
                 streams = stream_outputs(specs, xs)
         return fuse_residual(streams, corr)
 
-    def save():
-        save_corrector(corr, ckpt_dir)
-        if unfreeze_streams:
-            for spec, path in zip(specs, stream_dirs):
-                save_checkpoint(spec, path)
-
     manifest = {
         "k": spec_a.k,
         "variant": "fusion",
@@ -359,8 +341,8 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
         "unfreeze_streams": unfreeze_streams,
         **(manifest_extra or {}),
     }
-    return _train(config, dataset, out_dir, manifest, groups, rows,
-                  forward, save)
+    return _train(config, dataset, out_dir, manifest, groups, bundles,
+                  forward)
 
 
 # ---------------------------------------------------------------------------

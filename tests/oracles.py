@@ -261,3 +261,14 @@ def f1_direct(cm: np.ndarray) -> dict:
     total = float(cm.sum())
     res["accuracy"] = float(np.trace(cm)) / total if total > 0 else float("nan")
     return res
+
+
+def read_p6(path) -> np.ndarray:
+    """(h, w, 3) uint8 pixels of a binary PPM whose header is exactly
+    ``P6\\n<w> <h>\\n255\\n``, the form ``datapipe.write_ppm`` writes."""
+    with open(path, "rb") as fh:
+        magic, size, maxval = (fh.readline() for _ in range(3))
+        pixels = fh.read()
+    assert (magic, maxval) == (b"P6\n", b"255\n"), (magic, maxval)
+    w, h = map(int, size.split())
+    return np.frombuffer(pixels, np.uint8).reshape(h, w, 3)

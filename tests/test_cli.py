@@ -11,7 +11,8 @@ import pytest
 
 import segstack
 from segstack.cli import build_parser, main
-from segstack.datapipe import TileGeometry, read_pgm, read_ppm, write_pgm
+from oracles import read_p6
+from segstack.datapipe import TileGeometry, read_pgm, write_pgm
 from segstack.fusion import init_corrector, make_corrector
 from segstack.inference import predict_probs_fused
 from segstack.segnet import build_segnet, init_he, load_checkpoint
@@ -48,7 +49,7 @@ class TestSynth:
         assert irrg.shape == (3, 32, 32) and irrg.dtype == np.float32
         labels = read_pgm(data / "tile-000.labels.pgm")
         assert labels.shape == (32, 32)
-        render = read_ppm(data / "tile-000.render.ppm")
+        render = read_p6(data / "tile-000.render.ppm")
         assert render.shape == (32, 32, 3)
 
     def test_deterministic(self, workspace, tmp_path):
@@ -357,7 +358,7 @@ class TestPredict:
         assert probs.shape == (5, 32, 32)
         labels = read_pgm(out / "labels.pgm")
         assert labels.shape == (32, 32)
-        render = read_ppm(out / "render.ppm")
+        render = read_p6(out / "render.ppm")
         assert render.shape == (32, 32, 3)
         np.testing.assert_array_equal(probs.argmax(axis=0), labels)
 
@@ -863,6 +864,16 @@ class TestHostileFiles:
             "train", "--data", str(workspace / "data"), "--out", str(out),
             "--epochs", "1", "--patch", patch], out)
         assert code == 1 and message in line
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_predict_patch_not_divisible_is_usage_error(
+            self, workspace, tmp_path, capsys, threads):
+        out = tmp_path / "x"
+        code, line = self.run_refused(capsys, [
+            "predict", "--run", str(workspace / "run-a"), "--scene",
+            str(workspace / "data" / "tile-000"), "--out", str(out),
+            "--patch", "30", "--stride", "30", "--threads", threads], out)
+        assert code == 1 and "patch 30 must be divisible by 4" in line
 
     def test_fusion_over_runs_of_other_classes_is_spec_error(
             self, workspace, tmp_path, capsys):

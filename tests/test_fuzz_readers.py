@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segstack import cli, tenio, training
-from segstack.datapipe import read_pgm, read_ppm, write_pgm
+from segstack.datapipe import read_pgm, write_pgm
 from segstack.errors import SegstackError
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -69,12 +69,6 @@ def netpbm_files(magic):
 @given(netpbm_files(b"P5"))
 def test_read_pgm(scratch, data):
     loads_or_refuses(read_pgm, scratch / "x.pgm", data)
-
-
-@FUZZ
-@given(netpbm_files(b"P6"))
-def test_read_ppm(scratch, data):
-    loads_or_refuses(read_ppm, scratch / "x.ppm", data)
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,8 @@ from segstack.inference import (labels_from_probs, predict_probs,
                                 predict_probs_fused)
 from segstack.segnet import build_segnet, forward_parts, init_he
 from segstack.tensor import Tensor, no_grad
+from segstack.training import TrainConfig, train_fusion, train_segnet
+from test_tracing_hook import _load_tracing
 
 
 def warmed_net(seed, in_channels=3):
@@ -330,6 +332,32 @@ class TestBenchmarkTracing:
                 "fusion.corrector", "datapipe.stitch"} <= layers
         assert segstack.inference.forward_parts is segstack.segnet.forward_parts
 
+    CONFIG = TrainConfig(epochs=1, batch_size=2, patch=32)
+
+    def test_install_wraps_the_training_path(self, tmp_path):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        spec = build_segnet(k=5, scale="mini")
+        init_he(spec, seed=3)
+        data = [(irrg.data, labels) for irrg, _, labels
+                in synth_dataset(seed=8, n_tiles=2, size=32)]
+        with tracing.install(tracer, segstack):
+            train_segnet(spec, data, self.CONFIG, tmp_path)
+        layers = {s[1] for s in tracer.spans}
+        assert {"training.save", "tenio.save", "tensor.backward",
+                "nnops.cross_entropy"} <= layers
+
+    def test_frozen_fusion_saves_through_training_save(self, nets, tmp_path):
+        """The corrector's bundle is saved at init and after the epoch."""
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        corr = make_corrector(in_channels=32, k=5)
+        data = [(irrg.data, comp.data, labels) for irrg, comp, labels
+                in synth_dataset(seed=8, n_tiles=2, size=32)]
+        with tracing.install(tracer, segstack):
+            train_fusion(*nets, corr, data, self.CONFIG, tmp_path)
+        assert [s[1] for s in tracer.spans].count("training.save") == 2
+
 
 class TestStreamedWorkers:
     """Children hand their maps over through rings of a few slots, so on
@@ -355,6 +383,16 @@ class TestStreamedWorkers:
                                        win.left:win.left + win.width])
                               for b in bands])[0] for win in windows]
         return stitch_average(windows, maps, h, w)
+
+    def test_bad_patch_refused_before_any_fork(self, net, scene,
+                                               monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ConfigError,
+                           match="patch 30 must be divisible by 4"):
+            predict_probs(net, scene[0], TileGeometry(30, 30), threads=2)
+        assert forks == []
 
     def test_workers_capped_by_cpus(self, net, scene, monkeypatch):
         one = predict_probs(net, scene[0], TestForkedWorkers.GEOM, threads=1)

@@ -7,7 +7,7 @@ from segstack.errors import (CheckpointError, ConfigError, FormatError,
 from segstack.segnet import (FULL_CONV_COUNTS, FULL_WIDTHS, build_segnet,
                              forward, forward_parts, init_he, load_checkpoint,
                              load_encoder_checkpoint, named_parameters,
-                             param_groups, save_checkpoint)
+                             param_groups, save_checkpoint, state_entries)
 from segstack.tenio import load_bundle, save_bundle
 from segstack.training import TrainConfig, train_segnet
 
@@ -181,7 +181,7 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(9)
                    .standard_normal((1, 3, 64, 64)).astype(np.float32))
         before = forward(spec, x, mode="eval").data
-        save_checkpoint(spec, tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt", state_entries(spec))
 
         fresh = build_segnet(4, scale="mini")
         load_checkpoint(fresh, tmp_path / "ckpt")
@@ -190,7 +190,7 @@ class TestCheckpoint:
 
     def test_missing_parameter(self, tmp_path):
         spec = mini(k=3)
-        save_checkpoint(spec, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(spec))
         bundle = load_bundle(tmp_path / "c")
         del bundle["dec.b1.c0.weight"]
         save_bundle(tmp_path / "c2",
@@ -200,7 +200,7 @@ class TestCheckpoint:
 
     def test_shape_mismatch_names_both_shapes(self, tmp_path):
         spec = mini(k=3)
-        save_checkpoint(spec, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(spec))
         other = build_segnet(4, scale="mini")
         with pytest.raises(CheckpointError, match=r"\(3,.*\(4,"):
             load_checkpoint(other, tmp_path / "c")
@@ -208,7 +208,7 @@ class TestCheckpoint:
     def test_encoder_round_trip(self, tmp_path):
         src = mini(k=3, seed=11)
         self.run_training_forward(src)
-        save_checkpoint(src, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(src))
 
         dst = mini(k=3, seed=99)
         dec_before = dst.dec_blocks[0][0].params.weight.data.copy()
@@ -224,7 +224,7 @@ class TestCheckpoint:
 
     def test_decoder_only_bundle_rejected(self, tmp_path):
         spec = mini(k=3, seed=2)
-        save_checkpoint(spec, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(spec))
         bundle = load_bundle(tmp_path / "c")
         dec_only = [(e.name, e.array, e.group) for e in bundle.values()
                     if e.group != "encoder"]
@@ -234,7 +234,7 @@ class TestCheckpoint:
 
     def test_truncated_payload_leaves_net_untouched(self, tmp_path):
         spec = mini(k=3, seed=2)
-        save_checkpoint(spec, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(spec))
         victim = tmp_path / "c" / "enc.b2.c1.weight.ten"
         victim.write_bytes(victim.read_bytes()[:20])
 
@@ -247,7 +247,7 @@ class TestCheckpoint:
 
     def test_unknown_entry_rejected_on_full_load(self, tmp_path):
         spec = mini(k=3, seed=2)
-        save_checkpoint(spec, tmp_path / "c")
+        save_checkpoint(tmp_path / "c", state_entries(spec))
         bundle = load_bundle(tmp_path / "c")
         entries = [(e.name, e.array, e.group) for e in bundle.values()]
         entries.append(("mystery.weight", np.zeros(2, dtype=np.float32), "x"))

@@ -13,14 +13,14 @@ from segstack.multikernel import branch_outputs, multikernel_loss
 from segstack.nnops import cross_entropy_loss
 from segstack.segnet import (ParamGroup, build_segnet, forward_parts,
                              init_he, load_checkpoint, named_parameters,
-                             param_groups, state_entries)
+                             param_groups, save_checkpoint, state_entries)
 from segstack.tensor import (Tensor, backward, hold_step, leaf_grads_to,
                              no_grad, pending_steps, value)
 from segstack.training import (SGD, TrainConfig, _LastGoodGuard,
                                corrector_entries, fusion_pixel_accuracy,
                                load_corrector, load_fusion_run, load_run,
                                measure_fusion_stats, pixel_accuracy,
-                               save_corrector, train_fusion, train_segnet)
+                               train_fusion, train_segnet)
 
 
 def small_dataset(seed=1, n=6, size=32):
@@ -618,7 +618,7 @@ class TestTrainFusion:
         rng = np.random.default_rng(0)
         for name, t in corr.tensors():
             t.data[...] = rng.standard_normal(t.shape).astype(t.dtype)
-        save_corrector(corr, tmp_path / "corr")
+        save_checkpoint(tmp_path / "corr", corrector_entries(corr))
         other = make_corrector(in_channels=32, k=5)
         load_corrector(other, tmp_path / "corr")
         for (n, t), (_, u) in zip(corr.tensors(), other.tensors()):
@@ -626,7 +626,7 @@ class TestTrainFusion:
 
     def test_corrector_load_missing_entry(self, tmp_path):
         a, b, corr = self.make_streams()
-        save_corrector(corr, tmp_path / "corr")
+        save_checkpoint(tmp_path / "corr", corrector_entries(corr))
         os.remove(tmp_path / "corr" / "corr.c1.bias.ten")
         index = (tmp_path / "corr" / "index.txt").read_text().splitlines()
         kept = [l for l in index if "corr.c1.bias" not in l]

@@ -17,7 +17,7 @@ from segstack.multikernel import extend_with_scale, make_head
 from segstack.nnops import ConvParams, he_fill
 from segstack.segnet import (build_segnet, init_he, load_checkpoint,
                              load_encoder_checkpoint, named_parameters,
-                             save_checkpoint)
+                             save_checkpoint, state_entries)
 from segstack.training import TrainConfig, train_segnet
 from test_conv_split import one_cpu
 
@@ -65,7 +65,7 @@ class TestConstructors:
 
 class TestKeptThrough:
     def test_checkpoint_and_encoder_loads(self, tmp_path):
-        save_checkpoint(mini_net(seed=1), tmp_path)
+        save_checkpoint(tmp_path, state_entries(mini_net(seed=1)))
         for load in (load_checkpoint, load_encoder_checkpoint):
             spec = mini_net()
             load(spec, tmp_path)

@@ -7,22 +7,26 @@ Every convolution, forward or backward, is one channels-last correlation
 * ``direct``: one GEMM per kernel offset.  With the padded input's rows
   flattened, the window of offset (i, j) is the run of rows shifted by
   ``i*width + j``, read in place.  Larger strides subsample the stride-1 map.
-* ``im2col``: one GEMM over a column matrix of all receptive fields.
+* ``im2col``: the column matrix of all receptive fields times the weight
+  matrix, one block of output image rows at a time.  A plan set by the
+  shapes alone (``_im2col``) sizes the blocks to stay in L2; each block is
+  copied into a buffer allocated up front and multiplied into place.
 
 The input gradient is the forward correlation of the zero-dilated upstream
 gradient, re-padded by k-1-p, with the flipped, channel-swapped kernel; the
 weight gradient reads the forward's windows on the forward's route.  Each
-correlation's route is ``select_route`` of its GEMM's shape, picked here,
-so callers pass none.  Both routes agree up to float reduction order; the
-tests pin each against naive nested-loop oracles.
+correlation's route is ``select_route`` of its GEMM's shape, so callers pass
+none.  Both routes agree up to float reduction order; the tests pin each
+against naive nested-loop oracles.
 
 With BLAS pinned, a kernel whose GEMMs clear a size gate (``_parts``)
 runs as two fixed parts, set by the shapes alone: alternate row chunks
 (direct route), alternate taps, each summed over the chunks in order (its
-weight gradient), or two row blocks (im2col; column blocks for its weight
-gradient).  The caller runs part 0 and a helper thread part 1 (``_run``);
-without the helper the caller runs both, so the bits never depend on it.
-A forked child starts its own helper.
+weight gradient), alternate blocks (im2col; halves of the output channels
+of a one-block plan), or halves of the columns, each summed over the blocks
+in plan order (its weight gradient).  The caller runs part 0 and a helper
+thread part 1 (``_run``); without the helper the caller runs both, so the
+bits never depend on it.  A forked child starts its own helper.
 
 Pooling reads each 2x2 window from an (n, h/2, 2, w/2, 2, c) view; slot k
 of a window is its row-major offset (k // 2, k % 2), and the argmax is the
@@ -52,11 +56,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
-# GEMMs with fewer rows (n*oh*ow) than this per input channel go im2col. One
-# BLAS thread, batch 4, forward: 3x3 512 ch at 8 px, im2col 23 ms vs direct
-# 63 ms; 128 ch at 32 px (32 rows/ch) 19 vs 24, but backward 50 vs 43; 7x7
-# 16->5 at 64 px 31 vs 12.
-_IM2COL_ROWS_PER_CHANNEL = 16
+# GEMMs with at least _IM2COL_MIN_OC output channels, or fewer rows (n*oh*ow)
+# than _IM2COL_ROWS_PER_CHANNEL per input channel, go im2col (see the output
+# of python3 tests/route_sweep.py), in blocks of at most _SLAB_BYTES of columns
+# (a block stays in L2, and the two parts' blocks add little to the step's
+# peak memory) but of at least _ROWS_PER_OC rows per output channel, so that
+# the GEMM's other operand stays small beside them.
+_IM2COL_ROWS_PER_CHANNEL, _IM2COL_MIN_OC = 16, 64
+_SLAB_BYTES, _ROWS_PER_OC = 1 << 19, 2
 # The direct route walks rows in chunks of about this many bytes of input and
 # output rows, so a chunk stays in cache across all kernel offsets.
 _CHUNK_BYTES = 1 << 18
@@ -88,11 +95,12 @@ def usable_cpus() -> int:
 
 def _run(job, parts: int) -> None:
     """``job(p)`` for each part p: with two parts, part 1 on the helper if
-    the process may run on two CPUs."""
+    the process may run on two CPUs, under the caller's float error state
+    (``np.errstate`` is per thread)."""
     if parts == 2 and usable_cpus() >= 2:
         with _split.lock:
             _split.pool = _split.pool or ThreadPoolExecutor(1)
-        second = _split.pool.submit(job, 1)
+        second = _split.pool.submit(_with_errstate, np.geterr(), job)
         try:
             job(0)
         finally:
@@ -102,6 +110,11 @@ def _run(job, parts: int) -> None:
         return
     for p in range(parts):
         job(p)
+
+
+def _with_errstate(state: dict, job) -> None:
+    with np.errstate(**state):
+        job(1)
 
 
 def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
@@ -125,9 +138,10 @@ def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
     return (h + 2 * ph - kh) // stride + 1, (wd + 2 * pw - kw) // stride + 1
 
 
-def select_route(rows: int, c: int) -> str:
-    """Route of a GEMM with ``rows`` output pixels and ``c`` input channels."""
-    return "im2col" if rows < _IM2COL_ROWS_PER_CHANNEL * c else "direct"
+def select_route(rows: int, c: int, oc: int) -> str:
+    """Route of a GEMM of ``rows`` output pixels, ``c`` to ``oc`` channels."""
+    im2col = oc >= _IM2COL_MIN_OC or rows < _IM2COL_ROWS_PER_CHANNEL * c
+    return "im2col" if im2col else "direct"
 
 
 def _pad(x: np.ndarray, offset: tuple[int, int], extent: tuple[int, int],
@@ -151,12 +165,34 @@ def _row_chunks(span: int, c: int, oc: int, itemsize: int):
     return [(r0, min(span, r0 + step)) for r0 in range(0, span, step)]
 
 
-def _columns(xp: np.ndarray, kh: int, kw: int, stride: int,
-             oh: int, ow: int) -> np.ndarray:
-    """(n*oh*ow, kh*kw*c) receptive fields of a ``_pad`` map."""
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int,
+            ow: int, k: int, oc: int):
+    """(win, size, blocks) of the im2col route over ``_pad`` map xp: win is the
+    (n, oh, ow, kh, kw*c) view of its receptive fields; blocks cut the n*oh
+    output image rows into runs of at most ``size`` entries of k columns."""
     win = sliding_window_view(xp[:, :-1], (kh, kw), axis=(1, 2))
     win = win[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * oh * ow, -1)
+    win = win.transpose(0, 1, 2, 4, 5, 3)
+    units = len(xp) * oh
+    per = min(units, max(_SLAB_BYTES // (ow * k * xp.itemsize),
+                         -(-_ROWS_PER_OC * oc // ow), 1))
+    return (win.reshape(win.shape[:4] + (-1,)), per * ow * k,
+            [(j, min(units, j + per)) for j in range(0, units, per)])
+
+
+def _fill(buf: np.ndarray, win: np.ndarray, j0: int, j1: int, k0: int,
+          k1: int) -> np.ndarray:
+    """Columns k0:k1 of output image rows j0:j1 of ``_im2col``'s win, as
+    rows of the column matrix in the head of ``buf``."""
+    oh, ow, _, kwc = win.shape[1:]
+    cols = buf[:(j1 - j0) * ow * (k1 - k0)].reshape(j1 - j0, ow, k1 - k0)
+    for i in range(j0 // oh, (j1 - 1) // oh + 1):
+        y0, y1 = max(j0, i * oh), min(j1, i * oh + oh)
+        for ki in range(k0 // kwc, (k1 - 1) // kwc + 1):
+            a, b = max(k0, ki * kwc), min(k1, ki * kwc + kwc)
+            cols[y0 - j0:y1 - j0, :, a - k0:b - k0] = win[
+                i, y0 - i * oh:y1 - i * oh, :, ki, a - ki * kwc:b - ki * kwc]
+    return cols.reshape(-1, k1 - k0)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int,
@@ -166,12 +202,27 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int, oh: int,
     n, _, width, c = xp.shape
     oc, _, kh, kw = w.shape
     macs = n * oh * ow * oc * c * kh * kw
-    if select_route(n * oh * ow, c) == "im2col":
-        cols = _columns(xp, kh, kw, stride, oh, ow)
+    if select_route(n * oh * ow, c, oc) == "im2col":
         wt = w.transpose(2, 3, 1, 0).reshape(-1, oc)
-        out = np.empty((len(cols), oc), xp.dtype)
-        a, o = (np.array_split(m, _parts(macs, macs // 2)) for m in (cols, out))
-        _run(lambda p: np.matmul(a[p], wt, out=o[p]), len(a))
+        win, size, blocks = _im2col(xp, kh, kw, stride, oh, ow, len(wt), oc)
+        parts = _parts(macs, size * oc // 2)
+        out = np.empty((n * oh * ow, oc), xp.dtype)
+        if len(blocks) == 1:
+            # the one block is filled once; each part takes half the channels
+            cols = _fill(np.empty(size, xp.dtype), win, 0, n * oh, 0, len(wt))
+            o = [slice(p * oc // parts, (p + 1) * oc // parts)
+                 for p in range(parts)]
+            _run(lambda p: np.matmul(cols, wt[:, o[p]], out=out[:, o[p]]),
+                 parts)
+            return out.reshape(n, oh, ow, oc)
+        buf = np.empty((parts, size), xp.dtype)
+
+        def fill_and_multiply(p):  # blocks alternate between the parts
+            for j0, j1 in blocks[p::parts]:
+                cols = _fill(buf[p], win, j0, j1, 0, len(wt))
+                np.matmul(cols, wt, out=out[j0 * ow:j1 * ow])
+
+        _run(fill_and_multiply, parts)
         return out.reshape(n, oh, ow, oc)
     # output row r reads input rows r + i*width + j; rows that wrap past a
     # row's or an image's end are cut away at the end
@@ -217,13 +268,29 @@ def _weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     _, hp1, width, c = xp.shape
     oh, ow, oc = g.shape[1:]
     macs = g.size * c * kh * kw
-    if select_route(g.size // oc, c) == "im2col":
-        cols = _columns(xp, kh, kw, stride, oh, ow)
-        gt = g.reshape(-1, oc).T
-        gw = np.empty((oc, cols.shape[1]), np.result_type(g, xp))
-        b, o = (np.array_split(m, _parts(macs, macs // 2), axis=1)
-                for m in (cols, gw))
-        _run(lambda p: np.matmul(gt, b[p], out=o[p]), len(b))
+    if select_route(g.size // oc, c, oc) == "im2col":
+        # part p owns a fixed half of the gradient's columns and adds up its
+        # blocks in plan order, the first straight into place
+        k = kh * kw * c
+        parts = _parts(macs, macs // 2)
+        most = -(-k // parts)
+        win, size, blocks = _im2col(xp, kh, kw, stride, oh, ow, most, oc)
+        gf = g.reshape(-1, oc)
+        gw = np.empty((oc, k), np.result_type(g, xp))
+        buf = np.empty((parts, size), xp.dtype)
+        scratch = np.empty((parts, oc, most if len(blocks) > 1 else 0),
+                           gw.dtype)
+
+        def fill_and_accumulate(p):
+            a, b = p * k // parts, (p + 1) * k // parts
+            for j0, j1 in blocks:
+                cols = _fill(buf[p], win, j0, j1, a, b)
+                into = scratch[p, :, :b - a] if j0 else gw[:, a:b]
+                np.matmul(gf[j0 * ow:j1 * ow].T, cols, out=into)
+                if j0:
+                    gw[:, a:b] += into
+
+        _run(fill_and_accumulate, parts)
         return gw.reshape(oc, kh, kw, c)
     # g on the stride-1 output grid, laid out like xp, shifts like the forward
     gf = _pad(g, (0, 0), (hp1 - 1, width), stride).reshape(-1, oc)

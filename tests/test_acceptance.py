@@ -158,7 +158,7 @@ def test_criterion_01_gradient_suite():
     xi = t64(rng, 1, 8, 4, 4)
     wi = t64(rng, 2, 8, 5, 5)
     bi = t64(rng, 2)
-    assert ck.select_route(1 * 4 * 4, 8) == "im2col"  # 16 rows < 16*8
+    assert ck.select_route(1 * 4 * 4, 8, 2) == "im2col"  # 16 rows < 16*8
     narrow = ConvParams(wi, bi, (2, 2))
     worst["conv_im2col"] = fd_check(rng, lambda: conv2d(xi, narrow),
                                     [xi, wi, bi])

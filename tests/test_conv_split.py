@@ -110,9 +110,12 @@ class TestPartition:
     @pytest.mark.parametrize("route", ["direct", "im2col"])
     def test_helper_and_inline_write_the_same_bits(self, helper, monkeypatch,
                                                    full_net_convs, route):
-        monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
+        monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: route)
         rng = np.random.default_rng(0)
-        for xs, ws, pad, stride in full_net_convs:
+        # the last case's im2col plans (forward, input and weight gradient)
+        # have 9, 9 and 5 blocks, so its parts get unequal shares
+        odd = ((4, 22, 22, 64), (64, 64, 3, 3), (1, 1), 1)
+        for xs, ws, pad, stride in [*full_net_convs, odd]:
             x = rng.standard_normal(xs).astype(np.float32)
             w = rng.standard_normal(ws).astype(np.float32)
             g = rng.standard_normal(xs[:3] + ws[:1]).astype(np.float32)
@@ -159,6 +162,13 @@ class TestHelperThread:
         with pytest.raises(ZeroDivisionError, match="part 1"):
             ck._run(job, 2)
         assert part_threads()[1] != threading.get_ident()
+
+    def test_helper_keeps_the_callers_float_error_state(self, helper):
+        seen = {}
+        with np.errstate(all="ignore"):
+            ck._run(lambda p: seen.__setitem__(p, np.geterr()), 2)
+        assert seen[0] == seen[1] == {"divide": "ignore", "over": "ignore",
+                                      "under": "ignore", "invalid": "ignore"}
 
     def test_callers_on_more_threads_than_cores_share_the_helper(
             self, helper):

@@ -99,15 +99,15 @@ class TestConvGrad:
         assert err < TOL
 
     def test_im2col_route_grad(self, monkeypatch):
-        monkeypatch.setattr(ck, "select_route", lambda rows, c: "im2col")
-        columns = ck._columns
+        monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: "im2col")
+        fill = ck._fill
         calls = []
 
         def spy(*args):
             calls.append(args)
-            return columns(*args)
+            return fill(*args)
 
-        monkeypatch.setattr(ck, "_columns", spy)
+        monkeypatch.setattr(ck, "_fill", spy)
         rng = np.random.default_rng(42)
         x = t64(rng.standard_normal((1, 2, 9, 9)))
         wt = t64(rng.standard_normal((2, 2, 5, 5)) * 0.3)
@@ -187,7 +187,7 @@ class TestConvBnReluGrad:
     @pytest.mark.parametrize("bias", [True, False])
     def test_input_weight_bias_gamma_beta(self, monkeypatch, mode, route,
                                           bias):
-        monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
+        monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: route)
         rng = np.random.default_rng(19)
         x = t64(rng.standard_normal((2, 6, 5, 3)))
         params = ConvParams(t64(rng.standard_normal((4, 3, 3, 3)) * 0.4),

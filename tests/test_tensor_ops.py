@@ -518,7 +518,7 @@ BACKWARD_CASES = [
 
 def _force_route(monkeypatch, route):
     """Send every correlation, the input gradient's included, to ``route``."""
-    monkeypatch.setattr(ck, "select_route", lambda rows, c: route)
+    monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: route)
 
 
 def _rel_err(got, want):

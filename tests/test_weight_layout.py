@@ -106,7 +106,7 @@ def conv_case(rng, oc=128, c=128, k=3):
 
 @pytest.fixture(params=["direct", "im2col"])
 def route(request, monkeypatch):
-    monkeypatch.setattr(ck, "select_route", lambda rows, c: request.param)
+    monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: request.param)
     return request.param
 
 
@@ -131,7 +131,7 @@ class TestKernels:
 
     def test_im2col_forward_reads_a_network_weight_in_place(self,
                                                             monkeypatch):
-        monkeypatch.setattr(ck, "select_route", lambda rows, c: "im2col")
+        monkeypatch.setattr(ck, "select_route", lambda rows, c, oc: "im2col")
         x, _, _, _ = conv_case(np.random.default_rng(2), oc=8, c=6)
         params = ConvParams.zeros(6, 8, 3)
         he_fill(params, np.random.default_rng(3))

@@ -109,8 +109,8 @@ class Window:
 
 @dataclass(frozen=True)
 class TileGeometry:
-    patch: int = 128
-    stride: int = 128
+    patch: int
+    stride: int
 
     def __post_init__(self):
         if self.patch < 1:
@@ -315,9 +315,11 @@ def write_pgm(path, gray: np.ndarray) -> None:
     _write_netpbm(path, b"P5", gray, gray.shape[1], gray.shape[0])
 
 
-def _read_netpbm_header(buf: bytes, magic: bytes):
-    if buf[:2] != magic:
-        raise FormatError(f"bad magic {buf[:2]!r}, expected {magic!r}")
+def read_pgm(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[:2] != b"P5":
+        raise FormatError(f"bad magic {buf[:2]!r}, expected b'P5'")
     # header tokens may be separated by any whitespace; '#' starts a comment
     pos, tokens = 2, []
     while len(tokens) < 3:
@@ -343,13 +345,6 @@ def _read_netpbm_header(buf: bytes, magic: bytes):
         raise FormatError(f"image extents must be positive, got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
-    return w, h, pos
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, pos = _read_netpbm_header(buf, b"P5")
     need = w * h
     if len(buf) - pos < need:
         raise FormatError(f"truncated pixel data: {len(buf) - pos} of {need} bytes")

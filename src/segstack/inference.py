@@ -140,7 +140,6 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
     if any(b.shape[1:] != (h, w) for b in bands):
         raise ShapeError(f"streams must be co-registered, got "
                          f"{[b.shape[1:] for b in bands]}")
-    geom = geom or TileGeometry()
     check_patch(geom.patch, *specs)
     windows = plan_tiles(h, w, geom)
 
@@ -158,7 +157,7 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
 
 
 def predict_probs(spec: NetworkSpec, bands: np.ndarray,
-                  geom: TileGeometry = None, threads: int = 1) -> np.ndarray:
+                  geom: TileGeometry, threads: int = 1) -> np.ndarray:
     """Class probability map (k, H, W) in float64 for one scene.
 
     Every window goes through an eval-mode forward and a channel softmax;
@@ -170,8 +169,7 @@ def predict_probs(spec: NetworkSpec, bands: np.ndarray,
 
 def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
                         corr, bands_a: np.ndarray, bands_b: np.ndarray,
-                        geom: TileGeometry = None,
-                        threads: int = 1) -> np.ndarray:
+                        geom: TileGeometry, threads: int = 1) -> np.ndarray:
     """Dual-stream prediction: per window, both streams run forward, the
     fused map (residual correction when a corrector is given, plain
     averaging otherwise) is computed, and fused maps are stitched.

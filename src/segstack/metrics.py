@@ -21,9 +21,9 @@ def _disk_offsets(radius: int):
     return out
 
 
-def erode_boundaries(gt: np.ndarray, radius: int = 3) -> np.ndarray:
-    """Mark every pixel within Euclidean distance <= radius of a pixel of
-    a DIFFERENT class as the ignore sentinel.
+def erode_boundaries(gt: np.ndarray, radius: int) -> np.ndarray:
+    """Mark every pixel within Euclidean distance <= radius, which the
+    caller sets, of a pixel of a DIFFERENT class as the ignore sentinel.
 
     Sentinel pixels are absence-of-label: they neither erode neighbors
     nor get un-ignored, which makes the operation idempotent.

@@ -74,7 +74,7 @@ class MultiKernelHead:
         return [f"s{size}" for size in self.scales]
 
 
-def make_head(in_channels: int, k: int, scales=(3, 5, 7),
+def make_head(in_channels: int, k: int, scales,
               dtype=np.float32) -> MultiKernelHead:
     """Zero-weight head; call he_fill per branch (or init the whole net)."""
     branches = [ConvParams.zeros(in_channels, k, s, dtype=dtype)

@@ -353,7 +353,7 @@ def _bn_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
     return g, dgamma, dbeta
 
 
-def batchnorm(x: Tensor, state: BNState, mode: str = "train") -> Tensor:
+def batchnorm(x: Tensor, state: BNState, mode: str) -> Tensor:
     """Channel-wise batch normalization with affine parameters of
     (n,c,h,w) ``x``, run on its channels-last rows.
 

@@ -56,10 +56,10 @@ class NetworkSpec:
         return len(self.widths)
 
 
-def build_segnet(k: int, scale: str = "full", in_channels: int = 3,
+def build_segnet(k: int, scale: str, in_channels: int = 3,
                  head_scales=(3,), dtype=np.float32) -> NetworkSpec:
-    """Parameters start at zero; apply init_he (and optionally an encoder
-    checkpoint) before use."""
+    """The caller picks ``scale``, "full" or "mini". Parameters start at
+    zero; apply init_he (and optionally an encoder checkpoint) before use."""
     if k < 2:
         raise SpecError(f"need at least 2 classes, got {k}")
     if scale == "full":

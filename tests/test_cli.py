@@ -116,6 +116,14 @@ class TestTrain:
                      str(workspace / "data"), "--out",
                      str(tmp_path / "x")]) == 1
 
+    def test_missing_config_file_is_usage_error(self, workspace, tmp_path,
+                                                capsys):
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "none.cfg"),
+                     "--data", str(workspace / "data"), "--out",
+                     str(tmp_path / "x")]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_multikernel_records_scales(self, workspace, tmp_path):
         out = tmp_path / "mk"
         assert main(["train-mk", "--data", str(workspace / "data"), "--out",
@@ -688,6 +696,17 @@ class TestRunManifest:
         assert main(["predict", "--run", str(run), "--out",
                      str(tmp_path / "pred"), *self.scene(workspace)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_unknown_stream_is_data_error(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run-a", run)
+        path = run / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "stream": "nir"}))
+        capsys.readouterr()
+        assert main(["predict", "--run", str(run), "--out",
+                     str(tmp_path / "pred"), *self.scene(workspace)]) == 2
+        assert "unknown stream 'nir'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("k", "5"), ("in_channels", 3.0), ("scale", 1), ("head_scales", "3"),

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segstack import cli, tenio, training
@@ -121,6 +121,7 @@ manifests = st.dictionaries(
 @FUZZ
 @given(st.one_of(st.binary(max_size=96), manifests,
                  st.integers(1, 5000).map(lambda n: b"[" * n)))
+@example(b"[]")
 def test_read_manifest(scratch, data):
     run = scratch / "run"
     run.mkdir(exist_ok=True)

@@ -18,8 +18,8 @@ import re
 import segstack
 from segstack.cli import build_parser
 
-SETTABLE_VALUES_CAP = 132
-SRC_LINES_CAP = 3647
+SETTABLE_VALUES_CAP = 124
+SRC_LINES_CAP = 3640
 
 SRC = pathlib.Path(segstack.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]

@@ -15,7 +15,7 @@ from segstack import (IGNORE_LABEL, ConvParams, Tensor, backward, conv2d,
                       cross_entropy_loss, maxpool2, relu, unpool2)
 from segstack import convkernels as ck
 from segstack import tensor
-from segstack.errors import ShapeError, StaleTapeError
+from segstack.errors import ShapeError, StaleTapeError, TrainingError
 from segstack.nnops import (BNState, batchnorm, conv_norm, pool,
                            softmax_channels, to_nchw, unpool)
 from segstack.segnet import ConvUnit
@@ -316,6 +316,12 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError, match=r"label 9.*y=1, x=0"):
             cross_entropy_loss(z, labels)
 
+    def test_all_pixels_ignored_rejected(self, rng):
+        z = Tensor(rng.standard_normal((1, 3, 2, 2)))
+        labels = np.full((1, 2, 2), IGNORE_LABEL, dtype=np.int64)
+        with pytest.raises(TrainingError, match="every pixel carries"):
+            cross_entropy_loss(z, labels)
+
     def test_ignored_pixels_excluded_from_normalizer(self, rng):
         z = rng.standard_normal((1, 3, 2, 2))
         labels = np.full((1, 2, 2), IGNORE_LABEL, dtype=np.int64)
@@ -350,6 +356,26 @@ class TestBackwardBasics:
         mask = (x.data + y.data > 0).astype(np.float64)
         np.testing.assert_array_equal(x.grad, mask)
         np.testing.assert_array_equal(y.grad, mask)
+
+    def test_operand_read_twice_gets_both_gradients(self, rng):
+        x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)
+        backward(sum_all(tensor.add(x, x)))
+        np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
+
+    def test_loss_without_tape_gives_no_gradient(self, rng):
+        x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)
+        with no_grad():
+            unrecorded = sum_all(x)
+        for loss in (Tensor(np.float32(1)), unrecorded):
+            backward(loss)
+            assert loss.grad is None and x.grad is None
+            with pytest.raises(StaleTapeError):
+                backward(loss)
+
+    def test_integer_data_is_held_as_float32(self):
+        t = Tensor(np.arange(3))
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, [0, 1, 2])
 
     def test_backward_twice_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)

@@ -785,6 +785,11 @@ class TestRunLoaders:
         with pytest.raises(FormatError, match="unfreeze_streams must be"):
             load_fusion_run(tmp_path, a, b)
 
+    def test_manifest_not_an_object_is_format_error(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[]")
+        with pytest.raises(FormatError, match="manifest is not a JSON object"):
+            load_run(tmp_path)
+
 
 class TestAccuracyHelpers:
     def test_pixel_accuracy_counts_eval_argmax(self):

@@ -4,8 +4,8 @@ Subcommands: synth, train, train-mk, extend-scale, train-fusion, predict,
 evaluate, fusion-stats. Every option can also come from a flat key=value
 config file (--config); explicit flags win over file values.
 
-Exit codes: 0 success, 1 usage error, 2 data or shape error, 3 numeric
-divergence during training.
+Exit codes: 0 success, 1 usage error, 2 data or shape error or out of
+memory, 3 numeric divergence during training.
 """
 
 import argparse
@@ -16,11 +16,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import tenio
-from .datapipe import (CLASS_NAMES, TileGeometry, check_bands,
+from .datapipe import (CLASS_NAMES, PALETTE, TileGeometry, check_bands,
                        colorize_labels, read_pgm, synth_dataset, write_pgm,
                        write_ppm)
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
-                     SegstackError, ShapeError)
+                     SegstackError, ShapeError, SpecError)
 from .fusion import init_corrector, make_corrector
 from .inference import labels_from_probs, predict_probs, predict_probs_fused
 from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
@@ -298,6 +298,10 @@ def cmd_predict(args):
     else:
         raise ConfigError("predict needs --run, or --run-a and --run-b")
     specs = [spec for spec, _ in runs]
+    k = max(spec.k for spec in specs)
+    if k > len(PALETTE):
+        raise SpecError(f"the run has {k} classes, but predict renders at "
+                        f"most {len(PALETTE)}, one per palette colour")
     bands = [tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
              for _, manifest in runs]
     geom = TileGeometry(args.patch, args.stride)
@@ -443,7 +447,7 @@ def main(argv=None) -> int:
     except SegstackError as exc:
         print(f"segstack: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"segstack: error: {exc}", file=sys.stderr)
         return 2
 

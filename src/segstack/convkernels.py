@@ -121,10 +121,6 @@ def check_conv_shapes(x: np.ndarray, w: np.ndarray, pad: tuple[int, int],
                       stride: int) -> tuple[int, int]:
     """Validates a conv of channels-last ``x`` and returns its output
     extents (oh, ow)."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-D, got {x.ndim}-D")
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d: weight must be 4-D (oc,ic,kh,kw), got {w.ndim}-D")
     n, h, wd, c = x.shape
     oc, ic, kh, kw = w.shape
     if c != ic:
@@ -356,8 +352,6 @@ def _slots(x: np.ndarray) -> list[np.ndarray]:
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, indices) of channels-last ``x``; indices are the
     window slots 0..3, first occurrence winning ties."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2: input must be 4-D, got {x.ndim}-D")
     n, h, w, c = x.shape
     if h % 2:
         raise ShapeError(f"maxpool2: height axis extent {h} is odd")

@@ -30,8 +30,6 @@ class StreamOutput:
     features: Tensor
 
     def __post_init__(self):
-        if self.probs.ndim != 4 or self.features.ndim != 4:
-            raise ShapeError("stream outputs must be 4-D")
         if (self.probs.shape[0],) + self.probs.shape[2:] != \
                 (self.features.shape[0],) + self.features.shape[2:]:
             raise ShapeError(
@@ -46,8 +44,6 @@ class CorrectorSpec:
     convs: "list[ConvParams]"
 
     def __post_init__(self):
-        if len(self.convs) != 3:
-            raise SpecError(f"corrector wants exactly 3 convs, got {len(self.convs)}")
         for a, b in zip(self.convs, self.convs[1:]):
             if a.out_channels != b.in_channels:
                 raise SpecError(

@@ -38,9 +38,7 @@ class MultiKernelHead:
         first = self.branches[0]
         sizes = []
         for b in self.branches:
-            kh, kw = b.ksize
-            if kh != kw:
-                raise SpecError(f"head branches use square kernels, got {b.ksize}")
+            kh = b.ksize[0]
             p = same_padding(kh)
             if b.padding != (p, p) or b.stride != 1:
                 raise SpecError(

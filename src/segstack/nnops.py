@@ -282,7 +282,7 @@ def _check_bn(state: BNState, channels: int, mode: str) -> None:
             f"batchnorm: channel axis has {channels} channels, state expects "
             f"{len(state.gamma.data)}")
     if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm: unknown mode {mode!r}")
+        raise ConfigError(f"batchnorm: unknown mode {mode!r}")
     if mode == "eval" and not state.initialized:
         raise TrainingError(
             "batchnorm: uninitialized running statistics; run a train step "
@@ -379,8 +379,6 @@ def batchnorm(x: Tensor, state: BNState, mode: str) -> Tensor:
 
 def softmax_channels(x: Tensor) -> Tensor:
     """Per-pixel softmax over the channel (class) axis, max-subtracted."""
-    if x.ndim != 4:
-        raise ShapeError(f"softmax_channels: input must be 4-D, got {x.shape}")
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)

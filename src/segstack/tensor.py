@@ -198,9 +198,7 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._backward is None:
             if not node.requires_grad:
                 continue
@@ -228,23 +226,15 @@ def backward(loss: Tensor) -> None:
 # Elementwise / structural primitives
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data + b.data)
     return _record(out, (a, b), lambda g: (g.copy(), g.copy()), "add")
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
     """Elementwise sum of an arbitrary number of same-shape tensors."""
-    if not tensors:
-        raise ValueError("add_n: empty operand list")
-    for t in tensors[1:]:
-        _check_same_shape(tensors[0], t, "add_n")
     acc = tensors[0].data.copy()
     for t in tensors[1:]:
         acc += t.data
@@ -282,17 +272,6 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate 4-D tensors along the channel axis."""
-    if not tensors:
-        raise ValueError("concat_channels: empty operand list")
-    for t in tensors:
-        if t.ndim != 4:
-            raise ShapeError(
-                f"concat_channels: operands must be 4-D, got shape {t.shape}")
-    ref = tensors[0]
-    for t in tensors[1:]:
-        if (t.shape[0], t.shape[2], t.shape[3]) != (ref.shape[0], ref.shape[2], ref.shape[3]):
-            raise ShapeError(
-                f"concat_channels: non-channel axes differ, {ref.shape} vs {t.shape}")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
     widths = [t.shape[1] for t in tensors]
     bounds = np.cumsum([0] + widths)

@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceError, FormatError, SpecError,
-                     TrainingError)
+from .errors import (ConfigError, DivergenceError, FormatError, ShapeError,
+                     SpecError, TrainingError)
 from .fusion import (CorrectorSpec, StreamOutput, correction, fuse_average,
                      fuse_residual, fusion_stats, make_corrector)
 from .inference import stream_outputs, window_map
@@ -292,6 +292,18 @@ def load_corrector(corr: CorrectorSpec, dirpath) -> None:
     restore_bundle(dirpath, corrector_entries(corr), "corrector checkpoint")
 
 
+def _check_fusion(spec_a, spec_b, corr: CorrectorSpec) -> None:
+    """SpecError unless the streams share a class count and the corrector
+    maps their head channels to it."""
+    heads = spec_a.head.in_channels + spec_b.head.in_channels
+    if (spec_b.k, corr.out_channels, corr.in_channels) != (
+            spec_a.k, spec_a.k, heads):
+        raise SpecError(
+            f"stream a has {spec_a.k} classes and stream b {spec_b.k}, with "
+            f"{heads} head channels in all; the corrector maps "
+            f"{corr.in_channels} channels to {corr.out_channels} classes")
+
+
 def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
                  corr: CorrectorSpec, dataset, config: TrainConfig, out_dir,
                  unfreeze_streams: bool = False, manifest_extra=None) -> dict:
@@ -305,13 +317,7 @@ def train_fusion(spec_a: NetworkSpec, spec_b: NetworkSpec,
     trained checkpoints.
     """
     check_patch(config.patch, spec_a, spec_b)
-    heads = spec_a.head.in_channels + spec_b.head.in_channels
-    if (spec_b.k, corr.out_channels, corr.in_channels) != (
-            spec_a.k, spec_a.k, heads):
-        raise SpecError(
-            f"stream a has {spec_a.k} classes and stream b {spec_b.k}, with "
-            f"{heads} head channels in all; the corrector maps "
-            f"{corr.in_channels} channels to {corr.out_channels} classes")
+    _check_fusion(spec_a, spec_b, corr)
     specs = (spec_a, spec_b)
     groups = [ParamGroup("corrector", 1.0, list(corr.tensors()))]
     bundles = {CHECKPOINT_DIR: corrector_entries(corr)}
@@ -418,6 +424,7 @@ def load_fusion_run(run_dir, spec_a: NetworkSpec,
                                               "checkpoint"))
     corr = make_corrector(in_channels=manifest["corrector_in"],
                           k=manifest["k"], hidden=manifest["hidden"])
+    _check_fusion(spec_a, spec_b, corr)
     load_corrector(corr, ckpt)
     if manifest.get("unfreeze_streams", False):
         for spec, name in zip((spec_a, spec_b), STREAM_DIRS):
@@ -431,7 +438,15 @@ def load_fusion_run(run_dir, spec_a: NetworkSpec,
 
 def _eval_batches(dataset):
     """(input tensors, labels) of consecutive EVAL_BATCH-sample slices of
-    a dataset of (input_1, ..., input_S, labels) samples."""
+    a dataset of (input_1, ..., input_S, labels) samples, which must all
+    have the first sample's extent: they are scored whole, not cropped."""
+    if not dataset:
+        raise ConfigError("dataset is empty")
+    for i, sample in enumerate(dataset):
+        for a in sample:
+            if a.shape[-2:] != dataset[0][-1].shape:
+                raise ShapeError(f"sample {i} has extent {a.shape[-2:]}, not "
+                                 f"sample 0's {dataset[0][-1].shape}")
     for i in range(0, len(dataset), EVAL_BATCH):
         yield _batch(dataset[i:i + EVAL_BATCH])
 

@@ -69,6 +69,21 @@ class TestSynth:
         assert err.startswith("segstack: error:") and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("size, message", [
+        ("7", "tile size must be >= 32, got 7"),
+        ("100000000", "Unable to allocate 8.88 PiB"),
+    ], ids=["below_32", "out_of_memory"])
+    def test_refused_size_is_one_error_line(self, tmp_path, capsys, size,
+                                            message):
+        """The 8.9 PiB request fails at once, before anything is held."""
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "d"), "--tiles", "1",
+                     "--size", size]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("segstack: error:"), err
+        assert message in err[0]
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_run_layout(self, workspace):
@@ -909,6 +924,64 @@ class TestHostileFiles:
             str(tmp_path / "run-4"), "--data", str(workspace / "data"),
             "--out", str(out), "--epochs", "1", "--patch", "32"], out)
         assert code == 2 and "stream a has 5 classes and stream b 4" in line
+        # a corrector over two 4-class streams is refused with 5-class ones
+        # when the fusion run loads, before any forward
+        fusion = tmp_path / "fusion-4"
+        assert main(["train-fusion", "--run-a", str(tmp_path / "run-4"),
+                     "--run-b", str(tmp_path / "run-4"), "--data", str(data),
+                     "--out", str(fusion), "--epochs", "1", "--patch",
+                     "32"]) == 0
+        runs = ["--run-a", str(workspace / "run-a"), "--run-b",
+                str(workspace / "run-b"), "--fusion-run", str(fusion)]
+        out = tmp_path / "pred"
+        for argv in (["fusion-stats", *runs, "--data",
+                      str(workspace / "data")],
+                     ["predict", *runs, "--scene",
+                      str(workspace / "data" / "tile-000"), "--out", str(out),
+                      "--patch", "32", "--stride", "32"]):
+            code, line = self.run_refused(capsys, argv, out)
+            assert code == 2 and (
+                "stream a has 5 classes and stream b 5, with 32 head channels "
+                "in all; the corrector maps 32 channels to 4 classes") in line
+
+    @pytest.mark.parametrize("case, exit_code, message", [
+        ("mixed_extents", 2,
+         "sample 1 has extent (64, 64), not sample 0's (32, 32)"),
+        ("empty", 1, "dataset is empty"),
+    ], ids=["mixed_extents", "empty"])
+    def test_fusion_stats_on_data_it_cannot_score(
+            self, workspace, tuned_fusion, tmp_path, capsys, case, exit_code,
+            message):
+        """Training crops tiles of mixed extent; fusion-stats scores whole
+        tiles, so it refuses them, as it refuses no tiles at all."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        if case == "empty":
+            (data / "dataset.txt").write_text("")
+        else:
+            assert main(["synth", "--out", str(tmp_path / "big"), "--tiles",
+                         "1", "--size", "64"]) == 0
+            for path in (tmp_path / "big").glob("tile-000.*"):
+                shutil.copy(path, data / path.name.replace("000", "001"))
+        code, line = self.run_refused(capsys, [
+            "fusion-stats", "--run-a", str(workspace / "run-a"), "--run-b",
+            str(workspace / "run-b"), "--fusion-run", str(tuned_fusion),
+            "--data", str(data)], tmp_path / "nothing-written")
+        assert code == exit_code and message in line
+
+    @pytest.mark.parametrize("classes", ["6", "300"])
+    def test_predict_refuses_more_classes_than_the_palette(
+            self, workspace, tmp_path, capsys, classes):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(workspace / "data"), "--out",
+                     str(run), "--classes", classes, "--epochs", "1",
+                     "--patch", "32"]) == 0
+        out = tmp_path / "pred"
+        code, line = self.run_refused(capsys, [
+            "predict", "--run", str(run), "--scene",
+            str(workspace / "data" / "tile-000"), "--out", str(out),
+            "--patch", "32", "--stride", "32"], out)
+        assert code == 2 and f"the run has {classes} classes" in line
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.encode() + b"\xff\n",
@@ -940,6 +1013,9 @@ class TestEvaluate:
         assert main(["evaluate", "--pred", gt, "--gt", gt,
                      "--radius", "0"]) == 0
         assert "accuracy=1.000000" in capsys.readouterr().out
+        assert main(["evaluate", "--pred", gt, "--gt", gt,
+                     "--radius", "-1"]) == 2
+        assert "radius must be >= 0, got -1" in capsys.readouterr().err
 
     def test_negative_classes_is_data_error(self, workspace, capsys):
         gt = str(workspace / "data" / "tile-000.labels.pgm")

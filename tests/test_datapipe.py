@@ -300,6 +300,8 @@ class TestNetpbm:
     def test_wrong_dtype_rejected_on_write(self, tmp_path):
         with pytest.raises(FormatError, match="uint8"):
             write_ppm(tmp_path / "w.ppm", np.zeros((2, 2, 3)))
+        with pytest.raises(FormatError, match=r"PGM wants \(h,w\) uint8"):
+            write_pgm(tmp_path / "w.pgm", np.zeros((2, 2)))
 
 
 def test_raster_validation():
@@ -307,5 +309,8 @@ def test_raster_validation():
         Raster(np.zeros((4, 4)))
     with pytest.raises(ShapeError, match="band names"):
         Raster(np.zeros((2, 4, 4)), band_names=("a",))
+    with pytest.raises(ShapeError, match=r"ndvi band shape \(3, 3\) does not "
+                                         r"match dsm \(2, 2\)"):
+        build_composite(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 3)))
     r = Raster(np.zeros((3, 5, 7)), band_names=("ir", "r", "g"))
     assert r.data.shape == (3, 5, 7)

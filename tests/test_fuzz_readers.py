@@ -92,6 +92,7 @@ index_lines = st.lists(st.builds(
 
 @FUZZ
 @given(st.one_of(st.binary(max_size=96), index_lines))
+@example(b"w\tw.ten\t2x3\tg\n\n")  # a blank line is skipped
 def test_load_bundle_index(bundle, data):
     loads_or_refuses(lambda _: tenio.load_bundle(bundle),
                      bundle / tenio.INDEX_NAME, data)

@@ -117,6 +117,8 @@ class TestConfusion:
         with pytest.raises(ShapeError, match="shape"):
             ConfusionMatrix(2).accumulate(np.zeros((2, 2), dtype=np.uint8),
                                           np.zeros((3, 3), dtype=np.uint8))
+        with pytest.raises(ShapeError, match=r"counts shape \(3, 3\) != "):
+            ConfusionMatrix(2, np.zeros((3, 3)))
 
 
 class TestScores:
@@ -195,6 +197,8 @@ class TestReport:
         assert "f1_roads=" in text
         assert "accuracy=0.750000" in text
         assert "macro_f1=" in text
+        with pytest.raises(ShapeError, match="1 names for 2 classes"):
+            format_report(f1_scores(cm), class_names=["roads"])
 
     def test_flags_empty_evaluation(self):
         cm = ConfusionMatrix(2)

@@ -82,6 +82,8 @@ class TestStructure:
             build_segnet(1, scale="mini")
         with pytest.raises(SpecError, match="scale"):
             build_segnet(3, scale="huge")
+        with pytest.raises(SpecError, match="at least one branch"):
+            build_segnet(3, scale="mini", head_scales=())
 
     def test_forward_is_finite(self):
         spec = mini(k=4, seed=3)

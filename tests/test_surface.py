@@ -9,6 +9,8 @@
 * The package namespace holds exactly the names its callers use: the
   README, the demos and ``perfbench``'s ``ss.<name>`` accesses. Every
   other name imports from its own module.
+* Every ``raise`` names a ``SegstackError`` subclass or re-raises, so the
+  CLI maps each error onto its exit code.
 """
 
 import ast
@@ -16,10 +18,11 @@ import pathlib
 import re
 
 import segstack
+from segstack import errors
 from segstack.cli import build_parser
 
 SETTABLE_VALUES_CAP = 124
-SRC_LINES_CAP = 3640
+SRC_LINES_CAP = 3620
 
 SRC = pathlib.Path(segstack.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -100,3 +103,43 @@ def test_package_exports_only_names_its_callers_use():
     assert not unused, (
         f"exported, but no README text, demo or perfbench access uses "
         f"them: {unused}")
+
+
+# argparse reports a type function's ValueError as a usage error
+PLAIN_RAISES = {("cli.py", "nonnegative")}
+
+
+def untyped_raises() -> "list[str]":
+    """``file:line`` of each ``raise`` in a package function that neither
+    names a ``SegstackError`` subclass nor re-raises: a bare ``raise``, or
+    one of a name its function binds (an ``except ... as`` name or a
+    variable)."""
+    typed = {name for name, obj in vars(errors).items() if
+             isinstance(obj, type) and issubclass(obj, errors.SegstackError)}
+    found = set()  # a nested function's raises are walked twice
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)}
+            bound |= {h.name for h in ast.walk(fn)
+                      if isinstance(h, ast.ExceptHandler) and h.name}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                elif isinstance(exc, ast.Name) and exc.id in bound:
+                    continue
+                if not (isinstance(exc, ast.Name) and exc.id in typed) and \
+                        (path.name, fn.name) not in PLAIN_RAISES:
+                    found.add(f"{path.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_every_raise_is_a_segstack_error():
+    untyped = untyped_raises()
+    assert not untyped, (
+        f"raises that name no SegstackError subclass: {untyped}")

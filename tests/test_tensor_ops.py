@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import sum_all
-from segstack import (IGNORE_LABEL, ConvParams, Tensor, backward, conv2d,
-                      cross_entropy_loss, maxpool2, relu, unpool2)
+from segstack import (IGNORE_LABEL, ConvParams, Tensor, backward,
+                      build_segnet, conv2d, cross_entropy_loss, forward,
+                      maxpool2, relu, unpool2)
 from segstack import convkernels as ck
 from segstack import tensor
-from segstack.errors import ShapeError, StaleTapeError, TrainingError
+from segstack.errors import (ConfigError, ShapeError, SpecError,
+                             StaleTapeError, TrainingError)
 from segstack.nnops import (BNState, batchnorm, conv_norm, pool,
                            softmax_channels, to_nchw, unpool)
 from segstack.segnet import ConvUnit
@@ -98,6 +100,42 @@ class TestConv2d:
             conv2d(x, params)
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+MALFORMED = {
+    "conv2d_3d_input": (lambda: conv2d(_zeros(3, 4, 4), make_conv(
+        np.zeros((1, 3, 1, 1)))), ShapeError, "conv2d: input must be 4-D"),
+    "forward_3d_input": (lambda: forward(build_segnet(2, "mini"),
+                                         _zeros(3, 32, 32)),
+                         ShapeError, "input must be 4-D"),
+    "forward_mode": (lambda: forward(build_segnet(2, "mini"),
+                                     _zeros(1, 3, 32, 32), mode="Train"),
+                     ConfigError, "unknown mode 'Train'"),
+    "conv_weight_3d": (lambda: ConvParams(_zeros(1, 3, 3), None, (1, 1)),
+                       SpecError, "weight must be 4-D"),
+    "conv_bias_shape": (lambda: make_conv(np.zeros((2, 1, 3, 3)),
+                                          b=np.zeros(3)),
+                        SpecError, "does not match 2 output channels"),
+    "conv_stride_0": (lambda: make_conv(np.zeros((1, 1, 3, 3)), stride=0),
+                      SpecError, "stride must be positive"),
+    "conv_padding_negative": (lambda: make_conv(np.zeros((1, 1, 3, 3)),
+                                                pad=(1, -1)),
+                              SpecError, "padding must be non-negative"),
+    "add_shapes": (lambda: tensor.add(_zeros(1, 2), _zeros(2, 1)),
+                   ShapeError, r"operand shapes \(1, 2\) and \(2, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_operand_rejected(case):
+    """Each check on what a public op is handed, reached from the op."""
+    call, error, message = MALFORMED[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMaxPoolUnpool:
     def test_single_window(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
@@ -119,8 +157,10 @@ class TestMaxPoolUnpool:
         np.testing.assert_array_equal(mask, nhwc(expect_i))
 
     def test_odd_extent_rejected(self, rng):
-        with pytest.raises(ShapeError, match="odd"):
+        with pytest.raises(ShapeError, match="height axis extent 5 is odd"):
             maxpool2(Tensor(rng.standard_normal((1, 1, 5, 4))))
+        with pytest.raises(ShapeError, match="width axis extent 5 is odd"):
+            maxpool2(Tensor(rng.standard_normal((1, 1, 4, 5))))
 
     def test_round_trip_places_maxima(self, rng):
         # distinct per-window values via a shuffled value grid
@@ -257,6 +297,12 @@ class TestConvBnRelu:
         with pytest.raises(TrainingError, match="uninitialized"):
             conv_norm(Tensor(np.zeros((1, 4, 4, 4), np.float32)),
                       unit.params, unit.bn, "eval")
+        # batchnorm checks the state's channel count and the mode
+        x = Tensor(np.zeros((1, 6, 4, 4), np.float32))
+        with pytest.raises(ShapeError, match="6 channels, state expects 4"):
+            batchnorm(x, BNState.create(4), "train")
+        with pytest.raises(ConfigError, match="unknown mode 'Train'"):
+            batchnorm(x, unit.bn, "Train")
 
 
 class TestSoftmax:
@@ -315,6 +361,12 @@ class TestCrossEntropy:
         labels[0, 1, 0] = 9
         with pytest.raises(ShapeError, match=r"label 9.*y=1, x=0"):
             cross_entropy_loss(z, labels)
+        with pytest.raises(ShapeError, match="integer-typed, got float64"):
+            cross_entropy_loss(z, labels.astype(np.float64))
+        with pytest.raises(ShapeError, match=r"\(1, 2, 3\) does not match"):
+            cross_entropy_loss(z, np.zeros((1, 2, 3), dtype=np.int64))
+        with pytest.raises(ShapeError, match="logits must be 4-D"):
+            cross_entropy_loss(Tensor(z.data[0]), labels)
 
     def test_all_pixels_ignored_rejected(self, rng):
         z = Tensor(rng.standard_normal((1, 3, 2, 2)))
@@ -376,6 +428,9 @@ class TestBackwardBasics:
         t = Tensor(np.arange(3))
         assert t.dtype == np.float32
         np.testing.assert_array_equal(t.data, [0, 1, 2])
+        assert repr(t) == "Tensor(shape=(3,), dtype=float32)"
+        t.requires_grad = True
+        assert repr(relu(t)) == "Tensor(shape=(3,), dtype=float32, op='relu')"
 
     def test_backward_twice_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)

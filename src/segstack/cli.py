@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: synth, train, train-mk, extend-scale, train-fusion, predict,
-evaluate, fusion-stats. Every option can also come from a flat key=value
-config file (--config); explicit flags win over file values.
+evaluate, fusion-stats. Every option, a required one too, can also come
+from a flat key=value config file (--config), whose values are parsed as
+flags placed before the typed ones: the same types, choices and ranges
+apply, a bad value is reported under its flag's name, and typed flags win.
 
 Exit codes: 0 success, 1 usage error, 2 data or shape error or out of
 memory, 3 numeric divergence during training.
@@ -66,36 +68,36 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _apply_config_file(parser, sub, args, argv):
-    """Merge file values under explicit flags by re-parsing with the file
-    values as defaults. Keys use the flag spelling without dashes."""
+def _config_flags(sub, path) -> "list[str]":
+    """The config file's values as flags of the subcommand parser ``sub``.
+    Keys use the flag spelling without dashes; a true switch becomes its
+    flag and a false one nothing."""
     actions = {a.option_strings[-1].lstrip("-"): a for a in sub._actions
                if a.option_strings}
-    defaults = {}
-    for key, raw in _read_config_file(args.config).items():
+    flags = []
+    for key, raw in _read_config_file(path).items():
         action = actions.get(key)
         if action is None or key in ("config", "help"):
             raise ConfigError(f"unknown config key {key!r}")
-        if action.nargs == 0:  # store_true switches
-            lowered = raw.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-            defaults[action.dest] = lowered in ("true", "1", "yes")
-        else:
-            try:
-                defaults[action.dest] = (action.type or str)(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: bad value {raw!r}") from None
-        action.required = False
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv if argv is not None else sys.argv[1:])
+        if action.nargs != 0:
+            flags.append(f"--{key}={raw}")
+        elif raw.lower() in ("true", "1", "yes"):  # store_true switches
+            flags.append(f"--{key}")
+        elif raw.lower() not in ("false", "0", "no"):
+            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    return flags
 
 
 def nonnegative(text) -> int:
     """A seed flag's value; numpy's generators take no negative seed."""
     if int(text) < 0:
-        raise ValueError(text)  # argparse and config files both report it
+        raise ValueError(text)  # argparse reports it as a usage error
     return int(text)
+
+
+def scales(text) -> "tuple[int, ...]":
+    """A --scales value: comma-separated kernel sizes."""
+    return tuple(int(s) for s in text.split(","))
 
 
 def _add_train_flags(p):
@@ -108,8 +110,9 @@ def _add_train_flags(p):
 
 
 def _add_network_flags(p):
-    """The network a command builds from scratch; commands that load runs
-    take it from their manifests."""
+    """The training flags and the network a command builds from scratch;
+    commands that load runs take the network from their manifests."""
+    _add_train_flags(p)
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--net", default="mini", choices=("mini", "full"))
     p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
@@ -205,33 +208,20 @@ def cmd_synth(args):
     return 0
 
 
-def _run_train(args, head_scales):
+def cmd_train(args):
     spec = build_segnet(k=args.classes, scale=args.net, in_channels=3,
-                        head_scales=head_scales)
+                        head_scales=args.scales)
     dataset = _load_dataset(args.data, spec.k, args.patch, args.stream)
     init_he(spec, seed=args.init_seed)
-    variant = "plain" if head_scales == (3,) else "multikernel"
+    variant = "plain" if args.scales == (3,) else "multikernel"
     manifest = train_segnet(spec, dataset, _train_config(args), args.out,
                             manifest_extra=_extra(args, args.stream, variant,
                                                   len(dataset)))
     last = manifest["epochs"][-1]
-    print(f"trained {manifest['epochs'][-1]['epoch'] + 1} epochs, "
+    print(f"trained {last['epoch'] + 1} epochs, "
           f"final loss {last['loss']:.4f}, accuracy {last['accuracy']:.3f}")
     print(f"run written to {args.out}")
     return 0
-
-
-def cmd_train(args):
-    return _run_train(args, (3,))
-
-
-def cmd_train_mk(args):
-    try:
-        scales = tuple(int(s) for s in args.scales.split(","))
-    except ValueError:
-        raise ConfigError(f"--scales: expected comma-separated integers, "
-                          f"got {args.scales!r}") from None
-    return _run_train(args, scales)
 
 
 def cmd_extend_scale(args):
@@ -374,13 +364,12 @@ def build_parser():
     p.add_argument("--size", type=int, default=64)
 
     p = sub("train", cmd_train, "train a single-stream network")
-    _add_train_flags(p)
     _add_network_flags(p)
+    p.set_defaults(scales=(3,))
 
-    p = sub("train-mk", cmd_train_mk, "train with a multi-kernel head")
-    _add_train_flags(p)
+    p = sub("train-mk", cmd_train, "train with a multi-kernel head")
     _add_network_flags(p)
-    p.add_argument("--scales", default="3,5,7",
+    p.add_argument("--scales", type=scales, default=(3, 5, 7),
                    help="comma-separated odd kernel sizes")
 
     p = sub("extend-scale", cmd_extend_scale,
@@ -430,26 +419,27 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser, registry = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        # a config file's flags go right after the subcommand, so the
+        # typed flags after them win: argparse keeps a flag's last value
+        if argv and argv[0] in registry:
+            pre = _Parser(prog=f"segstack {argv[0]}", add_help=False,
+                          allow_abbrev=False)
+            pre.add_argument("--config")
+            path = pre.parse_known_args(argv[1:])[0].config
+            if path:
+                argv[1:1] = _config_flags(registry[argv[0]], path)
         args = parser.parse_args(argv)
-        if args.config:
-            args = _apply_config_file(parser, registry[args.command], args,
-                                      argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 1
     except DivergenceError as exc:
         print(f"segstack: divergence: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (SegstackError, OSError, MemoryError) as exc:
         print(f"segstack: error: {exc}", file=sys.stderr)
-        return 1
-    except SegstackError as exc:
-        print(f"segstack: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, MemoryError) as exc:
-        print(f"segstack: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, FormatError, ShapeError, TilingError
+from .errors import (ConfigError, DataError, FormatError, ShapeError,
+                     TilingError)
 from .nnops import IGNORE_LABEL, seeded_rng
 
 #: class id -> (name, display color). 0 roads (white), 1 buildings (blue),
@@ -114,9 +115,9 @@ class TileGeometry:
 
     def __post_init__(self):
         if self.patch < 1:
-            raise TilingError(f"patch extent must be positive, got {self.patch}")
+            raise ConfigError(f"patch extent must be positive, got {self.patch}")
         if not 1 <= self.stride <= self.patch:
-            raise TilingError(f"stride must be in [1, patch={self.patch}], "
+            raise ConfigError(f"stride must be in [1, patch={self.patch}], "
                               f"got {self.stride}")
 
 
@@ -265,9 +266,9 @@ def synth_dataset(seed: int, n_tiles: int, size: int, k: int = 5):
     if k != 5:
         raise DataError(f"the synthetic generator draws exactly 5 classes, got k={k}")
     if size < 32:
-        raise DataError(f"tile size must be >= 32, got {size}")
+        raise ConfigError(f"tile size must be >= 32, got {size}")
     if n_tiles < 1:
-        raise DataError(f"tile count must be positive, got {n_tiles}")
+        raise ConfigError(f"tile count must be positive, got {n_tiles}")
     rng = seeded_rng(seed)
     return [_synth_tile(rng, size) for _ in range(n_tiles)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SpecError
+from .errors import ConfigError, ShapeError, SpecError
 from .nnops import ConvParams, conv_norm, he_fill, seeded_rng, to_nchw
 from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
 
@@ -71,8 +71,8 @@ def make_corrector(in_channels: int, k: int, hidden: int = 64,
     """All-zero parameters; init_corrector fills the hidden layers and
     leaves the final layer at zero (the residual identity)."""
     if hidden < 1:
-        raise SpecError(f"corrector needs at least 1 hidden channel, got "
-                        f"{hidden}")
+        raise ConfigError(f"corrector needs at least 1 hidden channel, got "
+                          f"{hidden}")
     return CorrectorSpec([
         ConvParams.zeros(in_channels, hidden, 3, dtype=dtype),
         ConvParams.zeros(hidden, hidden, 3, dtype=dtype),

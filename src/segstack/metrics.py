@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, SpecError
+from .errors import ConfigError, ShapeError
 from .nnops import IGNORE_LABEL
 
 
@@ -32,7 +32,7 @@ def erode_boundaries(gt: np.ndarray, radius: int) -> np.ndarray:
     if gt.ndim != 2:
         raise ShapeError(f"label raster must be 2-D, got shape {gt.shape}")
     if radius < 0:
-        raise ShapeError(f"radius must be >= 0, got {radius}")
+        raise ConfigError(f"radius must be >= 0, got {radius}")
     if radius == 0:
         return gt.copy()
     h, w = gt.shape
@@ -57,7 +57,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         if self.k < 1:
-            raise SpecError(f"need at least 1 class, got {self.k}")
+            raise ConfigError(f"need at least 1 class, got {self.k}")
         if self.counts is None:
             self.counts = np.zeros((self.k, self.k), dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)

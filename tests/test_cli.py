@@ -59,26 +59,16 @@ class TestSynth:
         original = (workspace / "data" / "tile-000.irrg.ten").read_bytes()
         assert fresh == original
 
-    @pytest.mark.parametrize("tiles", ["0", "-1"])
-    def test_tile_count_below_one_is_data_error(self, tmp_path, capsys,
-                                                tiles):
-        capsys.readouterr()
-        assert main(["synth", "--out", str(tmp_path / "d"), "--tiles",
-                     tiles, "--size", "32"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("segstack: error:") and "Traceback" not in err
-        assert not (tmp_path / "d").exists()
-
-    @pytest.mark.parametrize("size, message", [
-        ("7", "tile size must be >= 32, got 7"),
-        ("100000000", "Unable to allocate 8.88 PiB"),
+    @pytest.mark.parametrize("size, code, message", [
+        ("7", 1, "tile size must be >= 32, got 7"),
+        ("100000000", 2, "Unable to allocate 8.88 PiB"),
     ], ids=["below_32", "out_of_memory"])
     def test_refused_size_is_one_error_line(self, tmp_path, capsys, size,
-                                            message):
+                                            code, message):
         """The 8.9 PiB request fails at once, before anything is held."""
         capsys.readouterr()
         assert main(["synth", "--out", str(tmp_path / "d"), "--tiles", "1",
-                     "--size", size]) == 2
+                     "--size", size]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("segstack: error:"), err
         assert message in err[0]
@@ -106,6 +96,13 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1
         assert manifest["config"]["batch_size"] == 2
+        # the file may supply the required flags too
+        out = tmp_path / "from-file"
+        cfg.write_text(f"data={workspace / 'data'}\nout={out}\nepochs=1\n"
+                       "batch-size=3\npatch=32\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["batch_size"] == 3
 
     def test_flags_beat_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -152,7 +149,8 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train-mk", "--data", str(workspace / "data"), "--out",
                      str(tmp_path / "mk"), "--scales", "3,x"]) == 1
-        assert "segstack: error: --scales" in capsys.readouterr().err
+        assert "error: argument --scales: invalid scales value: '3,x'" in \
+            capsys.readouterr().err
 
     def test_flag_prefix_is_usage_error(self, workspace, tmp_path, capsys):
         """--lr is a prefix of --lr-ratio only; it must not set it."""
@@ -279,6 +277,8 @@ class TestBadSeedsAndRates:
         ("train-fusion", "init-seed=-1", "init-seed"),
         ("train", "base-lr=nan", "base_lr"),
         ("train", "lr-ratio=inf", "lr_ratio"),
+        ("train", "stream=nir", "stream"),
+        ("train", "net=huge", "net"),
     ])
     def test_config_file(self, workspace, tmp_path, capsys, command, line,
                          name):
@@ -525,19 +525,6 @@ class TestFusionCommands:
                      str(out), "--patch", "32", "--stride", "32"]) == 0
         assert read_ten(out / "probs.ten").shape == (5, 32, 32)
 
-    @pytest.mark.parametrize("hidden", ["0", "-3"])
-    def test_hidden_below_one_is_data_error(self, workspace, tmp_path,
-                                            capsys, hidden):
-        capsys.readouterr()
-        assert main(["train-fusion", "--run-a", str(workspace / "run-a"),
-                     "--run-b", str(workspace / "run-b"), "--data",
-                     str(workspace / "data"), "--out", str(tmp_path / "f"),
-                     "--epochs", "1", "--hidden", hidden]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("segstack: error:") and "Traceback" not in err
-        assert "hidden" in err
-        assert not (tmp_path / "f").exists()
-
     @pytest.mark.parametrize("flag, value", [
         ("--classes", "3"), ("--net", "full"), ("--stream", "comp")])
     def test_network_flags_are_usage_errors(self, workspace, tmp_path,
@@ -780,6 +767,17 @@ class TestRunManifest:
                      str(tmp_path / "pred"), *self.scene(workspace)]) == 1
 
 
+def run_refused(capsys, argv, out):
+    """Exit code and the one error line of a command that writes nothing
+    to ``out``."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("segstack: error:"), err
+    assert not out.exists()
+    return code, err[0]
+
+
 def _nan_at_1_2_3(bands):
     bands[1, 2, 3] = np.nan
     return bands
@@ -858,16 +856,6 @@ class TestHostileFiles:
         assert f"{tile} {message}" in err[0]
         assert not out.exists()
 
-    def run_refused(self, capsys, argv, out):
-        """Exit code and the one error line of a command that writes
-        nothing to ``out``."""
-        capsys.readouterr()
-        code = main(argv)
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("segstack: error:"), err
-        assert not out.exists()
-        return code, err[0]
-
     @pytest.mark.parametrize("classes, message", [
         ("5", "tile-002.labels.pgm has label 7 at row 5, column 5, not below "
               "5 classes or 255"),
@@ -881,7 +869,7 @@ class TestHostileFiles:
         labels[5, 5] = 7
         write_pgm(data / "tile-002.labels.pgm", labels)
         out = tmp_path / "x"
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "train", "--data", str(data), "--out", str(out), "--classes",
             classes, "--epochs", "1", "--patch", "32"], out)
         assert code == 2 and str(data) in line and message in line
@@ -894,7 +882,7 @@ class TestHostileFiles:
     def test_bad_patch_is_usage_error(self, workspace, tmp_path, capsys,
                                       patch, message):
         out = tmp_path / "x"
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "train", "--data", str(workspace / "data"), "--out", str(out),
             "--epochs", "1", "--patch", patch], out)
         assert code == 1 and message in line
@@ -903,7 +891,7 @@ class TestHostileFiles:
     def test_predict_patch_not_divisible_is_usage_error(
             self, workspace, tmp_path, capsys, threads):
         out = tmp_path / "x"
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "predict", "--run", str(workspace / "run-a"), "--scene",
             str(workspace / "data" / "tile-000"), "--out", str(out),
             "--patch", "30", "--stride", "30", "--threads", threads], out)
@@ -919,7 +907,7 @@ class TestHostileFiles:
                      str(tmp_path / "run-4"), "--classes", "4", "--stream",
                      "comp", "--epochs", "1", "--patch", "32"]) == 0
         out = tmp_path / "f"
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "train-fusion", "--run-a", str(workspace / "run-a"), "--run-b",
             str(tmp_path / "run-4"), "--data", str(workspace / "data"),
             "--out", str(out), "--epochs", "1", "--patch", "32"], out)
@@ -939,7 +927,7 @@ class TestHostileFiles:
                      ["predict", *runs, "--scene",
                       str(workspace / "data" / "tile-000"), "--out", str(out),
                       "--patch", "32", "--stride", "32"]):
-            code, line = self.run_refused(capsys, argv, out)
+            code, line = run_refused(capsys, argv, out)
             assert code == 2 and (
                 "stream a has 5 classes and stream b 5, with 32 head channels "
                 "in all; the corrector maps 32 channels to 4 classes") in line
@@ -963,7 +951,7 @@ class TestHostileFiles:
                          "1", "--size", "64"]) == 0
             for path in (tmp_path / "big").glob("tile-000.*"):
                 shutil.copy(path, data / path.name.replace("000", "001"))
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "fusion-stats", "--run-a", str(workspace / "run-a"), "--run-b",
             str(workspace / "run-b"), "--fusion-run", str(tuned_fusion),
             "--data", str(data)], tmp_path / "nothing-written")
@@ -977,7 +965,7 @@ class TestHostileFiles:
                      str(run), "--classes", classes, "--epochs", "1",
                      "--patch", "32"]) == 0
         out = tmp_path / "pred"
-        code, line = self.run_refused(capsys, [
+        code, line = run_refused(capsys, [
             "predict", "--run", str(run), "--scene",
             str(workspace / "data" / "tile-000"), "--out", str(out),
             "--patch", "32", "--stride", "32"], out)
@@ -1013,17 +1001,6 @@ class TestEvaluate:
         assert main(["evaluate", "--pred", gt, "--gt", gt,
                      "--radius", "0"]) == 0
         assert "accuracy=1.000000" in capsys.readouterr().out
-        assert main(["evaluate", "--pred", gt, "--gt", gt,
-                     "--radius", "-1"]) == 2
-        assert "radius must be >= 0, got -1" in capsys.readouterr().err
-
-    def test_negative_classes_is_data_error(self, workspace, capsys):
-        gt = str(workspace / "data" / "tile-000.labels.pgm")
-        capsys.readouterr()
-        assert main(["evaluate", "--pred", gt, "--gt", gt,
-                     "--classes", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("segstack: error:") and "Traceback" not in err
 
     def test_mismatched_shapes_is_data_error(self, workspace, tmp_path):
         from segstack.datapipe import write_pgm
@@ -1057,6 +1034,62 @@ class TestUsage:
                 assert parser.get_default(f.name) == f.default, \
                     (command, f.name)
                 assert action.type is type(f.default), (command, f.name)
+
+    def refused(self, workspace, tmp_path, capsys, argv):
+        """``run_refused`` of ``argv``, whose ``{ws}`` is the workspace,
+        with an ``--out`` unless it is ``evaluate``."""
+        out = tmp_path / "out"
+        argv = [a.format(ws=workspace) for a in argv]
+        if argv[0] != "evaluate":
+            argv += ["--out", str(out)]
+        return run_refused(capsys, argv, out)
+
+    FUSION = ["train-fusion", "--run-a", "{ws}/run-a", "--run-b",
+              "{ws}/run-b", "--data", "{ws}/data", "--epochs", "1"]
+    PREDICT = ["predict", "--run", "{ws}/run-a", "--scene",
+               "{ws}/data/tile-000"]
+    EVALUATE = ["evaluate", "--pred", "{ws}/data/tile-000.labels.pgm",
+                "--gt", "{ws}/data/tile-000.labels.pgm"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--tiles", "0"], "tile count must be positive, got 0"),
+        (["synth", "--tiles", "-1"], "tile count must be positive, got -1"),
+        (["synth", "--size", "8"], "tile size must be >= 32, got 8"),
+        ([*PREDICT, "--patch", "0"], "patch extent must be positive, got 0"),
+        ([*PREDICT, "--stride", "0"], "stride must be in [1, patch=64], "
+                                      "got 0"),
+        ([*PREDICT, "--patch", "32", "--stride", "32", "--threads", "0"],
+         "thread count must be >= 1, got 0"),
+        ([*EVALUATE, "--radius", "-1"], "radius must be >= 0, got -1"),
+        ([*EVALUATE, "--classes", "0"], "need at least 1 class, got 0"),
+        ([*EVALUATE, "--classes", "-1"], "need at least 1 class, got -1"),
+        ([*FUSION, "--hidden", "0"], "at least 1 hidden channel, got 0"),
+        ([*FUSION, "--hidden", "-3"], "at least 1 hidden channel, got -3"),
+    ], ids=["tiles_0", "tiles_-1", "size_8", "patch_0", "stride_0",
+            "threads_0", "radius_-1", "classes_0", "classes_-1", "hidden_0",
+            "hidden_-3"])
+    def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path,
+                                              capsys, argv, message):
+        code, line = self.refused(workspace, tmp_path, capsys, argv)
+        assert code == 1 and message in line
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "{ws}/data", "--classes", "1"],
+         "need at least 2 classes, got 1"),
+        (["train-mk", "--data", "{ws}/data", "--scales", "4"],
+         "positive odd kernel size, got 4"),
+        (["train-mk", "--data", "{ws}/data", "--scales", "3,3"],
+         "strictly ascending by size, got [3, 3]"),
+        (["extend-scale", "--run", "{ws}/run-a", "--data", "{ws}/data",
+          "--new-scale", "3", "--patch", "32"],
+         "strictly ascending by size, got [3, 3]"),
+    ], ids=["classes_1", "even_scale", "repeated_scale", "repeated_new_scale"])
+    def test_network_builder_check_is_data_error(self, workspace, tmp_path,
+                                                 capsys, argv, message):
+        """The builder checks the run manifests' values too, where a bad
+        one is a data error; a flag that reaches them exits the same."""
+        code, line = self.refused(workspace, tmp_path, capsys, argv)
+        assert code == 2 and message in line
 
     def test_os_error_is_exit_2_without_traceback(self, tmp_path, capsys):
         taken = tmp_path / "taken"

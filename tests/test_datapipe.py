@@ -116,9 +116,9 @@ class TestPlanTiles:
             plan_tiles(100, 300, TileGeometry(128, 64))
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(TilingError, match="stride"):
+        with pytest.raises(ConfigError, match="stride"):
             TileGeometry(128, 256)
-        with pytest.raises(TilingError, match="positive"):
+        with pytest.raises(ConfigError, match="positive"):
             TileGeometry(0, 0)
 
 

@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Subcommands: synth, train, train-mk, extend-scale, train-fusion, predict,
-evaluate, fusion-stats. Every option, a required one too, can also come
-from a flat key=value config file (--config), whose values are parsed as
-flags placed before the typed ones: the same types, choices and ranges
-apply, a bad value is reported under its flag's name, and typed flags win.
+Subcommands: synth, train (its --scales gives the multi-kernel head),
+extend-scale, train-fusion, predict, evaluate, fusion-stats. Every
+option, a required one too, can also come from a flat key=value config
+file (--config), whose values are parsed as flags placed before the
+typed ones: the same types, choices and ranges apply, a bad value is
+reported under its flag's name, and typed flags win.
 
 Exit codes: 0 success, 1 usage error, 2 data or shape error or out of
 memory, 3 numeric divergence during training.
@@ -109,15 +110,6 @@ def _add_train_flags(p):
                        default=f.default)
 
 
-def _add_network_flags(p):
-    """The training flags and the network a command builds from scratch;
-    commands that load runs take the network from their manifests."""
-    _add_train_flags(p)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--net", default="mini", choices=("mini", "full"))
-    p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
-
-
 def _train_config(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name)
                           for f in fields(TrainConfig)})
@@ -209,12 +201,13 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    config = _train_config(args)
     spec = build_segnet(k=args.classes, scale=args.net, in_channels=3,
                         head_scales=args.scales)
     dataset = _load_dataset(args.data, spec.k, args.patch, args.stream)
     init_he(spec, seed=args.init_seed)
     variant = "plain" if args.scales == (3,) else "multikernel"
-    manifest = train_segnet(spec, dataset, _train_config(args), args.out,
+    manifest = train_segnet(spec, dataset, config, args.out,
                             manifest_extra=_extra(args, args.stream, variant,
                                                   len(dataset)))
     last = manifest["epochs"][-1]
@@ -225,6 +218,7 @@ def cmd_train(args):
 
 
 def cmd_extend_scale(args):
+    config = _train_config(args)
     spec, run_manifest = _load_run(args.run)
     stream = run_manifest["stream"]
     dataset = _load_dataset(args.data, spec.k, args.patch, stream)
@@ -245,14 +239,15 @@ def cmd_extend_scale(args):
     extra = _extra(args, stream, "extended", len(dataset))
     extra["extended_from"] = _run_relative(args.run, args.out)
     extra["new_scale"] = args.new_scale
-    manifest = train_segnet(spec, dataset, _train_config(args), args.out,
-                            groups=groups, manifest_extra=extra)
+    manifest = train_segnet(spec, dataset, config, args.out, groups=groups,
+                            manifest_extra=extra)
     print(f"extended head to scales {manifest['head_scales']}, "
           f"run written to {args.out}")
     return 0
 
 
 def cmd_train_fusion(args):
+    config = _train_config(args)
     spec_a, man_a = _load_run(args.run_a)
     spec_b, man_b = _load_run(args.run_b)
     corr = make_corrector(
@@ -264,8 +259,7 @@ def cmd_train_fusion(args):
     extra = {key: _run_relative(getattr(args, key), args.out)
              for key in ("run_a", "run_b", "data")}
     extra.update(n_tiles=len(dataset), init_seed=args.init_seed)
-    manifest = train_fusion(spec_a, spec_b, corr, dataset,
-                            _train_config(args), args.out,
+    manifest = train_fusion(spec_a, spec_b, corr, dataset, config, args.out,
                             unfreeze_streams=args.unfreeze_streams,
                             manifest_extra=extra)
     last = manifest["epochs"][-1]
@@ -276,6 +270,7 @@ def cmd_train_fusion(args):
 
 
 def cmd_predict(args):
+    geom = TileGeometry(args.patch, args.stride)
     if args.run and (args.run_a or args.run_b or args.fusion_run):
         raise ConfigError("predict takes --run alone, or --run-a and --run-b "
                           "with an optional --fusion-run")
@@ -294,7 +289,6 @@ def cmd_predict(args):
                         f"most {len(PALETTE)}, one per palette colour")
     bands = [tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
              for _, manifest in runs]
-    geom = TileGeometry(args.patch, args.stride)
     if len(runs) == 2:
         probs = predict_probs_fused(*specs, corr, *bands, geom, args.threads)
     else:
@@ -311,10 +305,10 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    cm = ConfusionMatrix(args.classes)
     pred = read_pgm(args.pred)
     gt = read_pgm(args.gt)
     eroded = erode_boundaries(gt, radius=args.radius)
-    cm = ConfusionMatrix(args.classes)
     cm.accumulate(pred, eroded)
     names = CLASS_NAMES if args.classes == len(CLASS_NAMES) else None
     print(format_report(f1_scores(cm), class_names=names))
@@ -363,14 +357,14 @@ def build_parser():
     p.add_argument("--tiles", type=int, default=32)
     p.add_argument("--size", type=int, default=64)
 
+    # only train builds a network; the others read theirs from run manifests
     p = sub("train", cmd_train, "train a single-stream network")
-    _add_network_flags(p)
-    p.set_defaults(scales=(3,))
-
-    p = sub("train-mk", cmd_train, "train with a multi-kernel head")
-    _add_network_flags(p)
-    p.add_argument("--scales", type=scales, default=(3, 5, 7),
-                   help="comma-separated odd kernel sizes")
+    _add_train_flags(p)
+    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--net", default="mini", choices=("mini", "full"))
+    p.add_argument("--stream", default=STREAMS[0], choices=STREAMS)
+    p.add_argument("--scales", type=scales, default=(3,),
+                   help="comma-separated odd head kernel sizes")
 
     p = sub("extend-scale", cmd_extend_scale,
             "add a head branch to a trained run and fine-tune it")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SpecError
-from .nnops import ConvParams, conv_norm, he_fill, seeded_rng, to_nchw
-from .tensor import Tensor, add, concat_channels, mean_n, permute, relu
+from .nnops import (ConvParams, conv_norm, he_fill, seeded_rng, to_nchw,
+                    to_nhwc)
+from .tensor import Tensor, add, concat_channels, mean_n, relu
 
 
 @dataclass
@@ -91,7 +92,7 @@ def init_corrector(corr: CorrectorSpec, seed: int) -> None:
 
 def forward_corrector(corr: CorrectorSpec, z: Tensor) -> Tensor:
     """The corrector on (n,c,h,w) ``z``, run channels-last."""
-    h = permute(z, (0, 2, 3, 1))
+    h = to_nhwc(z)
     for conv in corr.convs[:-1]:
         h = relu(conv_norm(h, conv, None, "train"))
     return to_nchw(conv_norm(h, corr.convs[-1], None, "train"))

@@ -15,8 +15,9 @@ only x̂ of a unit's output. Its gradient is that of y, as for any
 tensor; its own backward recomputes the ReLU mask and runs batch norm's.
 A conv reads its weight with any pending SGD step (``tensor.value``).
 A pooling mask is a uint8 array of each window's argmax slot (0..3).
-The public (n, c, h, w) ops ``conv2d``, ``maxpool2``, ``unpool2`` and
-``batchnorm`` run the same channels-last code between two permutes.
+``to_nhwc`` and ``to_nchw`` convert between that layout and the public
+(n, c, h, w) one; the public ops ``conv2d``, ``maxpool2``, ``unpool2``
+and ``batchnorm`` run the same channels-last code between the two.
 Softmax and the loss work on (n, c, h, w).
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import convkernels as ck
 from .errors import ConfigError, ShapeError, SpecError, TrainingError
-from .tensor import Tensor, _record, permute, recording, value
+from .tensor import Tensor, _record, recording, value
 
 #: Label value excluded from losses and metrics.
 IGNORE_LABEL = 255
@@ -151,16 +152,10 @@ class BNState:
 # Operators
 
 
-def _to_nhwc(x: Tensor, op: str) -> Tensor:
-    if x.ndim != 4:
-        raise ShapeError(f"{op}: input must be 4-D, got shape {x.shape}")
-    return permute(x, (0, 2, 3, 1))
-
-
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding of (n,c,h,w)
     ``x``: ``conv_norm`` without batch norm between two permutes."""
-    return to_nchw(conv_norm(_to_nhwc(x, "conv2d"), params, None, "train"))
+    return to_nchw(conv_norm(to_nhwc(x), params, None, "train"))
 
 
 class _Pending(Tensor):
@@ -184,6 +179,15 @@ def _activation(xhat: np.ndarray, bn: BNState) -> np.ndarray:
 def _value(h: Tensor) -> np.ndarray:
     """``h`` as its readers see it: its data, or a pending tensor's y."""
     return _activation(h.data, h.bn) if isinstance(h, _Pending) else h.data
+
+
+def to_nhwc(x: Tensor) -> Tensor:
+    """(n,c,h,w) ``x`` laid out channels-last: one tape op."""
+    if x.ndim != 4:
+        raise ShapeError(f"input must be 4-D, got shape {x.shape}")
+    out = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)))
+    return _record(out, (x,), lambda g: (np.ascontiguousarray(
+        g.transpose(0, 3, 1, 2)),), "permute")
 
 
 def to_nchw(h: Tensor) -> Tensor:
@@ -267,13 +271,13 @@ def unpool(h: Tensor, mask: np.ndarray) -> Tensor:
 
 def maxpool2(x: Tensor) -> tuple[Tensor, np.ndarray]:
     """``pool`` of (n,c,h,w) ``x``; the uint8 mask stays channels-last."""
-    out, mask = pool(_to_nhwc(x, "maxpool2"))
+    out, mask = pool(to_nhwc(x))
     return to_nchw(out), mask
 
 
 def unpool2(x: Tensor, mask: np.ndarray) -> Tensor:
     """``unpool`` of (n,c,h,w) ``x``."""
-    return to_nchw(unpool(_to_nhwc(x, "unpool2"), mask))
+    return to_nchw(unpool(to_nhwc(x), mask))
 
 
 def _check_bn(state: BNState, channels: int, mode: str) -> None:
@@ -361,7 +365,7 @@ def batchnorm(x: Tensor, state: BNState, mode: str) -> Tensor:
     running averages; eval mode normalizes by the running statistics and
     requires them to be initialized (a train step or a checkpoint load).
     """
-    h = _to_nhwc(x, "batchnorm")
+    h = to_nhwc(x)
     c = h.shape[3]
     _check_bn(state, c, mode)
     gamma, beta = state.gamma, state.beta

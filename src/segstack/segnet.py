@@ -23,8 +23,9 @@ from .errors import CheckpointError, ConfigError, ShapeError, SpecError
 from .multikernel import (MultiKernelHead, branch_outputs, fold_head,  # noqa: F401
                           make_head)
 from .nnops import (BNState, ConvParams, batchnorm,  # noqa: F401
-                    conv_norm, he_fill, pool, seeded_rng, to_nchw, unpool)
-from .tensor import Tensor, permute, value
+                    conv_norm, he_fill, pool, seeded_rng, to_nchw, to_nhwc,
+                    unpool)
+from .tensor import Tensor, value
 
 FULL_WIDTHS = (64, 128, 256, 512, 512)
 FULL_CONV_COUNTS = (2, 2, 3, 3, 3)
@@ -131,17 +132,15 @@ def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
 
 
 def _forward(spec: NetworkSpec, x: Tensor, mode: str):
-    if x.ndim != 4:
-        raise ShapeError(f"input must be 4-D, got shape {x.shape}")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, network expects "
+    h = to_nhwc(x)
+    if h.shape[3] != spec.in_channels:
+        raise ShapeError(f"input has {h.shape[3]} channels, network expects "
                          f"{spec.in_channels}")
     div = 2 ** spec.depth
-    if x.shape[2] % div or x.shape[3] % div:
-        raise ShapeError(f"spatial extents {x.shape[2:]} must be divisible by "
-                         f"{div} for {spec.depth} pooling levels")
+    if h.shape[1] % div or h.shape[2] % div:
+        raise ShapeError(f"spatial extents {h.shape[1:3]} must be divisible "
+                         f"by {div} for {spec.depth} pooling levels")
     masks = []
-    h = permute(x, (0, 2, 3, 1))
     for block in spec.enc_blocks:
         for u in block:
             h = conv_norm(h, u.params, u.bn, mode)
@@ -152,7 +151,7 @@ def _forward(spec: NetworkSpec, x: Tensor, mode: str):
         for u in block:
             h = conv_norm(h, u.params, u.bn, mode)
     logits = conv_norm(h, fold_head(spec.head), None, mode)
-    return permute(logits, (0, 3, 1, 2)), h
+    return to_nchw(logits), h
 
 
 def check_patch(patch: int, *specs: NetworkSpec) -> None:

@@ -10,7 +10,8 @@ Calling ``backward`` a second time on the same graph raises
 
 Public 4-D activations are (batch, channels, height, width). Inside
 the network they are channels-last (batch, height, width, channels):
-``permute`` converts once at the network input and once at its outputs.
+``nnops.to_nhwc`` and ``nnops.to_nchw`` convert at the network's input
+and outputs.
 The class itself accepts any rank so that scalar losses and parameter
 vectors ride the same machinery.
 
@@ -260,14 +261,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0),)
 
     return _record(out, (a,), fn, "relu")
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Contiguous copy of ``a`` with its axes reordered."""
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
-    return _record(out, (a,), lambda g: (np.ascontiguousarray(
-        g.transpose(inverse)),), "permute")
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

@@ -44,30 +44,28 @@ CHECKPOINT_DIR = "checkpoint"
 # where a fusion run that fine-tunes its streams saves them
 STREAM_DIRS = ("stream_a", "stream_b")
 EVAL_BATCH = 8  # samples per forward in the whole-dataset measurements
+MOMENTUM = 0.9  # SGD momentum of every trainer
+DECAY_FACTOR = 0.1  # lr factor of a plateau decay
 
 
 @dataclass
 class TrainConfig:
     base_lr: float = 0.01
     lr_ratio: float = 1.0
-    momentum: float = 0.9
     epochs: int = 10
     batch_size: int = 4
     seed: int = 0
     patch: int = 64
-    decay_factor: float = 0.1
     plateau_patience: int = 0  # 0 disables the plateau decay
 
     def __post_init__(self):
         for name, ok, bounds in (
                 ("base_lr", 0 < self.base_lr < np.inf, "finite and > 0"),
                 ("lr_ratio", 0 <= self.lr_ratio < np.inf, "finite and >= 0"),
-                ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
                 ("epochs", self.epochs >= 1, "positive"),
                 ("batch_size", self.batch_size >= 1, "positive"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("patch", self.patch >= 1, "positive"),
-                ("decay_factor", 0 < self.decay_factor <= 1, "in (0, 1]"),
                 ("plateau_patience", self.plateau_patience >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {bounds}, got "
@@ -198,7 +196,7 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
     manifest = {"config": asdict(config), "checkpoint": CHECKPOINT_DIR,
                 **manifest}
     os.makedirs(out_dir, exist_ok=True)
-    opt = SGD(groups, config.base_lr, config.momentum)
+    opt = SGD(groups, config.base_lr, MOMENTUM)
     rng = np.random.default_rng(config.seed)
 
     def save():
@@ -253,7 +251,7 @@ def _train(config: TrainConfig, dataset, out_dir, manifest, groups, bundles,
                 else:
                     stall += 1
                     if stall >= config.plateau_patience:
-                        lr *= config.decay_factor
+                        lr *= DECAY_FACTOR
                         stall = 0
             save()
         return _finish(out_dir, manifest, log, "complete")

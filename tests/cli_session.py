@@ -38,7 +38,7 @@ SESSION = [
     ("train_plateau", ["train", "--data", "data", "--out", "plateau",
                        "--epochs", "4", "--batch-size", "8", "--patch", "32",
                        "--base-lr", "1e-30", "--plateau-patience", "1"], 0),
-    ("train_mk", ["train-mk", "--data", "data", "--out", "mk", "--scales",
+    ("train_mk", ["train", "--data", "data", "--out", "mk", "--scales",
                   "3,5,7", "--lr-ratio", "0.5", *TRAIN], 0),
     ("extend", ["extend-scale", "--data", "data", "--run", "mk", "--out",
                 "extend", "--new-scale", "9", *TRAIN], 0),

@@ -138,7 +138,7 @@ class TestTrain:
 
     def test_multikernel_records_scales(self, workspace, tmp_path):
         out = tmp_path / "mk"
-        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+        assert main(["train", "--data", str(workspace / "data"), "--out",
                      str(out), "--epochs", "1", "--batch-size", "3",
                      "--patch", "32", "--scales", "3,5"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -147,7 +147,7 @@ class TestTrain:
 
     def test_bad_scales_is_usage_error(self, workspace, tmp_path, capsys):
         capsys.readouterr()
-        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+        assert main(["train", "--data", str(workspace / "data"), "--out",
                      str(tmp_path / "mk"), "--scales", "3,x"]) == 1
         assert "error: argument --scales: invalid scales value: '3,x'" in \
             capsys.readouterr().err
@@ -166,7 +166,7 @@ class TestTrain:
 
     def test_negative_scale_is_data_error(self, workspace, tmp_path, capsys):
         capsys.readouterr()
-        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+        assert main(["train", "--data", str(workspace / "data"), "--out",
                      str(tmp_path / "mk"), "--scales", "-3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("segstack: error:") and "Traceback" not in err
@@ -223,9 +223,11 @@ class TestTrain:
 
 
 class TestBadSeedsAndRates:
-    """A negative seed or a non-finite learning rate, from a flag or a
-    config file, is a usage error: exit 1, one error line naming the value,
-    no traceback, and nothing written."""
+    """A negative seed, a non-finite learning rate or another out-of-range
+    training value, from a flag or a config file, is a usage error: exit 1,
+    one error line naming the value, no traceback, and nothing written. It
+    is checked before any file is read, so a ``--patch`` larger than the
+    tiles does not hide it."""
 
     def args(self, workspace, command):
         data = str(workspace / "data")
@@ -247,14 +249,17 @@ class TestBadSeedsAndRates:
     @pytest.mark.parametrize("command, flags, name", [
         ("train", ["--seed", "-1"], "seed"),
         ("train", ["--init-seed", "-1"], "--init-seed"),
-        ("train-mk", ["--init-seed", "-1"], "--init-seed"),
+        ("train", ["--seed", "-1", "--patch", "64"], "seed"),
         ("extend-scale", ["--init-seed", "-1"], "--init-seed"),
         ("train-fusion", ["--init-seed", "-1"], "--init-seed"),
         ("train", ["--base-lr", "nan"], "base_lr"),
         ("train", ["--base-lr", "inf"], "base_lr"),
         ("train", ["--lr-ratio", "nan"], "lr_ratio"),
-        ("train-mk", ["--lr-ratio", "inf"], "lr_ratio"),
+        ("train", ["--lr-ratio", "inf"], "lr_ratio"),
         ("extend-scale", ["--lr-ratio", "nan", "--unfreeze-all"], "ratio"),
+        ("extend-scale", ["--epochs", "0", "--patch", "64"], "epochs"),
+        ("train-fusion", ["--batch-size", "0", "--patch", "64"],
+         "batch_size"),
     ])
     def test_flag(self, workspace, tmp_path, capsys, command, flags, name):
         out = tmp_path / "run"
@@ -1013,18 +1018,17 @@ class TestEvaluate:
 class TestUsage:
     def test_network_flags_only_where_a_network_is_built(self):
         _, registry = build_parser()
-        for command, takes in (("train", True), ("train-mk", True),
-                               ("extend-scale", False),
+        for command, takes in (("train", True), ("extend-scale", False),
                                ("train-fusion", False)):
             dests = {a.dest for a in registry[command]._actions}
-            for dest in ("classes", "net", "stream"):
+            for dest in ("classes", "net", "stream", "scales"):
                 assert (dest in dests) == takes, (command, dest)
 
     def test_train_flags_mirror_train_config(self):
         """Every TrainConfig field has a flag on each training command,
         with the field's default."""
         _, registry = build_parser()
-        for command in ("train", "train-mk", "extend-scale", "train-fusion"):
+        for command in ("train", "extend-scale", "train-fusion"):
             parser = registry[command]
             flags = {a.dest: a for a in parser._actions}
             for f in dataclasses.fields(TrainConfig):
@@ -1058,16 +1062,21 @@ class TestUsage:
         ([*PREDICT, "--patch", "0"], "patch extent must be positive, got 0"),
         ([*PREDICT, "--stride", "0"], "stride must be in [1, patch=64], "
                                       "got 0"),
+        (["predict", "--run", "{ws}/run-a", "--scene", "{ws}/data/none",
+          "--stride", "0"], "stride must be in [1, patch=64], got 0"),
         ([*PREDICT, "--patch", "32", "--stride", "32", "--threads", "0"],
          "thread count must be >= 1, got 0"),
         ([*EVALUATE, "--radius", "-1"], "radius must be >= 0, got -1"),
         ([*EVALUATE, "--classes", "0"], "need at least 1 class, got 0"),
         ([*EVALUATE, "--classes", "-1"], "need at least 1 class, got -1"),
+        (["evaluate", "--pred", "{ws}/none.pgm", "--gt",
+          "{ws}/data/tile-000.labels.pgm", "--classes", "0"],
+         "need at least 1 class, got 0"),
         ([*FUSION, "--hidden", "0"], "at least 1 hidden channel, got 0"),
         ([*FUSION, "--hidden", "-3"], "at least 1 hidden channel, got -3"),
     ], ids=["tiles_0", "tiles_-1", "size_8", "patch_0", "stride_0",
-            "threads_0", "radius_-1", "classes_0", "classes_-1", "hidden_0",
-            "hidden_-3"])
+            "stride_0_missing_scene", "threads_0", "radius_-1", "classes_0",
+            "classes_-1", "classes_0_missing_pred", "hidden_0", "hidden_-3"])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path,
                                               capsys, argv, message):
         code, line = self.refused(workspace, tmp_path, capsys, argv)
@@ -1076,9 +1085,9 @@ class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (["train", "--data", "{ws}/data", "--classes", "1"],
          "need at least 2 classes, got 1"),
-        (["train-mk", "--data", "{ws}/data", "--scales", "4"],
+        (["train", "--data", "{ws}/data", "--scales", "4"],
          "positive odd kernel size, got 4"),
-        (["train-mk", "--data", "{ws}/data", "--scales", "3,3"],
+        (["train", "--data", "{ws}/data", "--scales", "3,3"],
          "strictly ascending by size, got [3, 3]"),
         (["extend-scale", "--run", "{ws}/run-a", "--data", "{ws}/data",
           "--new-scale", "3", "--patch", "32"],
@@ -1107,6 +1116,16 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_train_mk_is_gone(self, workspace, tmp_path, capsys):
+        """``train --scales`` trains a multi-kernel head; no command of
+        its own does."""
+        out = tmp_path / "mk"
+        capsys.readouterr()
+        assert main(["train-mk", "--data", str(workspace / "data"), "--out",
+                     str(out)]) == 1
+        assert "invalid choice: 'train-mk'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

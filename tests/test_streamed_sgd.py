@@ -34,7 +34,8 @@ def dataset(n=6, size=40):
 def reference_train(spec, data, cfg):
     """``_train``'s batches and lr, stepped the unstreamed way: a plain
     ``backward(loss)`` that stores every gradient, then ``SGD.step``."""
-    opt = SGD(param_groups(spec, cfg.lr_ratio), cfg.base_lr, cfg.momentum)
+    opt = SGD(param_groups(spec, cfg.lr_ratio), cfg.base_lr,
+              training.MOMENTUM)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))

@@ -106,7 +106,7 @@ def _zeros(*shape):
 
 MALFORMED = {
     "conv2d_3d_input": (lambda: conv2d(_zeros(3, 4, 4), make_conv(
-        np.zeros((1, 3, 1, 1)))), ShapeError, "conv2d: input must be 4-D"),
+        np.zeros((1, 3, 1, 1)))), ShapeError, "input must be 4-D"),
     "forward_3d_input": (lambda: forward(build_segnet(2, "mini"),
                                          _zeros(3, 32, 32)),
                          ShapeError, "input must be 4-D"),

@@ -141,19 +141,19 @@ class TestSGD:
 class TestTrainConfig:
     def test_defaults_are_valid(self):
         cfg = TrainConfig()
-        assert cfg.momentum == 0.9 and cfg.base_lr == 0.01
+        assert training.MOMENTUM == 0.9 and cfg.base_lr == 0.01
 
     @pytest.mark.parametrize("kwargs", [
         {"base_lr": 0.0},
         {"base_lr": -0.1},
         {"lr_ratio": -0.5},
-        {"momentum": 1.0},
-        {"momentum": -0.1},
+        {"base_lr": float("-inf")},
+        {"lr_ratio": float("-inf")},
         {"epochs": 0},
         {"batch_size": 0},
         {"patch": 0},
-        {"decay_factor": 0.0},
-        {"decay_factor": 1.5},
+        {"epochs": -3},
+        {"batch_size": -1},
         {"plateau_patience": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -559,7 +559,7 @@ class TestPendingSteps:
             [data[j] for j in rng.permutation(len(data))])
         loss = cross_entropy_loss(forward_parts(ref, xs[0], mode="train")[0],
                                   labels)
-        opt = SGD(stray_groups(ref), cfg.base_lr, cfg.momentum)
+        opt = SGD(stray_groups(ref), cfg.base_lr, training.MOMENTUM)
         with leaf_grads_to(opt.update):
             backward(loss)
         for (name, got, _), (_, want, _) in zip(state_entries(spec),

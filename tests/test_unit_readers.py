@@ -11,10 +11,10 @@ import pytest
 from oracles import sum_all
 from segstack.multikernel import fold_head
 from segstack.nnops import (conv_norm, cross_entropy_loss, pool, to_nchw,
-                            unpool)
+                            to_nhwc, unpool)
 from segstack.segnet import (build_segnet, forward_parts, init_he,
                              named_parameters, state_entries)
-from segstack.tensor import Tensor, _post_order, add, backward, permute, scale
+from segstack.tensor import Tensor, _post_order, add, backward, scale
 
 
 def mk_net(seed=4):
@@ -26,14 +26,14 @@ def mk_net(seed=4):
 
 def finished(h):
     """A pending unit output as a channels-last tensor of its y."""
-    return permute(to_nchw(h), (0, 2, 3, 1))
+    return to_nhwc(to_nchw(h))
 
 
 def chained(spec, x, mode):
     """``forward_parts``' wiring from the public ops, each unit's y
     built by ``to_nchw`` before anything reads it."""
     masks = []
-    h = permute(x, (0, 2, 3, 1))
+    h = to_nhwc(x)
     for block in spec.enc_blocks:
         for u in block:
             h = finished(conv_norm(h, u.params, u.bn, mode))
@@ -44,7 +44,7 @@ def chained(spec, x, mode):
         for u in block:
             h = finished(conv_norm(h, u.params, u.bn, mode))
     logits = conv_norm(h, fold_head(spec.head), None, mode)
-    return permute(logits, (0, 3, 1, 2)), permute(h, (0, 3, 1, 2))
+    return to_nchw(logits), to_nchw(h)
 
 
 def run(forward, mode, with_features):

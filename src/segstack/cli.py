@@ -25,9 +25,9 @@ from .datapipe import (CLASS_NAMES, PALETTE, TileGeometry, check_bands,
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      SegstackError, ShapeError, SpecError)
 from .fusion import init_corrector, make_corrector
-from .inference import labels_from_probs, predict_probs, predict_probs_fused
-from .metrics import ConfusionMatrix, erode_boundaries, f1_scores, \
-    format_report
+from .inference import check_threads, labels_from_probs, predict_scene
+from .metrics import (ConfusionMatrix, check_radius, erode_boundaries,
+                      f1_scores, format_report)
 from .multikernel import extend_with_scale
 from .nnops import IGNORE_LABEL
 from .segnet import (build_segnet, init_he, named_parameters, param_groups,
@@ -223,7 +223,6 @@ def cmd_extend_scale(args):
     stream = run_manifest["stream"]
     dataset = _load_dataset(args.data, spec.k, args.patch, stream)
 
-    old_ids = {id(t) for _, t, g in named_parameters(spec) if g == "head"}
     rng = np.random.default_rng(args.init_seed)
     spec.head = extend_with_scale(spec.head, args.new_scale, rng)
     if args.unfreeze_all:
@@ -231,7 +230,7 @@ def cmd_extend_scale(args):
     else:
         frozen, fresh = [], []
         for name, t, _ in named_parameters(spec):
-            (fresh if id(t) not in old_ids and name.startswith("head.")
+            (fresh if name.startswith(f"head.s{args.new_scale}.")
              else frozen).append((name, t))
         groups = [ParamGroup("frozen", 0.0, frozen),
                   ParamGroup("new_branch", 1.0, fresh)]
@@ -271,6 +270,7 @@ def cmd_train_fusion(args):
 
 def cmd_predict(args):
     geom = TileGeometry(args.patch, args.stride)
+    check_threads(args.threads)
     if args.run and (args.run_a or args.run_b or args.fusion_run):
         raise ConfigError("predict takes --run alone, or --run-a and --run-b "
                           "with an optional --fusion-run")
@@ -289,10 +289,7 @@ def cmd_predict(args):
                         f"most {len(PALETTE)}, one per palette colour")
     bands = [tenio.read_ten(f"{args.scene}.{manifest['stream']}.ten")
              for _, manifest in runs]
-    if len(runs) == 2:
-        probs = predict_probs_fused(*specs, corr, *bands, geom, args.threads)
-    else:
-        probs = predict_probs(*specs, *bands, geom, args.threads)
+    probs = predict_scene(specs, corr, bands, geom, args.threads)
     labels = labels_from_probs(probs)
     os.makedirs(args.out, exist_ok=True)
     tenio.write_ten(os.path.join(args.out, "probs.ten"), probs)
@@ -306,6 +303,7 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     cm = ConfusionMatrix(args.classes)
+    check_radius(args.radius)
     pred = read_pgm(args.pred)
     gt = read_pgm(args.gt)
     eroded = erode_boundaries(gt, radius=args.radius)

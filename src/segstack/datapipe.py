@@ -4,7 +4,6 @@ binary netpbm IO (PPM and PGM out, PGM in) with the 5-class color legend.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,10 +75,11 @@ def _minmax01(band: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_composite(dsm: np.ndarray, ndsm: np.ndarray, ndvi_band: np.ndarray,
-                    nodata: Optional[float] = None) -> Raster:
+def build_composite(dsm: np.ndarray, ndsm: np.ndarray,
+                    ndvi_band: np.ndarray) -> Raster:
     """3-band (dsm, ndsm, ndvi) raster, each band min-max scaled to [0,1]
-    over valid pixels; a constant band maps to all zeros."""
+    over its finite pixels; a constant band maps to all zeros. Mark
+    nodata pixels NaN: they take no part in the range, and come out 0."""
     bands = []
     for name, band in (("dsm", dsm), ("ndsm", ndsm), ("ndvi", ndvi_band)):
         band = np.asarray(band, dtype=np.float64)
@@ -87,8 +87,6 @@ def build_composite(dsm: np.ndarray, ndsm: np.ndarray, ndvi_band: np.ndarray,
             raise ShapeError(f"{name} band shape {band.shape} does not match "
                              f"dsm {np.asarray(dsm).shape}")
         valid = np.isfinite(band)
-        if nodata is not None:
-            valid &= band != nodata
         if not valid.any():
             raise DataError(f"{name} band has no valid pixels to normalize")
         bands.append(_minmax01(band, valid))
@@ -185,7 +183,6 @@ def _paint_rect(rng, labels, cls, lo, hi):
     top = int(rng.integers(0, h - rh))
     left = int(rng.integers(0, w - rw))
     labels[top:top + rh, left:left + rw] = cls
-    return top, left, rh, rw
 
 
 def _paint_blob(rng, labels, cls, rlo, rhi):
@@ -195,7 +192,6 @@ def _paint_blob(rng, labels, cls, rlo, rhi):
     cx = int(rng.integers(r, w - r))
     yy, xx = np.ogrid[:h, :w]
     labels[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = cls
-    return cy, cx, r
 
 
 def _synth_tile(rng, size: int):

@@ -4,9 +4,9 @@ overlap averaging.
 ``window_map`` is the one eval path from windows to a class map; scene
 prediction and the accuracy measurements in ``training`` share it.
 
-``threads`` above its default of 1 splits the windows over n worker
-processes, n the least of ``threads``, the window count and the CPUs
-this process may run on. The caller forks n - 1 children, which inherit
+``predict_scene`` maps the windows in one loop on n processes, n the
+least of ``threads``, the window count and the CPUs this process may
+run on: the caller forks n - 1 children (none for n = 1), which inherit
 the loaded networks, the corrector and the scenes by copy-on-write.
 Worker j maps windows j, j + n, j + 2n, ...; the caller is worker 0. A
 child writes each map into the next slot of its own small shared ring
@@ -75,7 +75,7 @@ def window_map(specs, corr, xs) -> np.ndarray:
     return fuse_average(streams).data
 
 
-def _forked_maps(worker, windows, k, workers):
+def _window_maps(worker, windows, k, workers):
     """``worker`` over every window, in plan order, on ``workers``
     processes: the caller and ``workers - 1`` forked children. A child's
     map arrives as a float64 view of a slot of its ring (exact for any
@@ -126,14 +126,19 @@ def _forked_maps(worker, windows, k, workers):
             os.waitpid(pid, 0)
 
 
-def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
-    """Stitched ``window_map`` over co-registered scenes, one per network;
-    stream i is the scene of ``specs[i]``."""
+def check_threads(threads: int) -> None:
+    """ConfigError unless ``threads`` tile workers can run here."""
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"{threads} tile workers need os.fork, which this "
                           f"platform lacks; use threads=1")
+
+
+def predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
+    """Stitched ``window_map`` over co-registered scenes, one per network;
+    stream i is the scene of ``specs[i]``."""
+    check_threads(threads)
     for i, b in enumerate(bands):
         check_bands(b, f"stream {i} scene")
     h, w = bands[0].shape[1:]
@@ -150,8 +155,7 @@ def _predict_scene(specs, corr, bands, geom, threads) -> np.ndarray:
                                          for b in bands])[0]
 
     workers = min(threads, len(windows), usable_cpus())
-    maps = ((worker(win) for win in windows) if workers == 1 else
-            _forked_maps(worker, windows, specs[0].k, workers))
+    maps = _window_maps(worker, windows, specs[0].k, workers)
     with no_grad(), contextlib.closing(maps):
         return stitch_average(windows, maps, h, w)
 
@@ -164,7 +168,7 @@ def predict_probs(spec: NetworkSpec, bands: np.ndarray,
     overlapping predictions are averaged per pixel after the softmax, so
     each output pixel is a mean of distributions (and still sums to 1).
     """
-    return _predict_scene([spec], None, [bands], geom, threads)
+    return predict_scene([spec], None, [bands], geom, threads)
 
 
 def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
@@ -177,8 +181,8 @@ def predict_probs_fused(spec_a: NetworkSpec, spec_b: NetworkSpec,
     With a corrector the fused values are corrected scores rather than
     renormalized probabilities; argmax treats them the same way.
     """
-    return _predict_scene([spec_a, spec_b], corr, [bands_a, bands_b], geom,
-                          threads)
+    return predict_scene([spec_a, spec_b], corr, [bands_a, bands_b], geom,
+                         threads)
 
 
 def labels_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -21,6 +21,12 @@ def _disk_offsets(radius: int):
     return out
 
 
+def check_radius(radius: int) -> None:
+    """ConfigError unless ``radius`` is a boundary erosion radius."""
+    if radius < 0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
+
+
 def erode_boundaries(gt: np.ndarray, radius: int) -> np.ndarray:
     """Mark every pixel within Euclidean distance <= radius, which the
     caller sets, of a pixel of a DIFFERENT class as the ignore sentinel.
@@ -31,8 +37,7 @@ def erode_boundaries(gt: np.ndarray, radius: int) -> np.ndarray:
     gt = np.asarray(gt)
     if gt.ndim != 2:
         raise ShapeError(f"label raster must be 2-D, got shape {gt.shape}")
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
+    check_radius(radius)
     if radius == 0:
         return gt.copy()
     h, w = gt.shape
@@ -84,10 +89,6 @@ class ConfusionMatrix:
             .reshape(self.k, self.k)
         return self
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class Scores:
@@ -96,7 +97,6 @@ class Scores:
     f1: np.ndarray         # NaN where the class is absent from the GT
     accuracy: float
     support: np.ndarray    # C_i, ground-truth pixels per class
-    predicted: np.ndarray  # P_i, predicted pixels per class
 
     @property
     def macro_f1(self) -> float:
@@ -125,8 +125,7 @@ def f1_scores(cm: ConfusionMatrix) -> Scores:
             f1[i] = 2 * p * r / (p + r)
     total = c.sum()
     accuracy = float(tp.sum() / total) if total else float("nan")
-    return Scores(precision, recall, f1, accuracy,
-                  support.astype(np.int64), predicted.astype(np.int64))
+    return Scores(precision, recall, f1, accuracy, support.astype(np.int64))
 
 
 def format_report(scores: Scores, class_names=None) -> str:

@@ -27,10 +27,9 @@ from .nnops import (BNState, ConvParams, batchnorm,  # noqa: F401
                     unpool)
 from .tensor import Tensor, value
 
-FULL_WIDTHS = (64, 128, 256, 512, 512)
-FULL_CONV_COUNTS = (2, 2, 3, 3, 3)
-MINI_WIDTHS = (16, 32)
-MINI_CONV_COUNTS = (2, 2)
+# per scale, the (width, conv count) of each encoder block
+PLANS = {"full": ((64, 2), (128, 2), (256, 3), (512, 3), (512, 3)),
+         "mini": ((16, 2), (32, 2))}
 
 
 @dataclass
@@ -45,8 +44,6 @@ class ConvUnit:
 class NetworkSpec:
     in_channels: int
     k: int
-    widths: "tuple[int, ...]"
-    conv_counts: "tuple[int, ...]"
     scale_name: str
     enc_blocks: "list[list[ConvUnit]]"
     dec_blocks: "list[list[ConvUnit]]"  # execution order: mirror of last block first
@@ -54,7 +51,7 @@ class NetworkSpec:
 
     @property
     def depth(self) -> int:
-        return len(self.widths)
+        return len(self.enc_blocks)
 
 
 def build_segnet(k: int, scale: str, in_channels: int = 3,
@@ -63,12 +60,9 @@ def build_segnet(k: int, scale: str, in_channels: int = 3,
     zero; apply init_he (and optionally an encoder checkpoint) before use."""
     if k < 2:
         raise SpecError(f"need at least 2 classes, got {k}")
-    if scale == "full":
-        widths, conv_counts = FULL_WIDTHS, FULL_CONV_COUNTS
-    elif scale == "mini":
-        widths, conv_counts = MINI_WIDTHS, MINI_CONV_COUNTS
-    else:
+    if scale not in PLANS:
         raise SpecError(f"unknown scale {scale!r}, expected 'full' or 'mini'")
+    widths, conv_counts = zip(*PLANS[scale])
 
     def unit(name, ic, oc, group):
         return ConvUnit(name, ConvParams.zeros(ic, oc, 3, dtype=dtype),
@@ -84,19 +78,14 @@ def build_segnet(k: int, scale: str, in_channels: int = 3,
     dec_blocks = []
     for bi in range(len(widths), 0, -1):
         w, cnt = widths[bi - 1], conv_counts[bi - 1]
-        if bi >= 2:
-            target = widths[bi - 2]
-            block = [unit(f"dec.b{bi}.c{ci}", w, w if ci < cnt - 1 else target,
-                          "decoder") for ci in range(cnt)]
-        else:
-            # final block: all convs keep width, the head is its last conv
-            block = [unit(f"dec.b{bi}.c{ci}", w, w, "decoder")
-                     for ci in range(cnt - 1)]
-        dec_blocks.append(block)
+        # a block's last conv hands on the width of the block before it;
+        # the first block's last conv is the head
+        outs = [w] * (cnt - 1) + ([widths[bi - 2]] if bi >= 2 else [])
+        dec_blocks.append([unit(f"dec.b{bi}.c{ci}", w, oc, "decoder")
+                           for ci, oc in enumerate(outs)])
 
     head = make_head(widths[0], k, scales=head_scales, dtype=dtype)
-    return NetworkSpec(in_channels, k, widths, conv_counts, scale, enc_blocks,
-                       dec_blocks, head)
+    return NetworkSpec(in_channels, k, scale, enc_blocks, dec_blocks, head)
 
 
 def _units(spec: NetworkSpec):
@@ -115,7 +104,7 @@ def init_he(spec: NetworkSpec, seed: int) -> None:
         he_fill(b, rng)
 
 
-def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
+def forward_parts(spec: NetworkSpec, x: Tensor, mode: str):
     """Returns (logits, trunk features), both (n,c,h,w) like ``x``. In
     between, activations are channels-last, and each unit hands its output
     on pending (``conv_norm``): the conv, pool or unpool that reads it
@@ -126,7 +115,7 @@ def forward_parts(spec: NetworkSpec, x: Tensor, mode: str = "train"):
     return logits, to_nchw(h)
 
 
-def forward(spec: NetworkSpec, x: Tensor, mode: str = "train") -> Tensor:
+def forward(spec: NetworkSpec, x: Tensor, mode: str) -> Tensor:
     """The logits of ``forward_parts``, without building the features."""
     return _forward(spec, x, mode)[0]
 
@@ -224,14 +213,14 @@ def restore_entries(bundle, entries, missing_label: str) -> None:
     first write."""
     staged, missing = [], []
     for name, cur, _ in entries:
-        entry = bundle.get(name)
-        if entry is None:
+        arr = bundle.get(name)
+        if arr is None:
             missing.append(name)
-        elif entry.array.shape != cur.shape:
-            raise CheckpointError(f"{name}: checkpoint shape "
-                                  f"{entry.array.shape}, expected {cur.shape}")
+        elif arr.shape != cur.shape:
+            raise CheckpointError(f"{name}: checkpoint shape {arr.shape}, "
+                                  f"expected {cur.shape}")
         else:
-            staged.append((cur, entry.array))
+            staged.append((cur, arr))
     if missing:
         raise CheckpointError(
             f"{missing_label}: {missing[:5]}"

@@ -12,7 +12,6 @@ parameter plus an ``index.txt`` mapping stable parameter names (such as
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +74,6 @@ def read_ten(path) -> np.ndarray:
     return out.astype(dtype.newbyteorder("="), copy=True)
 
 
-@dataclass
-class BundleEntry:
-    name: str
-    array: np.ndarray
-    group: str
-
-
 def _shape_token(shape) -> str:
     return "x".join(str(int(e)) for e in shape) if shape else "scalar"
 
@@ -109,7 +101,7 @@ def save_bundle(dirpath, entries) -> None:
         fh.writelines(lines)
 
 
-def load_bundle(dirpath) -> "dict[str, BundleEntry]":
+def load_bundle(dirpath) -> "dict[str, np.ndarray]":
     index_path = os.path.join(dirpath, INDEX_NAME)
     if not os.path.exists(index_path):
         raise CheckpointError(f"no {INDEX_NAME} in {dirpath}")
@@ -118,7 +110,7 @@ def load_bundle(dirpath) -> "dict[str, BundleEntry]":
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{index_path}: not UTF-8: {exc}") from None
-    out: "dict[str, BundleEntry]" = {}
+    out: "dict[str, np.ndarray]" = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line:
@@ -127,7 +119,7 @@ def load_bundle(dirpath) -> "dict[str, BundleEntry]":
         if len(parts) != 4:
             raise CheckpointError(
                 f"{INDEX_NAME}:{lineno}: expected 4 tab-separated fields")
-        name, fname, shape_tok, group = parts
+        name, fname, shape_tok, _ = parts
         if name in out:
             raise CheckpointError(f"duplicate parameter name {name!r}")
         if fname in ("", ".", "..") or os.path.basename(fname) != fname:
@@ -142,5 +134,5 @@ def load_bundle(dirpath) -> "dict[str, BundleEntry]":
         if arr.shape != expect:
             raise CheckpointError(
                 f"{name}: index says shape {expect}, payload has {arr.shape}")
-        out[name] = BundleEntry(name, arr, group)
+        out[name] = arr
     return out

@@ -55,7 +55,7 @@ def workload_convs():
                 spec = build_segnet(k=5, scale=scale, in_channels=3,
                                     head_scales=scales)
                 x = Tensor(np.zeros((batch, 3, 64, 64), np.float32))
-                _, feats = forward_parts(spec, x)
+                _, feats = forward_parts(spec, x, mode="train")
             corr = make_corrector(in_channels=2 * feats.shape[1], k=5,
                                   hidden=64)
             forward_corrector(corr, Tensor(np.zeros(

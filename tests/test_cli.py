@@ -313,11 +313,11 @@ class TestExtendScale:
         before = load_bundle(workspace / "run-a" / "checkpoint")
         after = load_bundle(out / "checkpoint")
         moved = []
-        for name, entry in before.items():
+        for name, arr in before.items():
             if name.endswith("running_mean") or name.endswith("running_var") \
                     or name.endswith("initialized"):
                 continue
-            if not np.array_equal(entry.array, after[name].array):
+            if not np.array_equal(arr, after[name]):
                 moved.append(name)
         assert moved == []
         assert "head.s5.weight" in after
@@ -1066,7 +1066,13 @@ class TestUsage:
           "--stride", "0"], "stride must be in [1, patch=64], got 0"),
         ([*PREDICT, "--patch", "32", "--stride", "32", "--threads", "0"],
          "thread count must be >= 1, got 0"),
+        (["predict", "--run", "{ws}/run-a", "--scene", "{ws}/data/none",
+          "--patch", "32", "--stride", "32", "--threads", "0"],
+         "thread count must be >= 1, got 0"),
         ([*EVALUATE, "--radius", "-1"], "radius must be >= 0, got -1"),
+        (["evaluate", "--pred", "{ws}/none.pgm", "--gt",
+          "{ws}/data/tile-000.labels.pgm", "--radius", "-1"],
+         "radius must be >= 0, got -1"),
         ([*EVALUATE, "--classes", "0"], "need at least 1 class, got 0"),
         ([*EVALUATE, "--classes", "-1"], "need at least 1 class, got -1"),
         (["evaluate", "--pred", "{ws}/none.pgm", "--gt",
@@ -1075,8 +1081,9 @@ class TestUsage:
         ([*FUSION, "--hidden", "0"], "at least 1 hidden channel, got 0"),
         ([*FUSION, "--hidden", "-3"], "at least 1 hidden channel, got -3"),
     ], ids=["tiles_0", "tiles_-1", "size_8", "patch_0", "stride_0",
-            "stride_0_missing_scene", "threads_0", "radius_-1", "classes_0",
-            "classes_-1", "classes_0_missing_pred", "hidden_0", "hidden_-3"])
+            "stride_0_missing_scene", "threads_0", "threads_0_missing_scene",
+            "radius_-1", "radius_-1_missing_pred", "classes_0", "classes_-1",
+            "classes_0_missing_pred", "hidden_0", "hidden_-3"])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path,
                                               capsys, argv, message):
         code, line = self.refused(workspace, tmp_path, capsys, argv)

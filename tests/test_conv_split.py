@@ -79,7 +79,8 @@ def full_net_convs():
     ck.conv_forward = spy
     try:
         with no_grad():
-            forward(spec, Tensor(np.zeros((4, 3, 64, 64), np.float32)))
+            forward(spec, Tensor(np.zeros((4, 3, 64, 64), np.float32)),
+                    mode="train")
     finally:
         ck.conv_forward = real
     return sorted(seen)
@@ -234,7 +235,8 @@ def test_forked_prediction_equals_one_worker(helper, monkeypatch):
         spec = build_segnet(k=5, scale="mini", in_channels=3)
         init_he(spec, seed=seed)
         with no_grad():
-            forward_parts(spec, Tensor(np.stack([t[0].data for t in tiles])))
+            forward_parts(spec, Tensor(np.stack([t[0].data for t in tiles])),
+                          mode="train")
         nets.append(spec)
     corr = make_corrector(in_channels=32, k=5, hidden=64)
     init_corrector(corr, seed=4)

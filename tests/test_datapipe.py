@@ -67,15 +67,16 @@ class TestComposite:
         np.testing.assert_array_equal(out.data[0], np.zeros((4, 4)))
 
     def test_nodata_excluded_from_range(self):
-        dsm = np.array([[0.0, 10.0], [20.0, -999.0]])
+        dsm = np.array([[0.0, 10.0], [20.0, np.nan]])
         rest = np.zeros((2, 2)) + np.array([[0, 1], [0, 1]])
-        out = build_composite(dsm, rest, rest, nodata=-999.0)
+        out = build_composite(dsm, rest, rest)
         assert out.data[0, 1, 0] == 1.0  # 20 is the max among valid pixels
+        assert out.data[0, 1, 1] == 0.0  # the nodata pixel itself
 
     def test_all_nodata_band_rejected(self):
         with pytest.raises(DataError, match="ndsm"):
-            build_composite(np.ones((2, 2)), np.full((2, 2), -1.0),
-                            np.ones((2, 2)), nodata=-1.0)
+            build_composite(np.ones((2, 2)), np.full((2, 2), np.nan),
+                            np.ones((2, 2)))
 
 
 class TestPlanTiles:

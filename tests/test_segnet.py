@@ -4,11 +4,11 @@ import pytest
 from segstack import Tensor, cross_entropy_loss, nnops, segnet
 from segstack.errors import (CheckpointError, ConfigError, FormatError,
                              ShapeError, SpecError)
-from segstack.segnet import (FULL_CONV_COUNTS, FULL_WIDTHS, build_segnet,
-                             forward, forward_parts, init_he, load_checkpoint,
-                             load_encoder_checkpoint, named_parameters,
-                             param_groups, save_checkpoint, state_entries)
-from segstack.tenio import load_bundle, save_bundle
+from segstack.segnet import (build_segnet, forward, forward_parts, init_he,
+                             load_checkpoint, load_encoder_checkpoint,
+                             named_parameters, param_groups, save_checkpoint,
+                             state_entries)
+from segstack.tenio import save_bundle
 from segstack.training import TrainConfig, train_segnet
 
 
@@ -23,7 +23,7 @@ class TestStructure:
         spec = mini(k=5)
         out = forward(spec, Tensor(np.random.default_rng(0)
                                    .standard_normal((1, 3, 64, 64))
-                                   .astype(np.float32)))
+                                   .astype(np.float32)), mode="train")
         assert out.shape == (1, 5, 64, 64)
 
     def test_full_conv_census(self):
@@ -35,8 +35,9 @@ class TestStructure:
 
     def test_full_channel_plan(self):
         spec = build_segnet(6, scale="full")
-        assert spec.widths == FULL_WIDTHS
-        assert spec.conv_counts == FULL_CONV_COUNTS
+        assert [len(b) for b in spec.enc_blocks] == [2, 2, 3, 3, 3]
+        assert [b[-1].params.out_channels for b in spec.enc_blocks] == \
+            [64, 128, 256, 512, 512]
         assert spec.enc_blocks[0][0].params.in_channels == 3
         assert spec.enc_blocks[0][0].params.out_channels == 64
         # decoder blocks run deepest first; each hands its mirror's input
@@ -65,17 +66,19 @@ class TestStructure:
         spec = mini(k=3)
         x = Tensor(np.random.default_rng(1)
                    .standard_normal((2, 3, 32, 48)).astype(np.float32))
-        assert forward(spec, x).shape == (2, 3, 32, 48)
+        assert forward(spec, x, mode="train").shape == (2, 3, 32, 48)
 
     def test_indivisible_extent_rejected(self):
         spec = mini(k=3)
         with pytest.raises(ShapeError, match="divisible"):
-            forward(spec, Tensor(np.zeros((1, 3, 66, 64), dtype=np.float32)))
+            forward(spec, Tensor(np.zeros((1, 3, 66, 64), dtype=np.float32)),
+                    mode="train")
 
     def test_wrong_channel_count_rejected(self):
         spec = mini(k=3)
         with pytest.raises(ShapeError, match="channels"):
-            forward(spec, Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32)))
+            forward(spec, Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32)),
+                    mode="train")
 
     def test_bad_plans_rejected(self):
         with pytest.raises(SpecError):
@@ -89,7 +92,7 @@ class TestStructure:
         spec = mini(k=4, seed=3)
         x = Tensor(np.random.default_rng(2)
                    .standard_normal((2, 3, 32, 32)).astype(np.float32))
-        logits, feats = forward_parts(spec, x)
+        logits, feats = forward_parts(spec, x, mode="train")
         assert np.isfinite(logits.data).all()
         assert np.isfinite(feats.data).all()
         assert feats.shape == (2, 16, 32, 32)
@@ -100,7 +103,7 @@ class TestStructure:
         spec = mini(k=5, seed=3)
         x = np.random.default_rng(2).standard_normal(
             (4, 3, 32, 32)).astype(np.float32)
-        want = forward_parts(spec, Tensor(x))[0].data
+        want = forward_parts(spec, Tensor(x), mode="train")[0].data
 
         def no_features(h):
             # the logits pass through to_nchw too; the features are pending
@@ -109,7 +112,8 @@ class TestStructure:
             return nnops.to_nchw(h)
 
         monkeypatch.setattr(segnet, "to_nchw", no_features)
-        np.testing.assert_array_equal(forward(spec, Tensor(x)).data, want)
+        np.testing.assert_array_equal(
+            forward(spec, Tensor(x), mode="train").data, want)
         labels = np.zeros((32, 32), np.uint8)
         train_segnet(spec, [(xi, labels) for xi in x],
                      TrainConfig(epochs=1, batch_size=4, patch=32), tmp_path)
@@ -195,11 +199,8 @@ class TestCheckpoint:
 
     def test_missing_parameter(self, tmp_path):
         spec = mini(k=3)
-        save_checkpoint(tmp_path / "c", state_entries(spec))
-        bundle = load_bundle(tmp_path / "c")
-        del bundle["dec.b1.c0.weight"]
-        save_bundle(tmp_path / "c2",
-                    [(e.name, e.array, e.group) for e in bundle.values()])
+        save_bundle(tmp_path / "c2", [e for e in state_entries(spec)
+                                      if e[0] != "dec.b1.c0.weight"])
         with pytest.raises(CheckpointError, match="missing.*dec.b1.c0.weight"):
             load_checkpoint(build_segnet(3, scale="mini"), tmp_path / "c2")
 
@@ -229,10 +230,7 @@ class TestCheckpoint:
 
     def test_decoder_only_bundle_rejected(self, tmp_path):
         spec = mini(k=3, seed=2)
-        save_checkpoint(tmp_path / "c", state_entries(spec))
-        bundle = load_bundle(tmp_path / "c")
-        dec_only = [(e.name, e.array, e.group) for e in bundle.values()
-                    if e.group != "encoder"]
+        dec_only = [e for e in state_entries(spec) if e[2] != "encoder"]
         save_bundle(tmp_path / "dec", dec_only)
         with pytest.raises(CheckpointError, match="missing encoder parameters"):
             load_encoder_checkpoint(mini(k=3), tmp_path / "dec")
@@ -252,9 +250,7 @@ class TestCheckpoint:
 
     def test_unknown_entry_rejected_on_full_load(self, tmp_path):
         spec = mini(k=3, seed=2)
-        save_checkpoint(tmp_path / "c", state_entries(spec))
-        bundle = load_bundle(tmp_path / "c")
-        entries = [(e.name, e.array, e.group) for e in bundle.values()]
+        entries = state_entries(spec)
         entries.append(("mystery.weight", np.zeros(2, dtype=np.float32), "x"))
         save_bundle(tmp_path / "c2", entries)
         with pytest.raises(CheckpointError, match="unknown"):
@@ -268,7 +264,7 @@ class TestTraining:
         x = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
         labels = rng.integers(0, 4, size=(2, 32, 32))
         from segstack import backward
-        loss = cross_entropy_loss(forward(spec, x), labels)
+        loss = cross_entropy_loss(forward(spec, x, mode="train"), labels)
         backward(loss)
         for n, t, _ in named_parameters(spec):
             assert t.grad is not None, n

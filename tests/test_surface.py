@@ -21,8 +21,8 @@ import segstack
 from segstack import errors
 from segstack.cli import build_parser
 
-SETTABLE_VALUES_CAP = 101
-SRC_LINES_CAP = 3600
+SETTABLE_VALUES_CAP = 98
+SRC_LINES_CAP = 3578
 
 SRC = pathlib.Path(segstack.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]

@@ -144,11 +144,9 @@ class TestBundle:
         save_bundle(tmp_path / "ckpt", entries)
         back = load_bundle(tmp_path / "ckpt")
         assert list(back) == [name for name, _, _ in entries]
-        for name, arr, group in entries:
-            got = back[name]
-            assert got.group == group
-            assert got.array.tobytes() == arr.tobytes()
-            assert got.array.shape == arr.shape
+        for name, arr, _ in entries:
+            assert back[name].tobytes() == arr.tobytes()
+            assert back[name].shape == arr.shape
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CheckpointError, match="index"):

@@ -108,7 +108,7 @@ MALFORMED = {
     "conv2d_3d_input": (lambda: conv2d(_zeros(3, 4, 4), make_conv(
         np.zeros((1, 3, 1, 1)))), ShapeError, "input must be 4-D"),
     "forward_3d_input": (lambda: forward(build_segnet(2, "mini"),
-                                         _zeros(3, 32, 32)),
+                                         _zeros(3, 32, 32), mode="train"),
                          ShapeError, "input must be 4-D"),
     "forward_mode": (lambda: forward(build_segnet(2, "mini"),
                                      _zeros(1, 3, 32, 32), mode="Train"),

@@ -1,11 +1,17 @@
-"""Lists the statements of ``src/segstack`` that the test suite never runs.
+"""Lists the statements of ``src/segstack`` that the test suite, or the
+command-line session and the demos, never run.
 
     python3 tests/uncovered.py [PYTEST_ARGS ...]
+    python3 tests/uncovered.py --traffic
 
 Runs pytest in this process, by default with the Tier-1 command's
 arguments on ``tests/``, under ``sys.settrace`` and ``threading.settrace``,
 and records the lines executed in frames whose code lies in
-``src/segstack``. A forked child (a prediction worker, or a test that
+``src/segstack``. With ``--traffic`` it runs, in place of pytest, what a
+user runs: every step of ``tests/cli_session.py``'s ``SESSION`` through
+``segstack.cli.main`` in a temporary directory, then the six demos, with
+BLAS pinned to one thread. So it lists the code that no command and no
+demo reaches. A forked child (a prediction worker, or a test that
 forks) appends each line that it runs and its parent had not run at the
 fork to a file of its own, which this process reads at the end. Commands that the tests start with
 ``subprocess`` are not traced.
@@ -19,15 +25,22 @@ class level are not listed either: they run on import.
 
 The script imports only the standard library and pytest, so numpy loads
 after ``tests/conftest.py`` has pinned BLAS, as in a plain pytest run.
-It exits with pytest's exit code. Pytest does not collect this file.
+It exits with pytest's exit code; with ``--traffic``, with 0 if every
+session step exited with the code ``SESSION`` expects and every demo ran
+through, and 1 otherwise. Pytest does not collect this file.
 """
 
 import ast
+import contextlib
+import glob
+import io
 import os
+import runpy
 import shutil
 import sys
 import tempfile
 import threading
+import traceback
 from types import SimpleNamespace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,15 +82,61 @@ def _after_fork_in_child():
                         os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
 
-def run_traced(args) -> int:
-    """Run pytest with ``args`` under the tracer; fill ``_seen`` with the
-    lines this process and its forked children ran."""
+def _quietly(name, fn) -> bool:
+    """Run ``fn``, which returns whether it did what was expected, with
+    its output captured; print one line for it, and the output if not."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            ok = fn()
+    except (Exception, SystemExit):
+        ok = False
+        out.write(traceback.format_exc())
+    print(f"{name}: {'ok' if ok else 'FAILED'}")
+    if not ok:
+        print(out.getvalue().rstrip())
+    return ok
+
+
+def _run_demo(path) -> bool:
+    runpy.run_path(path, run_name="__main__")
+    return True
+
+
+def traffic() -> int:
+    """``tests/cli_session.py``'s SESSION through ``segstack.cli.main``,
+    then every demo, in a temporary directory that is then removed."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads, as cli_session does
+    sys.path.insert(0, os.path.join(REPO, "tests"))
+    from cli_session import SESSION
+    from segstack.cli import main as cli_main
+
+    work, cwd = tempfile.mkdtemp(prefix="uncovered-traffic-"), os.getcwd()
+    os.chdir(work)
+    tempfile.tempdir = work  # the demos write their runs under it
+    try:
+        ok = [_quietly(name, lambda: cli_main(args) == want)
+              for name, args, want in SESSION]
+        for path in sorted(glob.glob(os.path.join(REPO, "demos", "*.py"))):
+            ok.append(_quietly(os.path.relpath(path, REPO),
+                               lambda: _run_demo(path)))
+    finally:
+        tempfile.tempdir = None
+        os.chdir(cwd)
+        shutil.rmtree(work)
+    return 0 if all(ok) else 1
+
+
+def run_traced(run) -> int:
+    """Call ``run`` under the tracer and return its exit code; fill
+    ``_seen`` with the lines this process and its forked children ran."""
     _child.dir = tempfile.mkdtemp(prefix="uncovered-")
     os.register_at_fork(after_in_child=_after_fork_in_child)
     threading.settrace(_global)
     sys.settrace(_global)
     try:
-        code = pytest.main(args)
+        code = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -142,7 +201,10 @@ def never_ran(path, ran: "set[int]"):
 
 
 def main(argv) -> int:
-    code = run_traced(argv or TIER1_ARGS)
+    if argv == ["--traffic"]:
+        code = run_traced(traffic)
+    else:
+        code = run_traced(lambda: pytest.main(argv or TIER1_ARGS))
     by_file: "dict[str, set[int]]" = {}
     for name, lineno in _seen:
         by_file.setdefault(os.path.realpath(name), set()).add(lineno)
@@ -162,7 +224,8 @@ def main(argv) -> int:
             total += len(missed)
     print(f"{total} statements never ran")
     if code:
-        print(f"pytest exited with code {code}", file=sys.stderr)
+        print(f"{'traffic' if argv == ['--traffic'] else 'pytest'} exited "
+              f"with code {code}", file=sys.stderr)
     return code
 
 

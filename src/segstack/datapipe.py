@@ -3,6 +3,7 @@ plans, overlap-averaged stitching, the synthetic desk-scale dataset, and
 binary netpbm IO (PPM and PGM out, PGM in) with the 5-class color legend.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,10 +310,11 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    with open(path, "rb") as fh:  # one buffer, which the pixels view
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
     if buf[:2] != b"P5":
-        raise FormatError(f"bad magic {buf[:2]!r}, expected b'P5'")
+        raise FormatError(f"bad magic {bytes(buf[:2])!r}, expected b'P5'")
     # header tokens may be separated by any whitespace; '#' starts a comment
     pos, tokens = 2, []
     while len(tokens) < 3:
@@ -328,7 +330,7 @@ def read_pgm(path) -> np.ndarray:
             start = pos
             while pos < len(buf) and not buf[pos:pos + 1].isspace():
                 pos += 1
-            tokens.append(buf[start:pos])
+            tokens.append(bytes(buf[start:pos]))
     pos += 1  # exactly one whitespace byte after maxval
     try:
         w, h, maxval = (int(t) for t in tokens)
@@ -341,5 +343,4 @@ def read_pgm(path) -> np.ndarray:
     need = w * h
     if len(buf) - pos < need:
         raise FormatError(f"truncated pixel data: {len(buf) - pos} of {need} bytes")
-    return np.frombuffer(buf, dtype=np.uint8, count=need,
-                         offset=pos).reshape(h, w).copy()
+    return np.frombuffer(buf, np.uint8, need, pos).reshape(h, w)

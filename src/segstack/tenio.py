@@ -2,7 +2,9 @@
 
 A ``.ten`` file is: magic ``TEN1``, u32 little-endian rank, rank u32
 extents, one u8 dtype code (0 = float32, 1 = float64), then the raw
-little-endian row-major payload. Round trips are bit-exact.
+little-endian row-major payload. A read checks the payload size against
+the file, then allocates the array once and reads the payload into it.
+Round trips are bit-exact.
 
 A checkpoint bundle is a directory holding one ``.ten`` payload per
 parameter plus an ``index.txt`` mapping stable parameter names (such as
@@ -31,47 +33,43 @@ def write_ten(path, array) -> None:
     code = _CODE_FOR_KIND[arr.dtype]
     le = arr.astype(_DTYPE_CODES[code], copy=False)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(struct.pack("B", code))
+        fh.write(MAGIC + struct.pack(f"<{arr.ndim + 1}IB", arr.ndim,
+                                     *arr.shape, code))
         fh.write(np.ascontiguousarray(le).data)
 
 
-def _take(buf: bytes, offset: int, count: int, what: str):
-    end = offset + count
-    if end > len(buf):
+def _read(fh, count: int, what: str) -> bytes:
+    if len(raw := fh.read(count)) != count:
         raise FormatError(f"truncated tensor file: {what} missing")
-    return buf[offset:end], end
+    return raw
 
 
 def read_ten(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    head, off = _take(buf, 0, 4, "magic")
-    if head != MAGIC:
-        raise FormatError(f"bad magic {head!r}, expected {MAGIC!r}")
-    raw, off = _take(buf, off, 4, "rank")
-    rank = struct.unpack("<I", raw)[0]
-    if rank > 32:
-        raise FormatError(f"implausible rank {rank}")
-    raw, off = _take(buf, off, 4 * rank, "extents")
-    shape = struct.unpack(f"<{rank}I", raw) if rank else ()
-    raw, off = _take(buf, off, 1, "dtype code")
-    code = raw[0]
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"unknown dtype code {code}")
-    dtype = _DTYPE_CODES[code]
-    count = math.prod(shape)  # exact: u32 extents can overflow int64
-    payload, off = _take(buf, off, count * dtype.itemsize, "payload")
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after payload")
-    try:
-        out = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    except ValueError:  # an empty shape such as (0, 2**32-1, 2**32-1)
-        raise FormatError(f"extents {shape} are too large") from None
-    # native-order writable copy
-    return out.astype(dtype.newbyteorder("="), copy=True)
+        head = _read(fh, 4, "magic")
+        if head != MAGIC:
+            raise FormatError(f"bad magic {head!r}, expected {MAGIC!r}")
+        rank = struct.unpack("<I", _read(fh, 4, "rank"))[0]
+        if rank > 32:
+            raise FormatError(f"implausible rank {rank}")
+        shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, "extents"))
+        code = _read(fh, 1, "dtype code")[0]
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"unknown dtype code {code}")
+        dtype = _DTYPE_CODES[code]
+        need = math.prod(shape) * dtype.itemsize  # exact, even past int64
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            raise FormatError("truncated tensor file: payload missing")
+        if left > need:
+            raise FormatError(f"{left - need} trailing bytes after payload")
+        try:  # native order: a big-endian host swaps the bytes below
+            out = np.empty(shape, dtype.newbyteorder("="))
+        except ValueError:  # an empty shape such as (0, 2**32-1, 2**32-1)
+            raise FormatError(f"extents {shape} are too large") from None
+        if need and fh.readinto(out) != need:  # the file shrank meanwhile
+            raise FormatError("truncated tensor file: payload missing")
+    return out if out.dtype == dtype else out.byteswap(inplace=True)
 
 
 def _shape_token(shape) -> str:
@@ -126,10 +124,10 @@ def load_bundle(dirpath) -> "dict[str, np.ndarray]":
             raise CheckpointError(f"{INDEX_NAME}:{lineno}: payload "
                                   f"{fname!r} is not a file name in the "
                                   "bundle directory")
-        fpath = os.path.join(dirpath, fname)
-        if not os.path.exists(fpath):
-            raise CheckpointError(f"missing payload {fname} for {name}")
-        arr = read_ten(fpath)
+        try:
+            arr = read_ten(os.path.join(dirpath, fname))
+        except FileNotFoundError:
+            raise CheckpointError(f"missing payload {fname} for {name}") from None
         expect = _parse_shape(shape_tok)
         if arr.shape != expect:
             raise CheckpointError(

@@ -3,8 +3,9 @@ bytes as the commit before it.
 
     python3 tests/cli_session.py OUT_DIR > session.txt
 
-It runs every subcommand: each training command, a diverged run, the
-three kinds of ``predict`` (fused with ``--threads`` 1, 2 and 3),
+It runs every subcommand: each training command, a diverged run, each
+kind of ``predict`` (single-stream, multi-kernel, corrected fusion with
+``--threads`` 1, 2 and 3, and the plain average of two streams),
 ``fusion-stats`` and ``evaluate``. Each runs through
 ``python -m segstack.cli`` from this checkout's ``src/``, in its own
 process with BLAS pinned to one thread and OUT_DIR as the working
@@ -65,6 +66,10 @@ SESSION = [
                                f"pred_fused_t{n}", "--patch", "32",
                                "--stride", "16", "--threads", str(n)], 0)
       for n in (1, 2, 3)),
+    ("predict_average", ["predict", "--run-a", "irrg", "--run-b", "comp",
+                         "--scene", "data/tile-003", "--out", "pred_average",
+                         "--patch", "32", "--stride", "16", "--threads", "2"],
+     0),
     ("fusion_stats", ["fusion-stats", "--data", "data", "--run-a", "irrg",
                       "--run-b", "comp", "--fusion-run", "fusion"], 0),
     ("evaluate", ["evaluate", "--pred", "pred_single/labels.pgm", "--gt",

@@ -46,6 +46,7 @@ ten_files = st.one_of(
 
 @FUZZ
 @given(ten_files)
+@example(tenio.MAGIC + struct.pack("<3I", 2, 0, 5) + bytes([0]))  # empty
 def test_read_ten(scratch, data):
     loads_or_refuses(tenio.read_ten, scratch / "x.ten", data)
 

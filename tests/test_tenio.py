@@ -1,14 +1,17 @@
 import struct
+import types
 
 import numpy as np
 import pytest
 
+from segstack import tenio
 from segstack.errors import CheckpointError, FormatError
 from segstack.tenio import load_bundle, read_ten, save_bundle, write_ten
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4), (2, 1, 4, 4)])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4), (2, 1, 4, 4),
+                                   (0,), (2, 0, 3)])
 def test_round_trip_bit_exact(tmp_path, dtype, shape):
     rng = np.random.default_rng(0)
     arr = rng.standard_normal(shape).astype(dtype)
@@ -127,6 +130,30 @@ def test_result_is_writable(tmp_path):
     write_ten(path, np.ones(3, dtype=np.float32))
     back = read_ten(path)
     back[0] = 5.0  # must not raise
+
+
+def test_other_byte_order_comes_back_native(tmp_path, monkeypatch):
+    # a file whose byte order is not the host's takes the byte swap that
+    # a big-endian host takes on every file
+    foreign = "<" if np.dtype("=f4") == np.dtype(">f4") else ">"
+    monkeypatch.setitem(tenio._DTYPE_CODES, 0, np.dtype(foreign + "f4"))
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_ten(tmp_path / "e.ten", arr)
+    back = read_ten(tmp_path / "e.ten")
+    assert back.dtype == np.dtype("=f4")
+    np.testing.assert_array_equal(back, arr)
+    back[0, 0] = 5.0  # must not raise
+
+
+def test_file_that_shrinks_after_its_size_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "s.ten"
+    write_ten(path, np.ones(4, dtype=np.float32))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(tenio.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=size))
+    with pytest.raises(FormatError, match="truncated tensor file: payload"):
+        read_ten(path)
 
 
 class TestBundle:
